@@ -1,23 +1,27 @@
 """Executable audits of the order, dominance, and independence axioms.
 
 Every checker takes an arbitrary comparator and a finite sample of
-profiles sharing one context, scans the relevant tuple space in a fixed
-canonical order (row-major over sample indices), and reports either a
-clean pass or concrete counterexample witnesses that replay
+profiles sharing one context, covers the whole relevant tuple space, and
+reports either a clean pass or concrete counterexample witnesses, listed
+in canonical order (row-major over sample indices), that replay
 deterministically.
 
-Point, pair, and triple scans are always exhaustive. Quadruple scans are
-exhaustive up to a configurable sample-size cap and switch to seeded
-uniform draws beyond it, so large samples still get a reproducible smoke
-audit. Scans always run to completion so the reported tuple counts are
-exact; the witness policy only controls how many violations are recorded.
+Point, pair, and triple scans visit every tuple. Each quadruple axiom's
+hypothesis says that its two pairs share a key derived from the pairs'
+(up-set, down-set, first difference) signatures, so the axiom holds
+exactly when the weak verdict is constant on every key class. Quadruple
+audits therefore count qualifying and violating quadruples from the
+classes of the n^2 ordered pairs instead of visiting all n^4 quadruples.
+Counts are always exact; the witness policy only controls how many
+violations are recorded.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -114,16 +118,10 @@ ALL_AXIOMS = ORDER_AXIOMS + PAIR_AXIOMS + QUAD_AXIOMS
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Checker tuning; the defaults keep desk-scale runs fully exhaustive.
-
-    Quadruple scans cost n^4: samples larger than exhaustive_cap points
-    fall back to `samples` seeded uniform quadruple draws.
-    """
+    """Checker options. Every scan covers its whole tuple space; with
+    all_violations every counterexample is recorded, not just the first."""
 
     all_violations: bool = False
-    exhaustive_cap: int = 12
-    samples: int = 1000
-    seed: int = 0
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -142,7 +140,13 @@ class AxiomViolation:
 
 @dataclass(frozen=True)
 class AxiomResult:
-    """Outcome of one axiom scan."""
+    """Outcome of one axiom scan.
+
+    tuples_examined is the number of tuples the scan covers: n, n(n-1),
+    n^3 or n^4 for a sample of n points, whether the tuples were visited
+    one by one or counted by key class. Every scan is exhaustive, so mode
+    always reads "exhaustive".
+    """
 
     axiom: AxiomId
     passed: bool
@@ -150,7 +154,7 @@ class AxiomResult:
     qualifying: int
     violation_count: int
     violations: tuple[AxiomViolation, ...]
-    mode: str  # "exhaustive" or "sampled"
+    mode: str = "exhaustive"
 
     @property
     def vacuous(self) -> bool:
@@ -178,8 +182,9 @@ class AxiomReport:
 
 # ---------------------------------------------------------------------------
 # Hypothesis predicates. These are the single source of truth for what
-# qualifies a tuple; the scan loops precompute equivalent mask data for
-# speed and replay_violation goes back through these.
+# qualifies a tuple; the quadruple scans group pairs by equivalent keys
+# derived from one pair-signature table, and replay_violation goes back
+# through these.
 # ---------------------------------------------------------------------------
 
 
@@ -278,6 +283,72 @@ def qualifies_weak_iwa(a: Raf, b: Raf, c: Raf, d: Raf) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+def _pair_signatures(values: Sequence[tuple]) -> list[list[tuple[int, int, int]]]:
+    """sig[i][j] = (up, down, fd) for every ordered pair of points.
+
+    Bit c of up/down is set when point i is strictly above/below point j
+    at 0-based coordinate c; fd is the first coordinate where they
+    differ, -1 when they are equal.
+    """
+    sigs = []
+    for p in values:
+        row = []
+        for q in values:
+            up = down = 0
+            fd = -1
+            for c, (x, y) in enumerate(zip(p, q)):
+                if x > y:
+                    up |= 1 << c
+                elif x < y:
+                    down |= 1 << c
+                else:
+                    continue
+                if fd < 0:
+                    fd = c
+            row.append((up, down, fd))
+        sigs.append(row)
+    return sigs
+
+
+def _hypothesis_classes(
+    axiom: AxiomId, values: Sequence[tuple], sigs: list[list[tuple[int, int, int]]]
+) -> dict[tuple, list[tuple[int, int]]]:
+    """Ordered pairs grouped by a quadruple axiom's hypothesis key.
+
+    A quadruple (i, j, k, l) meets the hypothesis exactly when (i, j) and
+    (k, l) fall in one class, so the axiom holds exactly when the weak
+    verdict is constant on every class. Pairs outside the hypothesis
+    belong to no class. Each key starts with the 1-based coordinate a
+    witness reports (None for NonCompensation); classes and their members
+    come in row-major order.
+
+    IWA shares WeakIWA's classes: two pairs whose up/down patterns agree
+    on the coordinates up to some k where the first pair differs also
+    agree up to its first difference, so they first differ at the same
+    coordinate in the same direction, and conversely.
+    """
+    n = len(values)
+    classes: dict[tuple, list[tuple[int, int]]] = {}
+    for i in range(n):
+        for j in range(n):
+            up, down, fd = sigs[i][j]
+            if axiom is AxiomId.NON_COMPENSATION:
+                key = (None, up, down)
+            elif axiom is AxiomId.AXIOM2_MS:
+                diff = up | down
+                if not diff or diff & (diff - 1):
+                    continue
+                key = (fd + 1, values[i][fd], values[j][fd])
+            elif axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
+                if fd < 0:
+                    continue
+                key = (fd + 1, (up >> fd) & 1)
+            else:
+                raise RafprefError(f"axiom {axiom} has no pair-class hypothesis")
+            classes.setdefault(key, []).append((i, j))
+    return classes
+
+
 class _Audit:
     """Validated sample plus a memo of relation verdicts by index pair."""
 
@@ -291,7 +362,12 @@ class _Audit:
         self.rel = rel
         self.sample = list(sample)
         self.n = len(sample)
+        self.values = [raf.values for raf in self.sample]
         self._memo: dict[tuple[int, int], ComparisonOutcome] = {}
+
+    @cached_property
+    def signatures(self) -> list[list[tuple[int, int, int]]]:
+        return _pair_signatures(self.values)
 
     def outcome(self, i: int, j: int) -> ComparisonOutcome:
         key = (i, j)
@@ -315,17 +391,19 @@ def _result(
     qualifying: int,
     violations: list[AxiomViolation],
     config: CheckConfig,
-    mode: str = "exhaustive",
+    violation_count: Optional[int] = None,
 ) -> AxiomResult:
+    """violation_count defaults to len(violations), for scans that list
+    every violation they find."""
+    count = len(violations) if violation_count is None else violation_count
     recorded = tuple(violations if config.all_violations else violations[:1])
     return AxiomResult(
         axiom=axiom,
-        passed=not violations,
+        passed=count == 0,
         tuples_examined=examined,
         qualifying=qualifying,
-        violation_count=len(violations),
+        violation_count=count,
         violations=recorded,
-        mode=mode,
     )
 
 
@@ -365,12 +443,9 @@ def _order_results(audit: _Audit, config: CheckConfig) -> list[AxiomResult]:
                 )
 
     # Connectedness is structural: the outcome type has no "incomparable"
-    # value, so this scan certifies that every ordered pair produced a
-    # defined verdict (a comparator that cannot is rejected at memo time).
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                audit.outcome(i, j)
+    # value, and the mirror scan above has already drawn a verdict for
+    # every ordered pair (a comparator that cannot is rejected at memo
+    # time), so it cannot fail.
     connected: list[AxiomViolation] = []
 
     transitive: list[AxiomViolation] = []
@@ -438,130 +513,77 @@ def _pair_result(
     return _result(axiom, n * (n - 1), qualifying, violations, config)
 
 
-class _PairMeta:
-    """Per-ordered-pair mask data shared by the quadruple scans."""
+def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
+    """Quadruple audit counted over the axiom's hypothesis classes.
 
-    __slots__ = ("up", "down", "diff", "fd", "rising", "single", "ksig")
-
-    def __init__(self, p: tuple, q: tuple, arity: int) -> None:
-        up = down = 0
-        fd = -1
-        for i in range(arity):
-            x, y = p[i], q[i]
-            if x > y:
-                up |= 1 << i
-            elif x < y:
-                down |= 1 << i
-            if x != y and fd < 0:
-                fd = i
-        self.up = up
-        self.down = down
-        self.diff = up | down
-        self.fd = fd  # 0-based first difference, -1 when equal
-        self.rising = fd >= 0 and (up >> fd) & 1 == 1
-        # single differing coordinate: (y, value of p there, value of q there)
-        self.single = None
-        if self.diff and self.diff & (self.diff - 1) == 0:
-            y = self.diff.bit_length() - 1
-            self.single = (y, p[y], q[y])
-        # restricted (up, down) signature per 1-based k, for coordinates <= k
-        self.ksig = tuple(
-            (up & ((2 << k) - 1), down & ((2 << k) - 1)) for k in range(arity)
-        )
-
-
-def _quad_space(
-    n: int, config: CheckConfig
-) -> tuple[Iterator[tuple[int, int, int, int]], int, str]:
-    """Quadruple index stream: exhaustive row-major or seeded uniform draws."""
-    if n <= config.exhaustive_cap:
-        def exhaustive() -> Iterator[tuple[int, int, int, int]]:
-            r = range(n)
-            for i in r:
-                for j in r:
-                    for k in r:
-                        for l in r:
-                            yield (i, j, k, l)
-
-        return exhaustive(), n ** 4, "exhaustive"
-
-    rng = random.Random(config.seed)
-
-    def sampled() -> Iterator[tuple[int, int, int, int]]:
-        for _ in range(config.samples):
-            yield (
-                rng.randrange(n),
-                rng.randrange(n),
-                rng.randrange(n),
-                rng.randrange(n),
-            )
-
-    return sampled(), config.samples, "sampled"
-
-
-def _quad_result(
-    axiom: AxiomId,
-    audit: _Audit,
-    config: CheckConfig,
-    qualifier: Callable[[_PairMeta, _PairMeta], Optional[int]],
-) -> AxiomResult:
-    """Shared quadruple scan: qualifier returns a 1-based index, 0 for
-    index-free qualification, or None when the hypothesis fails."""
-    n = audit.n
+    A class with t pairs of weak verdict true and f of false holds (t+f)^2
+    qualifying quadruples, 2tf of them violations. Witnesses come in
+    row-major order: for each pair, the members of its class with the
+    opposite verdict.
+    """
     sample = audit.sample
-    arity = sample[0].context.arity
-    values = [raf.values for raf in sample]
-    meta = [
-        [_PairMeta(values[i], values[j], arity) for j in range(n)] for i in range(n)
-    ]
-    stream, examined, mode = _quad_space(n, config)
-    qualifying = 0
-    violations: list[AxiomViolation] = []
-    for i, j, k, l in stream:
-        q = qualifier(meta[i][j], meta[k][l])
-        if q is None:
-            continue
-        qualifying += 1
-        if audit.geq(i, j) != audit.geq(k, l):
-            violations.append(
-                AxiomViolation(
-                    axiom,
-                    (sample[i], sample[j], sample[k], sample[l]),
-                    (audit.outcome(i, j), audit.outcome(k, l)),
-                    index=q or None,
-                    detail="matching hypothesis but opposite weak verdicts",
-                )
-            )
-    return _result(axiom, examined, qualifying, violations, config, mode)
+    geq = audit.geq
+    classes = _hypothesis_classes(axiom, audit.values, audit.signatures)
+    qualifying = violation_count = 0
+    mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
+    for key, members in classes.items():
+        t = sum(1 for i, j in members if geq(i, j))
+        f = len(members) - t
+        qualifying += len(members) ** 2
+        if t and f:
+            violation_count += 2 * t * f
+            for pair in members:
+                mixed[pair] = (key[0], members)
+
+    def witnesses() -> Iterator[AxiomViolation]:
+        for i, j in sorted(mixed):
+            index, members = mixed[i, j]
+            g = geq(i, j)
+            for k, l in members:
+                if geq(k, l) != g:
+                    yield AxiomViolation(
+                        axiom,
+                        (sample[i], sample[j], sample[k], sample[l]),
+                        (audit.outcome(i, j), audit.outcome(k, l)),
+                        index=index,
+                        detail="matching hypothesis but opposite weak verdicts",
+                    )
+
+    violations = list(islice(witnesses(), None if config.all_violations else 1))
+    return _result(
+        axiom, audit.n ** 4, qualifying, violations, config, violation_count
+    )
 
 
-def _qualify_non_compensation(m1: _PairMeta, m2: _PairMeta) -> Optional[int]:
-    return 0 if m1.up == m2.up and m1.down == m2.down else None
+_PAIR_HYPOTHESES: dict[AxiomId, tuple[Callable[[Raf, Raf], object], str]] = {
+    AxiomId.WEAK_DOMINANCE: (
+        strictly_dominates,
+        "strict dominance requires FirstPreferred",
+    ),
+    AxiomId.STRONG_MONOTONICITY: (
+        single_coordinate_increase,
+        "a single-coordinate increase requires FirstPreferred",
+    ),
+    AxiomId.STRONG_DOMINANCE: (
+        qualifies_strong_dominance,
+        "coordinatewise dominance requires FirstPreferred",
+    ),
+}
 
 
-def _qualify_axiom2(m1: _PairMeta, m2: _PairMeta) -> Optional[int]:
-    if m1.single is None or m1.single != m2.single:
-        return None
-    return m1.single[0] + 1
+def _axiom_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
+    """One pair or quadruple axiom's scan over a shared audit."""
+    if axiom in _PAIR_HYPOTHESES:
+        hypothesis, requirement = _PAIR_HYPOTHESES[axiom]
+        return _pair_result(axiom, audit, config, hypothesis, requirement)
+    return _quad_result(axiom, audit, config)
 
 
-def _qualify_iwa(m1: _PairMeta, m2: _PairMeta) -> Optional[int]:
-    diff1 = m1.diff
-    if not diff1:
-        return None
-    sig1 = m1.ksig
-    sig2 = m2.ksig
-    for k in range(len(sig1)):
-        if (diff1 >> k) & 1 and sig1[k] == sig2[k]:
-            return k + 1
-    return None
-
-
-def _qualify_weak_iwa(m1: _PairMeta, m2: _PairMeta) -> Optional[int]:
-    fd = m1.fd
-    if fd < 0 or fd != m2.fd or m1.rising != m2.rising:
-        return None
-    return fd + 1
+def _single_report(
+    axiom: AxiomId, rel: PreferenceRelation, sample: Sequence[Raf], config: CheckConfig
+) -> AxiomReport:
+    audit = _Audit(rel, sample)
+    return AxiomReport((_axiom_result(axiom, audit, config),), audit.n)
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +611,7 @@ def check_weak_dominance(
     config: CheckConfig = DEFAULT_CONFIG,
 ) -> AxiomReport:
     """Strict coordinatewise dominance must be strictly preferred."""
-    audit = _Audit(rel, sample)
-    result = _pair_result(
-        AxiomId.WEAK_DOMINANCE,
-        audit,
-        config,
-        strictly_dominates,
-        "strict dominance requires FirstPreferred",
-    )
-    return AxiomReport((result,), audit.n)
+    return _single_report(AxiomId.WEAK_DOMINANCE, rel, sample, config)
 
 
 def check_strong_monotonicity(
@@ -606,15 +620,7 @@ def check_strong_monotonicity(
     config: CheckConfig = DEFAULT_CONFIG,
 ) -> AxiomReport:
     """Raising availability at one coordinate, all else equal, must win."""
-    audit = _Audit(rel, sample)
-    result = _pair_result(
-        AxiomId.STRONG_MONOTONICITY,
-        audit,
-        config,
-        single_coordinate_increase,
-        "a single-coordinate increase requires FirstPreferred",
-    )
-    return AxiomReport((result,), audit.n)
+    return _single_report(AxiomId.STRONG_MONOTONICITY, rel, sample, config)
 
 
 def check_strong_dominance(
@@ -623,15 +629,7 @@ def check_strong_dominance(
     config: CheckConfig = DEFAULT_CONFIG,
 ) -> AxiomReport:
     """Coordinatewise at-least with any strict gap must be strictly preferred."""
-    audit = _Audit(rel, sample)
-    result = _pair_result(
-        AxiomId.STRONG_DOMINANCE,
-        audit,
-        config,
-        qualifies_strong_dominance,
-        "coordinatewise dominance requires FirstPreferred",
-    )
-    return AxiomReport((result,), audit.n)
+    return _single_report(AxiomId.STRONG_DOMINANCE, rel, sample, config)
 
 
 def check_non_compensation(
@@ -644,11 +642,7 @@ def check_non_compensation(
     Quadruples whose two pairs share the same up-set and down-set must
     receive the same weak verdict.
     """
-    audit = _Audit(rel, sample)
-    result = _quad_result(
-        AxiomId.NON_COMPENSATION, audit, config, _qualify_non_compensation
-    )
-    return AxiomReport((result,), audit.n)
+    return _single_report(AxiomId.NON_COMPENSATION, rel, sample, config)
 
 
 def check_axiom2_ms(
@@ -661,9 +655,7 @@ def check_axiom2_ms(
     Quadruples where both pairs differ only at one shared coordinate with
     identical values there must receive the same weak verdict.
     """
-    audit = _Audit(rel, sample)
-    result = _quad_result(AxiomId.AXIOM2_MS, audit, config, _qualify_axiom2)
-    return AxiomReport((result,), audit.n)
+    return _single_report(AxiomId.AXIOM2_MS, rel, sample, config)
 
 
 def check_iwa(
@@ -676,10 +668,13 @@ def check_iwa(
     If the first pair differs at coordinate k and both pairs show the same
     up/down pattern on coordinates up to k, everything below k is noise:
     the weak verdicts must agree.
+
+    As stated here this is the same predicate as WeakIWA: a quadruple
+    qualifies at some k exactly when its pairs first differ at the same
+    coordinate in the same direction, and the smallest such k is that
+    coordinate. The two checkers report the same counts and witnesses.
     """
-    audit = _Audit(rel, sample)
-    result = _quad_result(AxiomId.IWA, audit, config, _qualify_iwa)
-    return AxiomReport((result,), audit.n)
+    return _single_report(AxiomId.IWA, rel, sample, config)
 
 
 def check_weak_iwa(
@@ -692,20 +687,7 @@ def check_weak_iwa(
     Restricted to quadruples whose pairs first differ at the same k with
     the same strict direction there; the weak verdicts must agree.
     """
-    audit = _Audit(rel, sample)
-    result = _quad_result(AxiomId.WEAK_IWA, audit, config, _qualify_weak_iwa)
-    return AxiomReport((result,), audit.n)
-
-
-_CHECKERS: dict[AxiomId, Callable[..., AxiomReport]] = {
-    AxiomId.WEAK_DOMINANCE: check_weak_dominance,
-    AxiomId.STRONG_MONOTONICITY: check_strong_monotonicity,
-    AxiomId.STRONG_DOMINANCE: check_strong_dominance,
-    AxiomId.NON_COMPENSATION: check_non_compensation,
-    AxiomId.AXIOM2_MS: check_axiom2_ms,
-    AxiomId.IWA: check_iwa,
-    AxiomId.WEAK_IWA: check_weak_iwa,
-}
+    return _single_report(AxiomId.WEAK_IWA, rel, sample, config)
 
 
 def run_checks(
@@ -714,7 +696,11 @@ def run_checks(
     axioms: Iterable[AxiomId] = ALL_AXIOMS,
     config: CheckConfig = DEFAULT_CONFIG,
 ) -> AxiomReport:
-    """Run the requested axioms in canonical order, merged into one report."""
+    """Run the requested axioms in canonical order, merged into one report.
+
+    All scans share one memo of relation verdicts and one pair-signature
+    table.
+    """
     requested = set(axioms)
     unknown = requested - set(ALL_AXIOMS)
     if unknown:
@@ -727,8 +713,7 @@ def run_checks(
         )
     for axiom in PAIR_AXIOMS + QUAD_AXIOMS:
         if axiom in requested:
-            report = _CHECKERS[axiom](rel, sample, config)
-            results.extend(report.results)
+            results.append(_axiom_result(axiom, audit, config))
     return AxiomReport(tuple(results), audit.n)
 
 
@@ -736,7 +721,7 @@ def replay_violation(rel: PreferenceRelation, violation: AxiomViolation) -> bool
     """Re-evaluate a witness from scratch; True if it still violates.
 
     Goes through the raf-level hypothesis predicates rather than the scan
-    loops, so it also cross-checks the mask-based fast paths.
+    loops, so it also cross-checks the class-count quadruple scans.
     """
     w = violation.witness
     axiom = violation.axiom

@@ -46,13 +46,9 @@ from .relations import (
 )
 from .axioms import (
     AxiomId,
-    CheckConfig,
-    check_iwa,
-    check_non_compensation,
-    check_strong_dominance,
-    check_strong_monotonicity,
-    check_weak_dominance,
-    check_weak_iwa,
+    _hypothesis_classes,
+    _pair_signatures,
+    run_checks,
 )
 
 __all__ = [
@@ -94,15 +90,6 @@ VERIFY_AXIOMS = (
     AxiomId.IWA,
     AxiomId.WEAK_IWA,
 )
-
-_CHECKER_FOR = {
-    AxiomId.STRONG_MONOTONICITY: check_strong_monotonicity,
-    AxiomId.WEAK_DOMINANCE: check_weak_dominance,
-    AxiomId.STRONG_DOMINANCE: check_strong_dominance,
-    AxiomId.NON_COMPENSATION: check_non_compensation,
-    AxiomId.IWA: check_iwa,
-    AxiomId.WEAK_IWA: check_weak_iwa,
-}
 
 
 @lru_cache(maxsize=None)
@@ -297,45 +284,27 @@ def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
 #
 # The forced form captures the dominance axioms. The group form captures
 # the biconditional axioms: the hypothesis of each depends only on the
-# points, so pairs sharing a hypothesis signature must share their weak
-# verdict. Equivalence with the literal checkers is asserted by the test
-# suite and re-audited on every listed survivor.
-
-
-def _pair_stats(values: list[tuple], arity: int):
-    n = len(values)
-    stats = {}
-    for i in range(n):
-        for j in range(n):
-            up = down = 0
-            fd = -1
-            vi, vj = values[i], values[j]
-            for c in range(arity):
-                x, y = vi[c], vj[c]
-                if x > y:
-                    up |= 1 << c
-                elif x < y:
-                    down |= 1 << c
-                if x != y and fd < 0:
-                    fd = c
-            stats[i, j] = (up, down, fd)
-    return stats
+# points, so pairs sharing a hypothesis key must share their weak verdict.
+# The groups are the key classes the quadruple checkers count over, taken
+# from the same pair-signature table; the test suite checks those classes
+# against the raf-level hypothesis predicates, and every listed survivor
+# is re-audited through the checkers.
 
 
 def _compile_constraint(axiom: AxiomId, values: list[tuple], arity: int):
-    n = len(values)
-    stats = _pair_stats(values, arity)
+    sigs = _pair_signatures(values)
     if axiom in (
         AxiomId.STRONG_MONOTONICITY,
         AxiomId.WEAK_DOMINANCE,
         AxiomId.STRONG_DOMINANCE,
     ):
+        n = len(values)
         forced = []
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                up, down, _ = stats[i, j]
+                up, down, _ = sigs[i][j]
                 if axiom is AxiomId.STRONG_MONOTONICITY:
                     hit = down == 0 and up and up & (up - 1) == 0
                 elif axiom is AxiomId.WEAK_DOMINANCE:
@@ -345,29 +314,9 @@ def _compile_constraint(axiom: AxiomId, values: list[tuple], arity: int):
                 if hit:
                     forced.append((i, j))
         return ("forced", forced)
-
-    groups: dict = {}
-    for i in range(n):
-        for j in range(n):
-            up, down, fd = stats[i, j]
-            if axiom is AxiomId.NON_COMPENSATION:
-                groups.setdefault((up, down), []).append((i, j))
-            elif axiom is AxiomId.WEAK_IWA:
-                if fd >= 0:
-                    rising = (up >> fd) & 1
-                    groups.setdefault((fd, rising), []).append((i, j))
-            elif axiom is AxiomId.IWA:
-                diff = up | down
-                for k in range(arity):
-                    if (diff >> k) & 1:
-                        mask = (2 << k) - 1
-                        groups.setdefault(
-                            (k, up & mask, down & mask), []
-                        ).append((i, j))
-            else:
-                raise RafprefError(f"axiom {axiom} is not verifiable here")
+    classes = _hypothesis_classes(axiom, values, sigs)
     # singleton groups constrain nothing; drop them to keep the hot loop lean
-    return ("groups", [g for g in groups.values() if len(g) > 1])
+    return ("groups", [g for g in classes.values() if len(g) > 1])
 
 
 def _passes(rv, kind: str, data) -> bool:
@@ -434,6 +383,35 @@ def _leaf(rv: tuple[int, ...], constraints, tally: _Tally) -> None:
         tally.survivors.append(rv)
 
 
+def _eligible(
+    remaining: int, dom: list[int], bits: list[list[int]], fub: list[int]
+) -> tuple[int, int]:
+    """(eligible, skipped) for the next block placed from remaining.
+
+    Only points whose forced dominators are all placed are eligible;
+    skipped counts the completions that the excluded first blocks would
+    have led to.
+    """
+    eligible = 0
+    m = remaining
+    while m:
+        low = m & -m
+        if not dom[low.bit_length() - 1] & remaining:
+            eligible |= low
+        m ^= low
+    r = len(bits[remaining])
+    e = len(bits[eligible])
+    skipped = 0
+    if e < r:
+        # nonempty subsets of remaining that are not subsets of eligible;
+        # each such first-block choice S skips fubini(r - |S|) completions
+        for s in range(1, r + 1):
+            count = comb(r, s) - (comb(e, s) if s <= e else 0)
+            if count:
+                skipped += count * fub[r - s]
+    return eligible, skipped
+
+
 def _scan(
     remaining: int,
     depth: int,
@@ -453,24 +431,8 @@ def _scan(
     if dom is None:
         eligible = remaining
     else:
-        eligible = 0
-        m = remaining
-        while m:
-            low = m & -m
-            if not dom[low.bit_length() - 1] & remaining:
-                eligible |= low
-            m ^= low
-        r = len(bits[remaining])
-        e = len(bits[eligible])
-        if e < r:
-            # nonempty subsets of remaining that are not subsets of eligible;
-            # each such first-block choice S skips fubini(r - |S|) completions
-            skipped = 0
-            for s in range(1, r + 1):
-                count = comb(r, s) - (comb(e, s) if s <= e else 0)
-                if count:
-                    skipped += count * fub[r - s]
-            tally.skipped += skipped
+        eligible, skipped = _eligible(remaining, dom, bits, fub)
+        tally.skipped += skipped
     sub = eligible
     while sub:
         for b in bits[sub]:
@@ -551,14 +513,11 @@ def _audit_survivor(
 ) -> None:
     """Re-check a survivor through the literal checkers; disagreement with
     the compiled filters is an internal error, never a report."""
-    rel = TableRelation(ranking)
-    sample = list(ranking.domain)
-    config = CheckConfig(exhaustive_cap=len(sample))
-    for axiom in axiom_set:
-        report = _CHECKER_FOR[axiom](rel, sample, config)
-        if not report.passed:
+    report = run_checks(TableRelation(ranking), list(ranking.domain), axiom_set)
+    for result in report.results:
+        if not result.passed:
             raise RafprefError(
-                f"internal error: compiled filter and checker disagree on {axiom}"
+                f"internal error: compiled filter and checker disagree on {result.axiom}"
             )
 
 
@@ -695,22 +654,8 @@ def _plan_tasks(
                 expanded.append((prefix, remaining, depth))
                 continue
             if use_dom:
-                eligible = 0
-                m = remaining
-                while m:
-                    low = m & -m
-                    if not dom[low.bit_length() - 1] & remaining:
-                        eligible |= low
-                    m ^= low
-                r = len(bits[remaining])
-                e = len(bits[eligible])
-                if e < r:
-                    skipped = 0
-                    for s in range(1, r + 1):
-                        count = comb(r, s) - (comb(e, s) if s <= e else 0)
-                        if count:
-                            skipped += count * fub[r - s]
-                    tally.skipped += skipped
+                eligible, skipped = _eligible(remaining, dom, bits, fub)
+                tally.skipped += skipped
             else:
                 eligible = remaining
             grew = True

@@ -49,7 +49,6 @@ from .axioms import (
 )
 from .characterization import (
     CharacterizationReport,
-    TooManyPointsError,
     VERIFY_AXIOMS,
     construct_proof_witness,
     verify_characterization,
@@ -498,11 +497,7 @@ def cmd_check(args) -> int:
         ctx, sample, weights = _grid_sample(args)
     rel = _build_relation(args.relation, ctx, weights)
     axioms = _parse_axioms(args.axioms, ALL_AXIOMS, "--axioms")
-    config = CheckConfig(
-        all_violations=args.all_violations,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    config = CheckConfig(all_violations=args.all_violations)
     report = run_checks(rel, sample, axioms, config)
     _emit(args, _render_check_text(report, rel.name), _check_json(report, rel.name))
     return EXIT_OK if report.passed else EXIT_VIOLATION
@@ -555,8 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--weights", help="comma-separated positive integer weights, for wlog on a grid")
     p_check.add_argument("--relation", "-r", required=True, choices=RELATION_NAMES)
     p_check.add_argument("--axioms", default="all", help="comma-separated axiom names, or 'all'")
-    p_check.add_argument("--seed", type=int, default=0, help="seed for sampled quadruple draws")
-    p_check.add_argument("--samples", type=int, default=1000, help="quadruple draws in sampled mode")
     p_check.add_argument("--all-violations", action="store_true", help="record every violation, not just the first")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.set_defaults(func=cmd_check)
@@ -584,9 +577,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except TooManyPointsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RafprefError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,6 +38,8 @@ from rafpref import (
     table_relation,
 )
 from rafpref.axioms import (
+    QUAD_AXIOMS,
+    AxiomViolation,
     iwa_indices,
     qualifies_axiom2,
     qualifies_non_compensation,
@@ -362,20 +364,114 @@ class TestQualificationImplications:
         assert hits > 0
 
 
-class TestConfigModes:
-    def test_sampled_mode_deterministic(self):
-        rel, points = mep_40_10_grid(["0", "1/8", "1/4", "1/2"])  # 16 points > cap
-        config = CheckConfig(samples=200, seed=5)
-        first = check_weak_iwa(rel, points, config)
-        second = check_weak_iwa(rel, points, config)
-        assert first == second
-        assert first.results[0].mode == "sampled"
-        assert first.results[0].tuples_examined == 200
+LEVELS3 = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
 
+
+@st.composite
+def raf_quadruples(draw):
+    """Four profiles on one context of arity 2..4 over three levels, so
+    shared first differences and equal pairs are common."""
+    arity = draw(st.integers(2, 4))
+    ctx = default_context(arity)
+    return [Raf(ctx, tuple(draw(LEVELS3) for _ in range(arity))) for _ in range(4)]
+
+
+class TestIwaIsWeakIwa:
+    @settings(max_examples=400)
+    @given(raf_quadruples())
+    def test_first_iwa_index_is_weak_iwa_k(self, rafs):
+        # IWA qualifies exactly when WeakIWA does, and its smallest index is
+        # WeakIWA's k; larger IWA indices can follow when the pairs also
+        # agree further down, e.g. (1, 1) vs (0, 0) twice gives (1, 2).
+        k = qualifies_weak_iwa(*rafs)
+        assert iwa_indices(*rafs)[:1] == (() if k is None else (k,))
+
+
+def brute_force_quad(axiom, rel, sample):
+    """Row-major n^4 scan through the raf-level hypothesis predicates:
+    (qualifying, every violation) as the quadruple checkers report them."""
+
+    def index(a, b, c, d):
+        if axiom is AxiomId.NON_COMPENSATION:
+            return 0 if qualifies_non_compensation(a, b, c, d) else None
+        if axiom is AxiomId.AXIOM2_MS:
+            return qualifies_axiom2(a, b, c, d)
+        if axiom is AxiomId.IWA:
+            ks = iwa_indices(a, b, c, d)
+            return ks[0] if ks else None
+        return qualifies_weak_iwa(a, b, c, d)
+
+    qualifying = 0
+    violations = []
+    for a in sample:
+        for b in sample:
+            for c in sample:
+                for d in sample:
+                    q = index(a, b, c, d)
+                    if q is None:
+                        continue
+                    qualifying += 1
+                    if rel.at_least_as_good(a, b) != rel.at_least_as_good(c, d):
+                        violations.append(
+                            AxiomViolation(
+                                axiom,
+                                (a, b, c, d),
+                                (rel.compare(a, b), rel.compare(c, d)),
+                                index=q or None,
+                                detail="matching hypothesis but opposite weak verdicts",
+                            )
+                        )
+    return qualifying, violations
+
+
+def random_ranking(rng, points):
+    ranks = [rng.randrange(4) for _ in points]
+    remap = {r: i for i, r in enumerate(sorted(set(ranks)))}
+    return table_relation(RankedRelation(tuple(points), tuple(remap[r] for r in ranks)))
+
+
+def reference_cases():
+    rng = random.Random(41)
+    cases = []
+    for levels, arity in ((["0", "1"], 2), (["0", "1/2", "1"], 2), (["0", "1"], 3)):
+        points = grid_points(GridSpec.of(levels, arity))
+        for _ in range(3):
+            sample = list(points)
+            rng.shuffle(sample)
+            cases.append((random_ranking(rng, points), sample))
+    labels = ("x1", "x2", "x3")
+    for levels, arity in ((["1/10", "1/5", "9/10"], 2), (["0", "1"], 3)):
+        ctx = PriorityContext.of(labels[:arity], dict(zip(labels[:arity], (40, 10, 5))))
+        sample = grid_points(GridSpec.of(levels, arity), ctx)
+        rng.shuffle(sample)
+        cases.append((MaxExpectedPayoffRelation(), sample + sample[:1]))
+        cases.append((WeightedLogProductRelation(WeightVector(ctx, (1,) * arity)), sample))
+    return cases
+
+
+class TestClassCountMatchesBruteForce:
+    """The class-count quadruple scans against an independent n^4 loop."""
+
+    @pytest.mark.parametrize("rel,sample", reference_cases())
+    def test_counts_and_all_witnesses(self, rel, sample):
+        full = run_checks(rel, sample, QUAD_AXIOMS, CheckConfig(all_violations=True))
+        first = run_checks(rel, sample, QUAD_AXIOMS)
+        for axiom in QUAD_AXIOMS:
+            qualifying, violations = brute_force_quad(axiom, rel, sample)
+            for report, listed in ((full, violations), (first, violations[:1])):
+                result = report.result_for(axiom)
+                assert result.qualifying == qualifying
+                assert result.violation_count == len(violations)
+                assert result.passed == (not violations)
+                assert result.tuples_examined == len(sample) ** 4
+                assert list(result.violations) == listed
+
+
+class TestConfigModes:
     def test_exhaustive_cap_override(self):
+        # the default config covers every quadruple, even above 12 points
         rel, points = mep_40_10_grid(["0", "1/8", "1/4", "1/2"])
-        config = CheckConfig(exhaustive_cap=16)
-        report = check_non_compensation(rel, points, config)
+        report = check_non_compensation(rel, points)
         assert report.results[0].mode == "exhaustive"
         assert report.results[0].tuples_examined == 16 ** 4
 

@@ -6,7 +6,6 @@ import pytest
 
 from rafpref import (
     AxiomId,
-    CheckConfig,
     ComparisonOutcome,
     EqualInputsError,
     GridSpec,
@@ -201,7 +200,6 @@ class TestCompiledFiltersMatchCheckers:
 
     def test_all_candidates_unit_square(self, unit_square):
         values = [p.values for p in unit_square]
-        config = CheckConfig(exhaustive_cap=len(unit_square))
         compiled = {
             axiom: _compile_constraint(axiom, values, 2) for axiom in VERIFY_AXIOMS
         }
@@ -210,12 +208,11 @@ class TestCompiledFiltersMatchCheckers:
             for axiom, checker in self.CHECKERS.items():
                 kind, data = compiled[axiom]
                 fast = _passes(ranking.ranks, kind, data)
-                literal = checker(rel, list(unit_square), config).passed
+                literal = checker(rel, list(unit_square)).passed
                 assert fast == literal, (axiom, ranking.ranks)
 
     def test_sampled_candidates_nine_grid(self, nine_grid):
         values = [p.values for p in nine_grid]
-        config = CheckConfig(exhaustive_cap=len(nine_grid))
         compiled = {
             axiom: _compile_constraint(axiom, values, 2) for axiom in VERIFY_AXIOMS
         }
@@ -232,7 +229,7 @@ class TestCompiledFiltersMatchCheckers:
             for axiom, checker in self.CHECKERS.items():
                 kind, data = compiled[axiom]
                 fast = _passes(ranks, kind, data)
-                literal = checker(rel, list(pts), config).passed
+                literal = checker(rel, list(pts)).passed
                 assert fast == literal, (axiom, ranks)
 
 

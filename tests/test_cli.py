@@ -194,16 +194,11 @@ class TestCheck:
             main(["check", "--relation", "wlog", "--grid", "0,1", "--arity", "2"]) == 2
         )
 
-    def test_sampled_mode_deterministic_output(self, capsys):
-        argv = ["check", "--relation", "lex", "--grid", "0,1/4,1/2,1", "--arity", "2",
-                "--axioms", "WeakIWA", "--samples", "150", "--seed", "9",
-                "--format", "json"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert json.loads(first)["results"][0]["mode"] == "sampled"
+    @pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "1"]])
+    def test_removed_sampling_flags_exit_2(self, flag, capsys):
+        argv = ["check", "--relation", "lex", "--grid", "0,1", "--arity", "2"]
+        assert main(argv + flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:
