@@ -35,7 +35,7 @@ AXIOM_SETS = [
 ]
 
 
-def run(workers: int) -> None:
+def run() -> None:
     header = f"{'grid':<14} {'axioms':<29} {'candidates':>12} {'survivors':>10}  {'= lex':<5} {'ms':>8}"
     print(header)
     print("-" * len(header))
@@ -43,7 +43,7 @@ def run(workers: int) -> None:
         spec = GridSpec.of(levels, arity)
         for axiom_set in AXIOM_SETS:
             started = time.perf_counter()
-            rep = verify_characterization(spec, axiom_set, workers=workers)
+            rep = verify_characterization(spec, axiom_set)
             elapsed = (time.perf_counter() - started) * 1000
             grid_name = "{" + ",".join(levels) + "}^" + str(arity)
             axioms = "+".join(str(a) for a in rep.axiom_order)
@@ -61,6 +61,5 @@ def run(workers: int) -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1)
-    run(parser.parse_args().workers)
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    run()

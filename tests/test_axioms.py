@@ -85,6 +85,28 @@ class CyclicRelation(PreferenceRelation):
         return lex_compare(a, b)
 
 
+class CountingLex(PreferenceRelation):
+    """Lex that counts its compare calls."""
+
+    name = "counting-lex"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        self.calls += 1
+        return lex_compare(a, b)
+
+
+class NoVerdictOffDiagonal(PreferenceRelation):
+    """Indifferent on equal profiles, None (not an outcome) otherwise."""
+
+    name = "no-verdict"
+
+    def compare(self, a: Raf, b: Raf):
+        return INDIFF if a == b else None
+
+
 def total_indifference(points):
     return table_relation(RankedRelation.from_rank_map({p: 0 for p in points}))
 
@@ -525,3 +547,18 @@ class TestRunChecks:
     def test_empty_sample_rejected(self):
         with pytest.raises(RafprefError):
             run_checks(LEX, [])
+
+    def test_reflexive_alone_compares_each_point_once(self):
+        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
+        rel = CountingLex()
+        report = run_checks(rel, sample, [AxiomId.REFLEXIVE])
+        assert report.passed
+        assert rel.calls == len(sample) == 27
+
+    def test_connected_draws_every_pair(self, nine_grid):
+        rel = CountingLex()
+        assert run_checks(rel, nine_grid, [AxiomId.CONNECTED]).passed
+        assert rel.calls == 9 * 8
+        assert run_checks(NoVerdictOffDiagonal(), nine_grid, [AxiomId.REFLEXIVE]).passed
+        with pytest.raises(RafprefError, match="not a ComparisonOutcome"):
+            run_checks(NoVerdictOffDiagonal(), nine_grid, [AxiomId.CONNECTED])

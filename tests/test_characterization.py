@@ -27,6 +27,7 @@ from rafpref import (
     verify_characterization,
 )
 from rafpref.axioms import (
+    _pair_signatures,
     check_iwa,
     check_non_compensation,
     check_strong_dominance,
@@ -34,6 +35,7 @@ from rafpref.axioms import (
     check_weak_dominance,
     check_weak_iwa,
 )
+from rafpref import characterization
 from rafpref.characterization import (
     VERIFY_AXIOMS,
     _compile_constraint,
@@ -200,8 +202,9 @@ class TestCompiledFiltersMatchCheckers:
 
     def test_all_candidates_unit_square(self, unit_square):
         values = [p.values for p in unit_square]
+        sigs = _pair_signatures(values)
         compiled = {
-            axiom: _compile_constraint(axiom, values, 2) for axiom in VERIFY_AXIOMS
+            axiom: _compile_constraint(axiom, values, 2, sigs) for axiom in VERIFY_AXIOMS
         }
         for ranking in enumerate_weak_orders(unit_square):
             rel = table_relation(ranking)
@@ -213,8 +216,9 @@ class TestCompiledFiltersMatchCheckers:
 
     def test_sampled_candidates_nine_grid(self, nine_grid):
         values = [p.values for p in nine_grid]
+        sigs = _pair_signatures(values)
         compiled = {
-            axiom: _compile_constraint(axiom, values, 2) for axiom in VERIFY_AXIOMS
+            axiom: _compile_constraint(axiom, values, 2, sigs) for axiom in VERIFY_AXIOMS
         }
         rng = random.Random(23)
         pts = tuple(nine_grid)
@@ -239,7 +243,7 @@ class TestPrunedStreamEquivalence:
         points = grid_points(GridSpec.of(levels, arity))
         values = [p.values for p in points]
         n = len(points)
-        _, forced = _compile_constraint(SM, values, arity)
+        _, forced = _compile_constraint(SM, values, arity, _pair_signatures(values))
         plain_survivors = [
             rv
             for rv in _rank_vectors(n)
@@ -258,7 +262,6 @@ class TestVerify:
     def test_unit_square_characterization(self):
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
         assert report.enumerated == 75
-        assert report.oracle_verified
         assert report.survivor_count == 1
         assert report.matches_lex
         assert dict(report.pass_counts) == {SM: 3, WEAK_IWA: 1}
@@ -305,6 +308,17 @@ class TestVerify:
         assert solo.pass_counts == team.pass_counts
         assert solo.survivors == team.survivors
         assert solo.checked == team.checked == 75
+
+    def test_fubini_mismatch_raises(self, monkeypatch):
+        real = characterization._eligible
+
+        def undercount(*args):
+            eligible, skipped = real(*args)
+            return eligible, max(0, skipped - 1)
+
+        monkeypatch.setattr(characterization, "_eligible", undercount)
+        with pytest.raises(RafprefError, match="Fubini recurrence"):
+            verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
 
     def test_sm_alone_controls(self):
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM])
@@ -377,8 +391,9 @@ class TestVerify:
 class TestDominatorMasks:
     def test_masks_match_forced_pairs(self, unit_square):
         values = [p.values for p in unit_square]
-        dom = _sm_dominator_masks(values, 2)
-        _, forced = _compile_constraint(SM, values, 2)
+        sigs = _pair_signatures(values)
+        dom = _sm_dominator_masks(values, 2, sigs)
+        _, forced = _compile_constraint(SM, values, 2, sigs)
         rebuilt = [0] * len(values)
         for i, j in forced:
             rebuilt[j] |= 1 << i

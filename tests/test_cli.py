@@ -194,6 +194,23 @@ class TestCheck:
             main(["check", "--relation", "wlog", "--grid", "0,1", "--arity", "2"]) == 2
         )
 
+    def test_json_keys_stable(self, capsys):
+        code = main(
+            ["check", "--relation", "mep", "--grid", "1/5,1/2,3/5", "--arity", "2",
+             "--payoffs", "40,10", "--axioms", "SM", "--format", "json"]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"command", "relation", "sample_size", "passed", "results"}
+        result = payload["results"][0]
+        assert set(result) == {
+            "axiom", "status", "vacuous", "mode", "tuples_examined",
+            "qualifying", "violation_count", "violations",
+        }
+        assert set(result["violations"][0]) == {
+            "axiom", "witness", "index", "observed", "detail",
+        }
+
     @pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "1"]])
     def test_removed_sampling_flags_exit_2(self, flag, capsys):
         argv = ["check", "--relation", "lex", "--grid", "0,1", "--arity", "2"]
@@ -237,16 +254,21 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_workers_output_identical(self, capsys):
-        argv = ["verify", "--levels", "0,1", "--arity", "3", "--format", "json"]
-        assert main(argv) == 0
-        solo = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--workers", "2"]) == 0
-        team = json.loads(capsys.readouterr().out)
-        solo.pop("elapsed_ms")
-        team.pop("elapsed_ms")
-        assert team.pop("workers") == 2 and solo.pop("workers") == 1
-        assert solo == team
+    def test_removed_workers_flag_exit_2(self, capsys):
+        argv = ["verify", "--levels", "0,1", "--arity", "2", "--workers", "2"]
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_json_keys_stable(self, capsys):
+        assert main(["verify", "--levels", "0,1", "--arity", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "command", "grid", "axioms", "pruned", "enumerated", "checked",
+            "pruned_away", "pass_counts", "survivor_count", "survivors",
+            "survivors_truncated", "matches_lex", "elapsed_ms",
+        }
+        assert set(payload["grid"]) == {"levels", "arity"}
+        assert set(payload["survivors"][0]) == {"ranks", "chain", "agrees_with_lex"}
 
     def test_order_axiom_rejected_for_verify(self, capsys):
         code = main(["verify", "--levels", "0,1", "--arity", "2",
