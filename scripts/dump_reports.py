@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Print canonical check and verify reports over a fixed matrix of cases.
+
+The output is meant to be diffed between two commits: any change in a
+count, a verdict, a witness or its order shows up as a changed line.
+
+- ``rafpref check`` text and JSON for lex, mep and wlog on five grids of
+  4 to 27 points, three axiom selections, with and without
+  ``--all-violations``;
+- the same two renderings of ``run_checks`` reports for a random
+  mirror-consistent comparator, which unlike the built-in relations
+  breaks transitivity;
+- ``rafpref verify`` JSON without ``elapsed_ms``, pruned and unpruned.
+
+Full witness lists are kept to samples of at most nine points, so the
+output stays a few megabytes.
+
+Each case starts with a ``== <case>`` line followed by its exit code.
+To compare with another commit, run a copy of this script from a
+checkout of that commit, for example::
+
+    git archive <commit> --prefix=other/ | tar -x -C /tmp
+    cp scripts/dump_reports.py /tmp/other/scripts/
+    python3 /tmp/other/scripts/dump_reports.py > other.txt
+    python3 scripts/dump_reports.py > this.txt
+    diff other.txt this.txt
+"""
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rafpref import (  # noqa: E402
+    CheckConfig,
+    ComparisonOutcome,
+    GridSpec,
+    PreferenceRelation,
+    grid_points,
+    run_checks,
+)
+from rafpref import cli  # noqa: E402
+
+CHECK_GRIDS = [
+    ("0,1", 2),
+    ("1/5,1/2,3/5", 2),
+    ("0,1/2,1", 2),
+    ("0,1", 3),
+    ("0,1/2,1", 3),
+]
+RELATION_FLAGS = {
+    "lex": lambda arity: [],
+    "mep": lambda arity: ["--payoffs", ",".join(("40", "10", "5")[:arity])],
+    "wlog": lambda arity: ["--weights", ",".join(["1"] * arity)],
+}
+CHECK_SELECTIONS = ["all", "Transitive", "WeakDominance,StrongDominance"]
+# Every witness of every axiom is listed only up to this many points: on
+# 27 points the quadruple axioms have tens of thousands of witnesses.
+LISTING_POINTS = 9
+
+VERIFY_GRIDS = [("0,1", 2), ("0,1", 3), ("0,1/2,1", 2)]
+VERIFY_SELECTIONS = [
+    "SM",
+    "SM,WeakIWA",
+    "SM,IWA",
+    "WeakIWA",
+    "SM,WeakDominance,StrongDominance,NonCompensation,IWA,WeakIWA",
+]
+# The unpruned walk visits all fubini(n) weak orders: 545,835 on 8 points
+# take seconds per selection, 7,087,261 on 9 points far longer.
+UNPRUNED = {("0,1", 2): VERIFY_SELECTIONS, ("0,1", 3): ["SM,WeakIWA", "WeakIWA"]}
+
+OUTCOMES = tuple(ComparisonOutcome)
+
+
+class RandomMirrorRelation(PreferenceRelation):
+    """Indifferent on equal profiles, a random verdict on every other
+    unordered pair, mirrored for the swapped order."""
+
+    name = "random-mirror"
+
+    def __init__(self, points, seed: int) -> None:
+        rng = random.Random(seed)
+        self.table = {}
+        for i, a in enumerate(points):
+            for b in points[i + 1:]:
+                out = rng.choice(OUTCOMES)
+                self.table[a, b] = out
+                self.table[b, a] = out.mirrored()
+
+    def compare(self, a, b):
+        if a == b:
+            return ComparisonOutcome.INDIFFERENT
+        return self.table[a, b]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+def emit(case: str, code: int, text: str) -> None:
+    print(f"== {case}")
+    print(f"exit {code}")
+    print(text.rstrip("\n"))
+
+
+def points_of(grid: str, arity: int) -> int:
+    return len(grid.split(",")) ** arity
+
+
+def check_cases() -> None:
+    for grid, arity in CHECK_GRIDS:
+        for relation, extra in RELATION_FLAGS.items():
+            for axioms in CHECK_SELECTIONS:
+                for flags in ([], ["--all-violations"]):
+                    if flags and axioms == "all" and points_of(grid, arity) > LISTING_POINTS:
+                        continue
+                    for fmt in ("text", "json"):
+                        argv = [
+                            "check", "--relation", relation, "--grid", grid,
+                            "--arity", str(arity), *extra(arity), "--axioms", axioms,
+                            *flags, "--format", fmt,
+                        ]
+                        emit(" ".join(argv), *run_cli(argv))
+
+
+def random_relation_cases() -> None:
+    for grid, arity in CHECK_GRIDS:
+        points = grid_points(GridSpec.of(grid.split(","), arity))
+        for seed in (1, 2):
+            rel = RandomMirrorRelation(points, seed)
+            sample = list(points)
+            random.Random(seed).shuffle(sample)
+            for all_violations in (False, True):
+                if all_violations and len(points) > LISTING_POINTS:
+                    continue
+                report = run_checks(rel, sample, config=CheckConfig(all_violations))
+                case = f"run_checks random-mirror seed={seed} {grid}^{arity} all_violations={all_violations}"
+                code = 0 if report.passed else 1
+                # the CLI's own renderers, so these read as `rafpref check` output
+                emit(case + " text", code, cli._render_check_text(report, rel.name))
+                payload = cli._check_json(report, rel.name)
+                emit(case + " json", code, json.dumps(payload, indent=2))
+
+
+def verify_cases() -> None:
+    for levels, arity in VERIFY_GRIDS:
+        for axioms in VERIFY_SELECTIONS:
+            for prune in ("--prune", "--no-prune"):
+                if prune == "--no-prune" and axioms not in UNPRUNED.get((levels, arity), ()):
+                    continue
+                argv = [
+                    "verify", "--levels", levels, "--arity", str(arity),
+                    "--axioms", axioms, prune, "--format", "json",
+                ]
+                code, text = run_cli(argv)
+                try:
+                    payload = json.loads(text)
+                except json.JSONDecodeError:
+                    emit(" ".join(argv), code, text)
+                    continue
+                payload.pop("elapsed_ms", None)
+                emit(" ".join(argv), code, json.dumps(payload, indent=2))
+
+
+def main() -> int:
+    check_cases()
+    random_relation_cases()
+    verify_cases()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,14 +6,22 @@ reports either a clean pass or concrete counterexample witnesses, listed
 in canonical order (row-major over sample indices), that replay
 deterministically.
 
-Point, pair, and triple scans visit every tuple. Each quadruple axiom's
-hypothesis says that its two pairs share a key derived from the pairs'
-(up-set, down-set, first difference) signatures, so the axiom holds
-exactly when the weak verdict is constant on every key class. Quadruple
-audits therefore count qualifying and violating quadruples from the
-classes of the n^2 ordered pairs instead of visiting all n^4 quadruples.
+Every audit reads two tables over the n^2 ordered pairs of the sample:
+the (up-set, down-set, first difference) signature of each pair, and the
+relation's verdicts, drawn once per pair and memoized.
+
+- Reflexivity and mirror consistency visit every point and pair.
+- The pair axioms' hypotheses are conditions on a pair's up and down
+  sets, so only the qualifying pairs are put to the relation.
+- Transitivity counts ordered triples from one bit row of weak verdicts
+  per point, in O(n^2) big-integer steps instead of n^3 lookups.
+- Each quadruple axiom's hypothesis says that its two pairs share a key
+  derived from their signatures, so the axiom holds exactly when the
+  weak verdict is constant on every key class; qualifying and violating
+  quadruples are counted from the classes instead of visiting all n^4.
+
 Counts are always exact; the witness policy only controls how many
-violations are recorded.
+violations are recorded, and only those are built.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ContextMismatchError,
@@ -144,8 +152,7 @@ class AxiomResult:
 
     tuples_examined is the number of tuples the scan covers: n, n(n-1),
     n^3 or n^4 for a sample of n points, whether the tuples were visited
-    one by one or counted by key class. Every scan is exhaustive, so mode
-    always reads "exhaustive".
+    one by one or counted from a table. Every scan is exhaustive.
     """
 
     axiom: AxiomId
@@ -154,7 +161,6 @@ class AxiomResult:
     qualifying: int
     violation_count: int
     violations: tuple[AxiomViolation, ...]
-    mode: str = "exhaustive"
 
     @property
     def vacuous(self) -> bool:
@@ -181,10 +187,9 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis predicates. These are the single source of truth for what
-# qualifies a tuple; the quadruple scans group pairs by equivalent keys
-# derived from one pair-signature table, and replay_violation goes back
-# through these.
+# Hypothesis predicates on profiles. These state what qualifies a tuple;
+# the scans use equivalent conditions on the pair-signature table, and
+# replay_violation and the tests go back through these.
 # ---------------------------------------------------------------------------
 
 
@@ -288,26 +293,46 @@ def _pair_signatures(values: Sequence[tuple]) -> list[list[tuple[int, int, int]]
 
     Bit c of up/down is set when point i is strictly above/below point j
     at 0-based coordinate c; fd is the first coordinate where they
-    differ, -1 when they are equal.
+    differ, -1 when they are equal. Each coordinate's values are first
+    replaced by their rank among the sample's distinct values there, an
+    order-preserving integer code, so the n^2 pair loop compares ints
+    rather than exact rationals.
     """
+    ranks = [{v: r for r, v in enumerate(sorted(set(column)))} for column in zip(*values)]
+    coded = [tuple(rank[x] for rank, x in zip(ranks, p)) for p in values]
     sigs = []
-    for p in values:
+    for p in coded:
         row = []
-        for q in values:
+        for q in coded:
             up = down = 0
-            fd = -1
             for c, (x, y) in enumerate(zip(p, q)):
                 if x > y:
                     up |= 1 << c
                 elif x < y:
                     down |= 1 << c
-                else:
-                    continue
-                if fd < 0:
-                    fd = c
-            row.append((up, down, fd))
+            diff = up | down
+            row.append((up, down, (diff & -diff).bit_length() - 1))
         sigs.append(row)
     return sigs
+
+
+def _pair_hypothesis(axiom: AxiomId, up: int, down: int, full: int) -> bool:
+    """Whether an ordered pair with signature (up, down) meets a pair
+    axiom's hypothesis; full has one bit per coordinate.
+
+    WeakDominance: strictly above at every coordinate. StrongMonotonicity:
+    strictly above at exactly one coordinate and equal elsewhere.
+    StrongDominance: nowhere below and above somewhere.
+    """
+    if down:
+        return False
+    if axiom is AxiomId.WEAK_DOMINANCE:
+        return up == full
+    if axiom is AxiomId.STRONG_MONOTONICITY:
+        return up != 0 and up & (up - 1) == 0
+    if axiom is AxiomId.STRONG_DOMINANCE:
+        return up != 0
+    raise RafprefError(f"axiom {axiom} has no pair hypothesis")
 
 
 def _hypothesis_classes(
@@ -369,6 +394,17 @@ class _Audit:
     def signatures(self) -> list[list[tuple[int, int, int]]]:
         return _pair_signatures(self.values)
 
+    @cached_property
+    def iwa_classes(self) -> dict[tuple, list[tuple[int, int]]]:
+        return _hypothesis_classes(AxiomId.WEAK_IWA, self.values, self.signatures)
+
+    def classes(self, axiom: AxiomId) -> dict[tuple, list[tuple[int, int]]]:
+        """A quadruple axiom's hypothesis classes. IWA and WeakIWA share
+        theirs, so those are built once per audit and kept."""
+        if axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
+            return self.iwa_classes
+        return _hypothesis_classes(axiom, self.values, self.signatures)
+
     def outcome(self, i: int, j: int) -> ComparisonOutcome:
         key = (i, j)
         out = self._memo.get(key)
@@ -385,18 +421,27 @@ class _Audit:
         return at_least_as_good(self.outcome(i, j))
 
 
+def _members(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _result(
     axiom: AxiomId,
     examined: int,
     qualifying: int,
-    violations: list[AxiomViolation],
+    violations: Iterable[AxiomViolation],
     config: CheckConfig,
     violation_count: Optional[int] = None,
 ) -> AxiomResult:
-    """violation_count defaults to len(violations), for scans that list
-    every violation they find."""
+    """violations lists witnesses in canonical order; only the recorded
+    ones are drawn from it. violation_count defaults to its length, for
+    scans that pass a list of every violation they find."""
     count = len(violations) if violation_count is None else violation_count
-    recorded = tuple(violations if config.all_violations else violations[:1])
+    recorded = tuple(islice(violations, None if config.all_violations else 1))
     return AxiomResult(
         axiom=axiom,
         passed=count == 0,
@@ -460,65 +505,82 @@ def _order_results(
             results.append(_result(AxiomId.CONNECTED, pairs, pairs, [], config))
 
     if AxiomId.TRANSITIVE in axioms:
-        transitive: list[AxiomViolation] = []
-        qualifying_triples = 0
-        for i in range(n):
-            for j in range(n):
-                g_ij = audit.geq(i, j)
-                for k in range(n):
-                    if g_ij and audit.geq(j, k):
-                        qualifying_triples += 1
-                        if not audit.geq(i, k):
-                            transitive.append(
-                                AxiomViolation(
-                                    AxiomId.TRANSITIVE,
-                                    (sample[i], sample[j], sample[k]),
-                                    (
-                                        audit.outcome(i, j),
-                                        audit.outcome(j, k),
-                                        audit.outcome(i, k),
-                                    ),
-                                    detail="weak preference must chain through the middle profile",
-                                )
-                            )
-        results.append(
-            _result(AxiomId.TRANSITIVE, n ** 3, qualifying_triples, transitive, config)
-        )
+        results.append(_transitive_result(audit, config))
     return results
 
 
-def _pair_result(
-    axiom: AxiomId,
-    audit: _Audit,
-    config: CheckConfig,
-    hypothesis: Callable[[Raf, Raf], object],
-    requirement: str,
-) -> AxiomResult:
+def _transitive_result(audit: _Audit, config: CheckConfig) -> AxiomResult:
+    """Transitivity counted over one weak-verdict bit row per point.
+
+    Bit j of rows[i] is set when i is at least as good as j. The triple
+    (i, j, k) qualifies when j is in rows[i] and k in rows[j], and
+    violates when k is also missing from rows[i], so each j in rows[i]
+    contributes |rows[j]| qualifying triples and |rows[j] & ~rows[i]|
+    violations. Witnesses come in row-major (i, j, k) order.
+    """
     n = audit.n
     sample = audit.sample
+    geq = audit.geq
+    rows = [sum(1 << j for j in range(n) if geq(i, j)) for i in range(n)]
+    sizes = [row.bit_count() for row in rows]
+    qualifying = violation_count = 0
+    for row in rows:
+        for j in _members(row):
+            qualifying += sizes[j]
+            violation_count += (rows[j] & ~row).bit_count()
+
+    def witnesses() -> Iterator[AxiomViolation]:
+        for i, row in enumerate(rows):
+            for j in _members(row):
+                for k in _members(rows[j] & ~row):
+                    yield AxiomViolation(
+                        AxiomId.TRANSITIVE,
+                        (sample[i], sample[j], sample[k]),
+                        (audit.outcome(i, j), audit.outcome(j, k), audit.outcome(i, k)),
+                        detail="weak preference must chain through the middle profile",
+                    )
+
+    return _result(
+        AxiomId.TRANSITIVE, n ** 3, qualifying, witnesses(), config, violation_count
+    )
+
+
+_PAIR_REQUIREMENTS = {
+    AxiomId.WEAK_DOMINANCE: "strict dominance requires FirstPreferred",
+    AxiomId.STRONG_MONOTONICITY: "a single-coordinate increase requires FirstPreferred",
+    AxiomId.STRONG_DOMINANCE: "coordinatewise dominance requires FirstPreferred",
+}
+
+
+def _pair_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
+    """Pair audit over the signature table: only pairs that meet the
+    hypothesis are put to the comparator. StrongMonotonicity witnesses
+    report the raised coordinate; the other two have no index."""
+    n = audit.n
+    sample = audit.sample
+    full = (1 << len(audit.values[0])) - 1
     FIRST = ComparisonOutcome.FIRST_PREFERRED
     qualifying = 0
-    violations: list[AxiomViolation] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            q = hypothesis(sample[i], sample[j])
-            if not q:
-                continue
-            qualifying += 1
-            out = audit.outcome(i, j)
-            if out is not FIRST:
-                violations.append(
-                    AxiomViolation(
-                        axiom,
-                        (sample[i], sample[j]),
-                        (out,),
-                        index=q if isinstance(q, int) else None,
-                        detail=f"{requirement}; observed {out}",
-                    )
-                )
-    return _result(axiom, n * (n - 1), qualifying, violations, config)
+    failed: list[tuple[int, int, int]] = []
+    for i, row in enumerate(audit.signatures):
+        for j, (up, down, fd) in enumerate(row):
+            if _pair_hypothesis(axiom, up, down, full):
+                qualifying += 1
+                if audit.outcome(i, j) is not FIRST:
+                    failed.append((i, j, fd))
+    requirement = _PAIR_REQUIREMENTS[axiom]
+    indexed = axiom is AxiomId.STRONG_MONOTONICITY
+    witnesses = (
+        AxiomViolation(
+            axiom,
+            (sample[i], sample[j]),
+            (audit.outcome(i, j),),
+            index=fd + 1 if indexed else None,
+            detail=f"{requirement}; observed {audit.outcome(i, j)}",
+        )
+        for i, j, fd in failed
+    )
+    return _result(axiom, n * (n - 1), qualifying, witnesses, config, len(failed))
 
 
 def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
@@ -531,10 +593,9 @@ def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomRes
     """
     sample = audit.sample
     geq = audit.geq
-    classes = _hypothesis_classes(axiom, audit.values, audit.signatures)
     qualifying = violation_count = 0
     mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
-    for key, members in classes.items():
+    for key, members in audit.classes(axiom).items():
         t = sum(1 for i, j in members if geq(i, j))
         f = len(members) - t
         qualifying += len(members) ** 2
@@ -557,33 +618,15 @@ def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomRes
                         detail="matching hypothesis but opposite weak verdicts",
                     )
 
-    violations = list(islice(witnesses(), None if config.all_violations else 1))
     return _result(
-        axiom, audit.n ** 4, qualifying, violations, config, violation_count
+        axiom, audit.n ** 4, qualifying, witnesses(), config, violation_count
     )
-
-
-_PAIR_HYPOTHESES: dict[AxiomId, tuple[Callable[[Raf, Raf], object], str]] = {
-    AxiomId.WEAK_DOMINANCE: (
-        strictly_dominates,
-        "strict dominance requires FirstPreferred",
-    ),
-    AxiomId.STRONG_MONOTONICITY: (
-        single_coordinate_increase,
-        "a single-coordinate increase requires FirstPreferred",
-    ),
-    AxiomId.STRONG_DOMINANCE: (
-        qualifies_strong_dominance,
-        "coordinatewise dominance requires FirstPreferred",
-    ),
-}
 
 
 def _axiom_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
     """One pair or quadruple axiom's scan over a shared audit."""
-    if axiom in _PAIR_HYPOTHESES:
-        hypothesis, requirement = _PAIR_HYPOTHESES[axiom]
-        return _pair_result(axiom, audit, config, hypothesis, requirement)
+    if axiom in PAIR_AXIOMS:
+        return _pair_result(axiom, audit, config)
     return _quad_result(axiom, audit, config)
 
 
@@ -606,8 +649,9 @@ def check_order_axioms(
 ) -> AxiomReport:
     """Reflexivity, mirror consistency, connectedness, and transitivity.
 
-    Transitivity scans all n^3 ordered triples of the weak verdict; the
-    others scan points and ordered pairs.
+    Transitivity covers all n^3 ordered triples of the weak verdict,
+    counted from one bit row of verdicts per point; the others scan
+    points and ordered pairs.
     """
     audit = _Audit(rel, sample)
     return AxiomReport(tuple(_order_results(audit, config)), audit.n)
@@ -724,8 +768,8 @@ def run_checks(
 def replay_violation(rel: PreferenceRelation, violation: AxiomViolation) -> bool:
     """Re-evaluate a witness from scratch; True if it still violates.
 
-    Goes through the raf-level hypothesis predicates rather than the scan
-    loops, so it also cross-checks the class-count quadruple scans.
+    Goes through the raf-level hypothesis predicates rather than the
+    signature table, so it also cross-checks the table-driven scans.
     """
     w = violation.witness
     axiom = violation.axiom

@@ -44,8 +44,10 @@ from .relations import (
     at_least_as_good,
 )
 from .axioms import (
+    PAIR_AXIOMS,
     AxiomId,
     _hypothesis_classes,
+    _pair_hypothesis,
     _pair_signatures,
     run_checks,
 )
@@ -293,26 +295,14 @@ def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
 def _compile_constraint(
     axiom: AxiomId, values: list[tuple], arity: int, sigs: list[list[tuple[int, int, int]]]
 ):
-    if axiom in (
-        AxiomId.STRONG_MONOTONICITY,
-        AxiomId.WEAK_DOMINANCE,
-        AxiomId.STRONG_DOMINANCE,
-    ):
-        n = len(values)
-        forced = []
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                up, down, _ = sigs[i][j]
-                if axiom is AxiomId.STRONG_MONOTONICITY:
-                    hit = down == 0 and up and up & (up - 1) == 0
-                elif axiom is AxiomId.WEAK_DOMINANCE:
-                    hit = down == 0 and up == (1 << arity) - 1
-                else:
-                    hit = down == 0 and up != 0
-                if hit:
-                    forced.append((i, j))
+    if axiom in PAIR_AXIOMS:
+        full = (1 << arity) - 1
+        forced = [
+            (i, j)
+            for i, row in enumerate(sigs)
+            for j, (up, down, _) in enumerate(row)
+            if _pair_hypothesis(axiom, up, down, full)
+        ]
         return ("forced", forced)
     classes = _hypothesis_classes(axiom, values, sigs)
     # singleton groups constrain nothing; drop them to keep the hot loop lean

@@ -317,7 +317,6 @@ def _check_json(report: AxiomReport, relation: str) -> dict:
                 "axiom": str(r.axiom),
                 "status": "pass" if r.passed else "fail",
                 "vacuous": r.vacuous,
-                "mode": r.mode,
                 "tuples_examined": r.tuples_examined,
                 "qualifying": r.qualifying,
                 "violation_count": r.violation_count,
@@ -336,7 +335,7 @@ def _render_check_text(report: AxiomReport, relation: str) -> str:
         lines.append(
             f"  {r.axiom.value:<20} {status:<4} "
             f"({r.tuples_examined} tuples, {r.qualifying} qualifying, "
-            f"{r.violation_count} violations, {r.mode}{vac})"
+            f"{r.violation_count} violations{vac})"
         )
         for v in r.violations:
             witness = " vs ".join(str(w) for w in v.witness)

@@ -38,14 +38,17 @@ from rafpref import (
     table_relation,
 )
 from rafpref.axioms import (
+    PAIR_AXIOMS,
     QUAD_AXIOMS,
     AxiomViolation,
     iwa_indices,
     qualifies_axiom2,
     qualifies_non_compensation,
+    qualifies_strong_dominance,
     qualifies_weak_iwa,
     single_coordinate_increase,
 )
+from rafpref.core import first_difference, strictly_dominates
 
 FIRST = ComparisonOutcome.FIRST_PREFERRED
 SECOND = ComparisonOutcome.SECOND_PREFERRED
@@ -86,16 +89,38 @@ class CyclicRelation(PreferenceRelation):
 
 
 class CountingLex(PreferenceRelation):
-    """Lex that counts its compare calls."""
+    """Lex that counts its compare calls and records the pairs drawn."""
 
     name = "counting-lex"
 
     def __init__(self) -> None:
         self.calls = 0
+        self.drawn: set[tuple[Raf, Raf]] = set()
 
     def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
         self.calls += 1
+        self.drawn.add((a, b))
         return lex_compare(a, b)
+
+
+class RandomMirror(PreferenceRelation):
+    """Indifferent on equal profiles and a seeded random verdict on every
+    other unordered pair, mirrored when swapped: mirror consistent but, on
+    most samples, not transitive."""
+
+    name = "random-mirror"
+
+    def __init__(self, points, seed: int) -> None:
+        rng = random.Random(seed)
+        self.table = {}
+        for i, a in enumerate(points):
+            for b in points[i + 1:]:
+                out = rng.choice((FIRST, SECOND, INDIFF))
+                self.table[a, b] = out
+                self.table[b, a] = out.mirrored()
+
+    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        return INDIFF if a == b else self.table[a, b]
 
 
 class NoVerdictOffDiagonal(PreferenceRelation):
@@ -241,6 +266,22 @@ class TestStrongDominance:
     def test_one_point_vacuous(self, nine_grid):
         report = check_strong_dominance(LEX, nine_grid[:1])
         assert report.passed and report.results[0].vacuous
+
+
+class TestPairWitnessIndex:
+    def test_only_strong_monotonicity_reports_an_index(self, nine_grid):
+        # under total indifference every qualifying pair is a violation
+        rel = total_indifference(nine_grid)
+        report = run_checks(rel, nine_grid, PAIR_AXIOMS, CheckConfig(all_violations=True))
+        for axiom in PAIR_AXIOMS:
+            result = report.result_for(axiom)
+            assert result.violation_count == result.qualifying > 0
+            for v in result.violations:
+                if axiom is AxiomId.STRONG_MONOTONICITY:
+                    assert v.index == first_difference(*v.witness)
+                    assert v.index == single_coordinate_increase(*v.witness)
+                else:
+                    assert v.index is None
 
 
 class TestNonCompensation:
@@ -489,12 +530,112 @@ class TestClassCountMatchesBruteForce:
                 assert list(result.violations) == listed
 
 
+PAIR_REFERENCE = {
+    AxiomId.WEAK_DOMINANCE: (strictly_dominates, "strict dominance requires FirstPreferred"),
+    AxiomId.STRONG_MONOTONICITY: (
+        single_coordinate_increase,
+        "a single-coordinate increase requires FirstPreferred",
+    ),
+    AxiomId.STRONG_DOMINANCE: (
+        qualifies_strong_dominance,
+        "coordinatewise dominance requires FirstPreferred",
+    ),
+}
+
+
+def brute_force_pair(axiom, rel, sample):
+    """Row-major scan of ordered pairs through the raf-level predicates."""
+    hypothesis, requirement = PAIR_REFERENCE[axiom]
+    qualifying = 0
+    violations = []
+    for i, a in enumerate(sample):
+        for j, b in enumerate(sample):
+            if i == j or not hypothesis(a, b):
+                continue
+            qualifying += 1
+            out = rel.compare(a, b)
+            if out is not FIRST:
+                index = hypothesis(a, b) if axiom is AxiomId.STRONG_MONOTONICITY else None
+                violations.append(
+                    AxiomViolation(
+                        axiom, (a, b), (out,), index=index,
+                        detail=f"{requirement}; observed {out}",
+                    )
+                )
+    return qualifying, violations
+
+
+def brute_force_transitive(rel, sample):
+    """The literal n^3 loop over ordered triples."""
+    geq = rel.at_least_as_good
+    qualifying = 0
+    violations = []
+    for a in sample:
+        for b in sample:
+            for c in sample:
+                if geq(a, b) and geq(b, c):
+                    qualifying += 1
+                    if not geq(a, c):
+                        violations.append(
+                            AxiomViolation(
+                                AxiomId.TRANSITIVE,
+                                (a, b, c),
+                                (rel.compare(a, b), rel.compare(b, c), rel.compare(a, c)),
+                                detail="weak preference must chain through the middle profile",
+                            )
+                        )
+    return qualifying, violations
+
+
+def non_transitive_cases():
+    cases = []
+    for levels, arity in ((["0", "1"], 2), (["0", "1/2", "1"], 2), (["0", "1"], 3)):
+        points = grid_points(GridSpec.of(levels, arity))
+        for seed in (1, 2):
+            sample = list(points)
+            random.Random(seed).shuffle(sample)
+            cases.append((RandomMirror(points, seed), sample + sample[:1]))
+    return cases
+
+
+class TestTableScansMatchBruteForce:
+    """Pair and Transitive scans against loops over the raf-level predicates."""
+
+    @pytest.mark.parametrize("rel,sample", reference_cases() + non_transitive_cases())
+    def test_counts_and_all_witnesses(self, rel, sample):
+        axioms = (AxiomId.TRANSITIVE,) + PAIR_AXIOMS
+        full = run_checks(rel, sample, axioms, CheckConfig(all_violations=True))
+        first = run_checks(rel, sample, axioms)
+        n = len(sample)
+        for axiom in axioms:
+            if axiom is AxiomId.TRANSITIVE:
+                qualifying, violations = brute_force_transitive(rel, sample)
+                examined = n ** 3
+            else:
+                qualifying, violations = brute_force_pair(axiom, rel, sample)
+                examined = n * (n - 1)
+            for report, listed in ((full, violations), (first, violations[:1])):
+                result = report.result_for(axiom)
+                assert result.qualifying == qualifying
+                assert result.violation_count == len(violations)
+                assert result.passed == (not violations)
+                assert result.tuples_examined == examined
+                assert list(result.violations) == listed
+
+    def test_random_mirror_breaks_transitivity(self):
+        # the non-transitive cases above do exercise witness listing
+        failing = [
+            rel for rel, sample in non_transitive_cases()
+            if not run_checks(rel, sample, [AxiomId.TRANSITIVE]).passed
+        ]
+        assert len(failing) >= 4
+
+
 class TestConfigModes:
     def test_exhaustive_cap_override(self):
         # the default config covers every quadruple, even above 12 points
         rel, points = mep_40_10_grid(["0", "1/8", "1/4", "1/2"])
         report = check_non_compensation(rel, points)
-        assert report.results[0].mode == "exhaustive"
         assert report.results[0].tuples_examined == 16 ** 4
 
     def test_all_violations_superset(self):
@@ -554,6 +695,21 @@ class TestRunChecks:
         report = run_checks(rel, sample, [AxiomId.REFLEXIVE])
         assert report.passed
         assert rel.calls == len(sample) == 27
+
+    def test_transitive_alone_draws_each_pair_once(self):
+        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
+        rel = CountingLex()
+        report = run_checks(rel, sample, [AxiomId.TRANSITIVE])
+        assert report.passed
+        assert rel.calls == len(rel.drawn) == 27 ** 2
+
+    def test_strong_monotonicity_alone_draws_only_qualifying_pairs(self):
+        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
+        rel = CountingLex()
+        result = run_checks(rel, sample, [AxiomId.STRONG_MONOTONICITY]).results[0]
+        assert result.passed
+        assert rel.calls == len(rel.drawn) == result.qualifying == 81
+        assert all(single_coordinate_increase(a, b) for a, b in rel.drawn)
 
     def test_connected_draws_every_pair(self, nine_grid):
         rel = CountingLex()

@@ -204,7 +204,7 @@ class TestCheck:
         assert set(payload) == {"command", "relation", "sample_size", "passed", "results"}
         result = payload["results"][0]
         assert set(result) == {
-            "axiom", "status", "vacuous", "mode", "tuples_examined",
+            "axiom", "status", "vacuous", "tuples_examined",
             "qualifying", "violation_count", "violations",
         }
         assert set(result["violations"][0]) == {
