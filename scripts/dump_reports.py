@@ -10,7 +10,9 @@ count, a verdict, a witness or its order shows up as a changed line.
 - the same two renderings of ``run_checks`` reports for a random
   mirror-consistent comparator, which unlike the built-in relations
   breaks transitivity;
-- ``rafpref verify`` JSON without ``elapsed_ms``, pruned and unpruned.
+- ``rafpref verify`` JSON without ``elapsed_ms``, pruned and unpruned;
+- the count and sha256 of the ``enumerate_weak_orders`` rank stream on
+  1 to 8 points, so a change in the walk's order shows up too.
 
 Full witness lists are kept to samples of at most nine points, so the
 output stays a few megabytes.
@@ -27,6 +29,7 @@ checkout of that commit, for example::
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -40,6 +43,7 @@ from rafpref import (  # noqa: E402
     ComparisonOutcome,
     GridSpec,
     PreferenceRelation,
+    enumerate_weak_orders,
     grid_points,
     run_checks,
 )
@@ -170,10 +174,24 @@ def verify_cases() -> None:
                 emit(" ".join(argv), code, json.dumps(payload, indent=2))
 
 
+def stream_digests() -> None:
+    points = grid_points(GridSpec.of(["0", "1/2", "1"], 2))
+    for n in range(1, 9):
+        digest = hashlib.sha256()
+        count = 0
+        # ranks are below n <= 8 and every tuple has n of them, so the
+        # concatenated bytes determine the stream
+        for ranking in enumerate_weak_orders(points[:n]):
+            digest.update(bytes(ranking.ranks))
+            count += 1
+        print(f"== enumerate_weak_orders n={n} count={count} sha256={digest.hexdigest()}")
+
+
 def main() -> int:
     check_cases()
     random_relation_cases()
     verify_cases()
+    stream_digests()
     return 0
 
 

@@ -352,25 +352,28 @@ def _hypothesis_classes(
     agree up to its first difference, so they first differ at the same
     coordinate in the same direction, and conversely.
     """
-    n = len(values)
+    if axiom is AxiomId.NON_COMPENSATION:
+        keyed = (
+            ((None, up, down), i, j)
+            for i, row in enumerate(sigs) for j, (up, down, _) in enumerate(row)
+        )
+    elif axiom is AxiomId.AXIOM2_MS:
+        keyed = (
+            ((fd + 1, values[i][fd], values[j][fd]), i, j)
+            for i, row in enumerate(sigs) for j, (up, down, fd) in enumerate(row)
+            if fd >= 0 and (up | down) == 1 << fd
+        )
+    elif axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
+        keyed = (
+            ((fd + 1, (up >> fd) & 1), i, j)
+            for i, row in enumerate(sigs) for j, (up, _, fd) in enumerate(row)
+            if fd >= 0
+        )
+    else:
+        raise RafprefError(f"axiom {axiom} has no pair-class hypothesis")
     classes: dict[tuple, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(n):
-            up, down, fd = sigs[i][j]
-            if axiom is AxiomId.NON_COMPENSATION:
-                key = (None, up, down)
-            elif axiom is AxiomId.AXIOM2_MS:
-                diff = up | down
-                if not diff or diff & (diff - 1):
-                    continue
-                key = (fd + 1, values[i][fd], values[j][fd])
-            elif axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
-                if fd < 0:
-                    continue
-                key = (fd + 1, (up >> fd) & 1)
-            else:
-                raise RafprefError(f"axiom {axiom} has no pair-class hypothesis")
-            classes.setdefault(key, []).append((i, j))
+    for key, i, j in keyed:
+        classes.setdefault(key, []).append((i, j))
     return classes
 
 
@@ -395,15 +398,34 @@ class _Audit:
         return _pair_signatures(self.values)
 
     @cached_property
-    def iwa_classes(self) -> dict[tuple, list[tuple[int, int]]]:
-        return _hypothesis_classes(AxiomId.WEAK_IWA, self.values, self.signatures)
+    def iwa_tally(self) -> tuple[int, int, dict]:
+        return self._count(AxiomId.WEAK_IWA)
 
-    def classes(self, axiom: AxiomId) -> dict[tuple, list[tuple[int, int]]]:
-        """A quadruple axiom's hypothesis classes. IWA and WeakIWA share
-        theirs, so those are built once per audit and kept."""
+    def tally(self, axiom: AxiomId) -> tuple[int, int, dict]:
+        """A quadruple axiom's class tally. IWA and WeakIWA share their
+        classes, so theirs is counted once per audit and kept."""
         if axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
-            return self.iwa_classes
-        return _hypothesis_classes(axiom, self.values, self.signatures)
+            return self.iwa_tally
+        return self._count(axiom)
+
+    def _count(self, axiom: AxiomId) -> tuple[int, int, dict]:
+        """(qualifying, violation_count, mixed) over a quadruple axiom's
+        classes. A class with t pairs of weak verdict true and f of false
+        holds (t+f)^2 qualifying quadruples, 2tf of them violations; mixed
+        maps each pair of a class with both verdicts to the witness index
+        and the class."""
+        geq = self.geq
+        qualifying = violation_count = 0
+        mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
+        for key, members in _hypothesis_classes(axiom, self.values, self.signatures).items():
+            t = sum(1 for i, j in members if geq(i, j))
+            f = len(members) - t
+            qualifying += len(members) ** 2
+            if t and f:
+                violation_count += 2 * t * f
+                for pair in members:
+                    mixed[pair] = (key[0], members)
+        return qualifying, violation_count, mixed
 
     def outcome(self, i: int, j: int) -> ComparisonOutcome:
         key = (i, j)
@@ -586,23 +608,12 @@ def _pair_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomRes
 def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
     """Quadruple audit counted over the axiom's hypothesis classes.
 
-    A class with t pairs of weak verdict true and f of false holds (t+f)^2
-    qualifying quadruples, 2tf of them violations. Witnesses come in
-    row-major order: for each pair, the members of its class with the
-    opposite verdict.
+    Witnesses come in row-major order: for each pair, the members of its
+    class with the opposite verdict.
     """
     sample = audit.sample
     geq = audit.geq
-    qualifying = violation_count = 0
-    mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
-    for key, members in audit.classes(axiom).items():
-        t = sum(1 for i, j in members if geq(i, j))
-        f = len(members) - t
-        qualifying += len(members) ** 2
-        if t and f:
-            violation_count += 2 * t * f
-            for pair in members:
-                mixed[pair] = (key[0], members)
+    qualifying, violation_count, mixed = audit.tally(axiom)
 
     def witnesses() -> Iterator[AxiomViolation]:
         for i, j in sorted(mixed):

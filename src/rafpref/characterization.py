@@ -14,8 +14,10 @@ branch would have contained are counted exactly with Fubini-number
 arithmetic, so the reported total provably covers the whole space:
 emitted plus skipped must equal the n-th Fubini number or the run aborts.
 
-The candidate stream is deterministic (depth-first, blocks by decreasing
-bitmask) and the pruned stream is a subsequence of the plain one, so
+One walk produces every candidate stream, deterministic (depth-first,
+blocks by decreasing bitmask): enumerate_weak_orders drains it plain and
+the search drains it pruned. Pruning only refuses block choices, so the
+pruned stream is a subsequence of the plain one by construction, and
 pruned and unpruned runs produce identical reports apart from elapsed
 time. The search runs in one process.
 """
@@ -218,30 +220,88 @@ def _bit_lists(n: int) -> list[list[int]]:
     return bits
 
 
-def _rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
+def _eligible(
+    remaining: int, dom: list[int], bits: list[list[int]], fub: list[int]
+) -> tuple[int, int]:
+    """(eligible, skipped) for the next block placed from remaining.
+
+    Only points whose forced dominators are all placed are eligible;
+    skipped counts the completions that the excluded first blocks would
+    have led to.
+    """
+    eligible = 0
+    m = remaining
+    while m:
+        low = m & -m
+        if not dom[low.bit_length() - 1] & remaining:
+            eligible |= low
+        m ^= low
+    r = len(bits[remaining])
+    e = len(bits[eligible])
+    skipped = 0
+    if e < r:
+        # nonempty subsets of remaining that are not subsets of eligible;
+        # each such first-block choice S skips fubini(r - |S|) completions
+        for s in range(1, r + 1):
+            count = comb(r, s) - (comb(e, s) if s <= e else 0)
+            if count:
+                skipped += count * fub[r - s]
+    return eligible, skipped
+
+
+class _Walk:
     """Rank tuple of every ordered set partition of range(n), exactly once.
 
     Canonical order: depth-first over blocks (best block first), candidate
-    blocks visited by decreasing bitmask value. The pruned search emits a
-    subsequence of this stream.
+    blocks visited by decreasing bitmask value. With dom set, bit i of
+    dom[j] demands rank[i] < rank[j]: a point may join the next block only
+    once its dominators are placed, and skipped grows by the number of
+    completions each refused block choice would have led to. The stream
+    is then the plain one with the violating tuples left out, and its
+    length plus skipped is fubini(n) once it is exhausted.
     """
-    bits = _bit_lists(n)
-    ranks = [0] * n
 
-    def rec(remaining: int, depth: int) -> Iterator[tuple[int, ...]]:
-        sub = remaining
-        while sub:
+    def __init__(self, n: int, dom: Optional[list[int]] = None) -> None:
+        self.n = n
+        self.dom = dom
+        self.skipped = 0
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        n, dom = self.n, self.dom
+        bits = _bit_lists(n)
+        fub = [fubini(i) for i in range(n + 1)]
+        ranks = [0] * n
+        # the stack, by depth: points left, eligible points, next block
+        rems = [0] * (n + 1)
+        eligs = [0] * (n + 1)
+        subs = [0] * (n + 1)
+        depth = 0
+        rest = (1 << n) - 1
+        while True:
+            # a new node: the points of rest go into blocks depth, depth+1, ...
+            if dom is None:
+                eligible = rest
+            else:
+                eligible, skipped = _eligible(rest, dom, bits, fub)
+                self.skipped += skipped
+            rems[depth] = rest
+            eligs[depth] = sub = eligible
+            if sub == rest:
+                # the first block tried takes every point left: a leaf
+                for b in bits[rest]:
+                    ranks[b] = depth
+                yield tuple(ranks)
+                sub = (sub - 1) & eligible
+            while not sub:
+                depth -= 1
+                if depth < 0:
+                    return
+                sub = subs[depth]
+            subs[depth] = (sub - 1) & eligs[depth]
             for b in bits[sub]:
                 ranks[b] = depth
-            rest = remaining ^ sub
-            if rest:
-                yield from rec(rest, depth + 1)
-            else:
-                yield tuple(ranks)
-            sub = (sub - 1) & remaining
-
-    if n:
-        yield from rec((1 << n) - 1, 0)
+            rest = rems[depth] ^ sub
+            depth += 1
 
 
 def enumerate_weak_orders(
@@ -249,7 +309,9 @@ def enumerate_weak_orders(
 ) -> Iterator[RankedRelation]:
     """Yield every total preorder on the points exactly once.
 
-    The stream is deterministic and its length is the n-th Fubini number.
+    The stream is deterministic, its length is the n-th Fubini number, and
+    it comes from the same walk as verify's search, which leaves tuples
+    out of it but never reorders them.
     """
     pts = tuple(points)
     n = len(pts)
@@ -261,7 +323,7 @@ def enumerate_weak_orders(
         )
     if len(set(pts)) != n:
         raise RafprefError("points must be pairwise distinct")
-    for rv in _rank_vectors(n):
+    for rv in _Walk(n):
         yield RankedRelation(pts, rv)
 
 
@@ -339,92 +401,6 @@ def _sm_dominator_masks(
     for i, j in forced:
         dom[j] |= 1 << i
     return dom
-
-
-class _Tally:
-    """Mutable accumulation of one search."""
-
-    __slots__ = ("checked", "skipped", "pass_counts", "survivor_count", "survivors")
-
-    def __init__(self, n_constraints: int) -> None:
-        self.checked = 0
-        self.skipped = 0
-        self.pass_counts = [0] * n_constraints
-        self.survivor_count = 0
-        self.survivors: list[tuple[int, ...]] = []
-
-
-def _leaf(rv: tuple[int, ...], constraints, tally: _Tally) -> None:
-    tally.checked += 1
-    for idx, (kind, data) in enumerate(constraints):
-        if not _passes(rv, kind, data):
-            return
-        tally.pass_counts[idx] += 1
-    tally.survivor_count += 1
-    if len(tally.survivors) < SURVIVOR_LISTING_CAP:
-        tally.survivors.append(rv)
-
-
-def _eligible(
-    remaining: int, dom: list[int], bits: list[list[int]], fub: list[int]
-) -> tuple[int, int]:
-    """(eligible, skipped) for the next block placed from remaining.
-
-    Only points whose forced dominators are all placed are eligible;
-    skipped counts the completions that the excluded first blocks would
-    have led to.
-    """
-    eligible = 0
-    m = remaining
-    while m:
-        low = m & -m
-        if not dom[low.bit_length() - 1] & remaining:
-            eligible |= low
-        m ^= low
-    r = len(bits[remaining])
-    e = len(bits[eligible])
-    skipped = 0
-    if e < r:
-        # nonempty subsets of remaining that are not subsets of eligible;
-        # each such first-block choice S skips fubini(r - |S|) completions
-        for s in range(1, r + 1):
-            count = comb(r, s) - (comb(e, s) if s <= e else 0)
-            if count:
-                skipped += count * fub[r - s]
-    return eligible, skipped
-
-
-def _scan(
-    remaining: int,
-    depth: int,
-    ranks: list[int],
-    dom: Optional[list[int]],
-    bits: list[list[int]],
-    fub: list[int],
-    constraints,
-    tally: _Tally,
-) -> None:
-    """Depth-first completion of a partial ordered partition.
-
-    With dom set, the next block may only contain points whose forced
-    dominators are all placed; everything else is skipped and the skipped
-    completions are counted exactly from the Fubini table.
-    """
-    if dom is None:
-        eligible = remaining
-    else:
-        eligible, skipped = _eligible(remaining, dom, bits, fub)
-        tally.skipped += skipped
-    sub = eligible
-    while sub:
-        for b in bits[sub]:
-            ranks[b] = depth
-        rest = remaining ^ sub
-        if rest:
-            _scan(rest, depth + 1, ranks, dom, bits, fub, constraints, tally)
-        else:
-            _leaf(tuple(ranks), constraints, tally)
-        sub = (sub - 1) & eligible
 
 
 @dataclass(frozen=True)
@@ -510,12 +486,12 @@ def verify_characterization(
             f"axiom {bad[0]} cannot drive the verification; "
             f"choose from {[str(a) for a in VERIFY_AXIOMS]}"
         )
-    points = grid_points(grid, ctx)
-    n = len(points)
+    n = grid.size
     if n > max_points:
         raise TooManyPointsError(
             f"grid has {n} points, above the enumeration bound of {max_points}"
         )
+    points = grid_points(grid, ctx)
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
     values = [p.values for p in points]
     arity = grid.arity
@@ -529,32 +505,40 @@ def verify_characterization(
     )
     constraints = [_compile_constraint(a, values, arity, sigs) for a in filter_axioms]
 
-    tally = _Tally(len(constraints))
-    bits = _bit_lists(n)
-    fub = [fubini(i) for i in range(n + 1)]
-    _scan((1 << n) - 1, 0, [0] * n, dom, bits, fub, constraints, tally)
+    walk = _Walk(n, dom)
+    checked = survivor_count = 0
+    passed = [0] * len(constraints)
+    listed: list[tuple[int, ...]] = []
+    for rv in walk:
+        checked += 1
+        for idx, (kind, data) in enumerate(constraints):
+            if not _passes(rv, kind, data):
+                break
+            passed[idx] += 1
+        else:
+            survivor_count += 1
+            if len(listed) < SURVIVOR_LISTING_CAP:
+                listed.append(rv)
 
-    enumerated = tally.checked + tally.skipped
+    enumerated = checked + walk.skipped
     if enumerated != fubini(n):
         raise RafprefError(
             f"internal error: enumeration covered {enumerated} candidates "
             f"but the Fubini recurrence demands {fubini(n)}"
         )
 
-    pass_counts: list[tuple[AxiomId, int]] = []
-    counts_iter = iter(tally.pass_counts)
-    for a in order:
-        if use_dom and a is AxiomId.STRONG_MONOTONICITY:
-            pass_counts.append((a, tally.checked))
-        else:
-            pass_counts.append((a, next(counts_iter)))
+    counts = iter(passed)
+    pass_counts = tuple(
+        (a, checked if use_dom and a is AxiomId.STRONG_MONOTONICITY else next(counts))
+        for a in order
+    )
 
     pts = tuple(points)
-    survivors = tuple(RankedRelation(pts, rv) for rv in tally.survivors)
+    survivors = tuple(RankedRelation(pts, rv) for rv in listed)
     for ranking in survivors:
         _audit_survivor(ranking, order)
     agreement = tuple(_agrees_with_lex(s) for s in survivors)
-    matches_lex = tally.survivor_count == 1 and bool(agreement and agreement[0])
+    matches_lex = survivor_count == 1 and bool(agreement and agreement[0])
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CharacterizationReport(
         grid=grid,
@@ -562,12 +546,12 @@ def verify_characterization(
         axiom_order=order,
         pruned=use_dom,
         enumerated=enumerated,
-        checked=tally.checked,
-        pruned_away=tally.skipped,
-        pass_counts=tuple(pass_counts),
-        survivor_count=tally.survivor_count,
+        checked=checked,
+        pruned_away=walk.skipped,
+        pass_counts=pass_counts,
+        survivor_count=survivor_count,
         survivors=survivors,
-        survivors_truncated=tally.survivor_count > len(survivors),
+        survivors_truncated=survivor_count > len(survivors),
         survivor_lex_agreement=agreement,
         matches_lex=matches_lex,
         elapsed_ms=elapsed_ms,

@@ -215,6 +215,10 @@ def load_document(path: str) -> InputDocument:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text ({exc})") from None
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply") from None
     return InputDocument.from_json_dict(obj)
 
 

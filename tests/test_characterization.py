@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rafpref import (
     AxiomId,
@@ -39,8 +40,8 @@ from rafpref import characterization
 from rafpref.characterization import (
     VERIFY_AXIOMS,
     _compile_constraint,
+    _Walk,
     _passes,
-    _rank_vectors,
     _sm_dominator_masks,
 )
 
@@ -82,6 +83,14 @@ class TestEnumeration:
     def test_each_is_valid_preorder(self, unit_square):
         for ranking in enumerate_weak_orders(unit_square):
             ranking.validate()
+
+    def test_canonical_order_three_points(self, unit_square):
+        # depth-first, best block first, blocks by decreasing bitmask
+        assert [r.ranks for r in enumerate_weak_orders(unit_square[:3])] == [
+            (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 0),
+            (0, 0, 1), (1, 0, 1), (2, 0, 1), (1, 0, 2), (0, 1, 1), (0, 2, 1),
+            (0, 1, 2),
+        ]
 
     def test_deterministic(self, unit_square):
         assert list(enumerate_weak_orders(unit_square)) == list(
@@ -246,7 +255,7 @@ class TestPrunedStreamEquivalence:
         _, forced = _compile_constraint(SM, values, arity, _pair_signatures(values))
         plain_survivors = [
             rv
-            for rv in _rank_vectors(n)
+            for rv in _Walk(n)
             if all(rv[i] < rv[j] for i, j in forced)
         ]
         report = verify_characterization(
@@ -256,6 +265,32 @@ class TestPrunedStreamEquivalence:
         # survivor listing preserves the canonical stream order
         cap = min(10, len(plain_survivors))
         assert [s.ranks for s in report.survivors] == plain_survivors[:cap]
+
+
+@st.composite
+def dominator_masks(draw):
+    n = draw(st.integers(0, 6))
+    return draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+
+
+class TestWalk:
+    PLAIN = {n: list(_Walk(n)) for n in range(7)}
+
+    def test_plain_counts(self):
+        assert [len(self.PLAIN[n]) for n in range(7)] == [fubini(n) for n in range(7)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominator_masks())
+    def test_pruned_is_filtered_plain_stream(self, dom):
+        # masks may be cyclic or name the point itself; those prune everything
+        n = len(dom)
+        forced = [(i, j) for j in range(n) for i in range(n) if dom[j] >> i & 1]
+        walk = _Walk(n, dom)
+        pruned = list(walk)
+        assert pruned == [
+            rv for rv in self.PLAIN[n] if all(rv[i] < rv[j] for i, j in forced)
+        ]
+        assert len(pruned) + walk.skipped == fubini(n)
 
 
 class TestVerify:
@@ -370,6 +405,14 @@ class TestVerify:
             verify_characterization(
                 GridSpec.of(["0", "1/4", "1/2", "3/4", "1"], 2), [SM, WEAK_IWA]
             )
+
+    def test_point_bound_checked_before_building_points(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid_points called on an oversized grid")
+
+        monkeypatch.setattr(characterization, "grid_points", refuse)
+        with pytest.raises(TooManyPointsError, match="1073741824 points"):
+            verify_characterization(GridSpec.of(["0", "1"], 30), [SM, WEAK_IWA])
 
     def test_bad_axiom_set(self):
         with pytest.raises(RafprefError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rafpref import characterization
 from rafpref.cli import InputDocument, DocumentError, main
 
 MONEY_DOC = {
@@ -129,6 +130,22 @@ class TestRank:
     def test_missing_file_exits_2(self, capsys):
         assert main(["rank", "-i", "/nonexistent.json", "-r", "lex"]) == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["check", "-i", str(path), "-r", "lex"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["rank", "-i", str(path), "-r", "lex"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_lex_full_suite_grid(self, capsys):
@@ -246,6 +263,14 @@ class TestVerify:
     def test_grid_too_large_exits_2(self, capsys):
         code = main(["verify", "--levels", "0,1/4,1/2,3/4,1", "--arity", "2"])
         assert code == 2
+        assert "bound of 9" in capsys.readouterr().err
+
+    def test_huge_grid_refused_before_building_points(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("grid_points called on an oversized grid")
+
+        monkeypatch.setattr(characterization, "grid_points", refuse)
+        assert main(["verify", "--levels", "0,1", "--arity", "30"]) == 2
         assert "bound of 9" in capsys.readouterr().err
 
     def test_max_points_override(self, capsys):
