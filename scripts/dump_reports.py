@@ -10,6 +10,9 @@ count, a verdict, a witness or its order shows up as a changed line.
 - the same two renderings of ``run_checks`` reports for a random
   mirror-consistent comparator, which unlike the built-in relations
   breaks transitivity;
+- ``repr`` of the report of each of the eight public ``check_*``
+  functions for lex, mep and wlog on the grids of at most nine points,
+  with and without ``all_violations``;
 - ``rafpref verify`` JSON without ``elapsed_ms``, pruned and unpruned;
 - the count and sha256 of the ``enumerate_weak_orders`` rank stream on
   1 to 8 points, so a change in the walk's order shows up too.
@@ -43,6 +46,14 @@ from rafpref import (  # noqa: E402
     ComparisonOutcome,
     GridSpec,
     PreferenceRelation,
+    check_axiom2_ms,
+    check_iwa,
+    check_non_compensation,
+    check_order_axioms,
+    check_strong_dominance,
+    check_strong_monotonicity,
+    check_weak_dominance,
+    check_weak_iwa,
     enumerate_weak_orders,
     grid_points,
     run_checks,
@@ -79,6 +90,17 @@ VERIFY_SELECTIONS = [
 UNPRUNED = {("0,1", 2): VERIFY_SELECTIONS, ("0,1", 3): ["SM,WeakIWA", "WeakIWA"]}
 
 OUTCOMES = tuple(ComparisonOutcome)
+
+CHECKERS = (
+    check_order_axioms,
+    check_weak_dominance,
+    check_strong_monotonicity,
+    check_strong_dominance,
+    check_non_compensation,
+    check_axiom2_ms,
+    check_iwa,
+    check_weak_iwa,
+)
 
 
 class RandomMirrorRelation(PreferenceRelation):
@@ -154,6 +176,25 @@ def random_relation_cases() -> None:
                 emit(case + " json", code, json.dumps(payload, indent=2))
 
 
+def checker_cases() -> None:
+    for grid, arity in CHECK_GRIDS:
+        if points_of(grid, arity) > LISTING_POINTS:
+            continue
+        for relation, extra in RELATION_FLAGS.items():
+            # the CLI's own sample and relation builders, as `rafpref check --grid`
+            args = cli.build_parser().parse_args(
+                ["check", "--relation", relation, "--grid", grid,
+                 "--arity", str(arity), *extra(arity)]
+            )
+            ctx, sample, weights = cli._grid_sample(args)
+            rel = cli._build_relation(relation, ctx, weights)
+            for checker in CHECKERS:
+                for all_violations in (False, True):
+                    report = checker(rel, sample, CheckConfig(all_violations))
+                    case = f"{checker.__name__} {relation} {grid}^{arity} all_violations={all_violations}"
+                    emit(case, 0 if report.passed else 1, repr(report))
+
+
 def verify_cases() -> None:
     for levels, arity in VERIFY_GRIDS:
         for axioms in VERIFY_SELECTIONS:
@@ -190,6 +231,7 @@ def stream_digests() -> None:
 def main() -> int:
     check_cases()
     random_relation_cases()
+    checker_cases()
     verify_cases()
     stream_digests()
     return 0

@@ -475,7 +475,7 @@ def _result(
 
 
 def _order_results(
-    audit: _Audit, config: CheckConfig, axioms: Collection[AxiomId] = ORDER_AXIOMS
+    audit: _Audit, config: CheckConfig, axioms: Collection[AxiomId]
 ) -> list[AxiomResult]:
     """Results for the requested order axioms, in canonical order; only
     their scans run."""
@@ -634,20 +634,6 @@ def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomRes
     )
 
 
-def _axiom_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
-    """One pair or quadruple axiom's scan over a shared audit."""
-    if axiom in PAIR_AXIOMS:
-        return _pair_result(axiom, audit, config)
-    return _quad_result(axiom, audit, config)
-
-
-def _single_report(
-    axiom: AxiomId, rel: PreferenceRelation, sample: Sequence[Raf], config: CheckConfig
-) -> AxiomReport:
-    audit = _Audit(rel, sample)
-    return AxiomReport((_axiom_result(axiom, audit, config),), audit.n)
-
-
 # ---------------------------------------------------------------------------
 # Public checkers
 # ---------------------------------------------------------------------------
@@ -664,8 +650,7 @@ def check_order_axioms(
     counted from one bit row of verdicts per point; the others scan
     points and ordered pairs.
     """
-    audit = _Audit(rel, sample)
-    return AxiomReport(tuple(_order_results(audit, config)), audit.n)
+    return run_checks(rel, sample, ORDER_AXIOMS, config)
 
 
 def check_weak_dominance(
@@ -674,7 +659,7 @@ def check_weak_dominance(
     config: CheckConfig = DEFAULT_CONFIG,
 ) -> AxiomReport:
     """Strict coordinatewise dominance must be strictly preferred."""
-    return _single_report(AxiomId.WEAK_DOMINANCE, rel, sample, config)
+    return run_checks(rel, sample, [AxiomId.WEAK_DOMINANCE], config)
 
 
 def check_strong_monotonicity(
@@ -683,7 +668,7 @@ def check_strong_monotonicity(
     config: CheckConfig = DEFAULT_CONFIG,
 ) -> AxiomReport:
     """Raising availability at one coordinate, all else equal, must win."""
-    return _single_report(AxiomId.STRONG_MONOTONICITY, rel, sample, config)
+    return run_checks(rel, sample, [AxiomId.STRONG_MONOTONICITY], config)
 
 
 def check_strong_dominance(
@@ -692,7 +677,7 @@ def check_strong_dominance(
     config: CheckConfig = DEFAULT_CONFIG,
 ) -> AxiomReport:
     """Coordinatewise at-least with any strict gap must be strictly preferred."""
-    return _single_report(AxiomId.STRONG_DOMINANCE, rel, sample, config)
+    return run_checks(rel, sample, [AxiomId.STRONG_DOMINANCE], config)
 
 
 def check_non_compensation(
@@ -705,7 +690,7 @@ def check_non_compensation(
     Quadruples whose two pairs share the same up-set and down-set must
     receive the same weak verdict.
     """
-    return _single_report(AxiomId.NON_COMPENSATION, rel, sample, config)
+    return run_checks(rel, sample, [AxiomId.NON_COMPENSATION], config)
 
 
 def check_axiom2_ms(
@@ -718,7 +703,7 @@ def check_axiom2_ms(
     Quadruples where both pairs differ only at one shared coordinate with
     identical values there must receive the same weak verdict.
     """
-    return _single_report(AxiomId.AXIOM2_MS, rel, sample, config)
+    return run_checks(rel, sample, [AxiomId.AXIOM2_MS], config)
 
 
 def check_iwa(
@@ -737,7 +722,7 @@ def check_iwa(
     coordinate in the same direction, and the smallest such k is that
     coordinate. The two checkers report the same counts and witnesses.
     """
-    return _single_report(AxiomId.IWA, rel, sample, config)
+    return run_checks(rel, sample, [AxiomId.IWA], config)
 
 
 def check_weak_iwa(
@@ -750,7 +735,7 @@ def check_weak_iwa(
     Restricted to quadruples whose pairs first differ at the same k with
     the same strict direction there; the weak verdicts must agree.
     """
-    return _single_report(AxiomId.WEAK_IWA, rel, sample, config)
+    return run_checks(rel, sample, [AxiomId.WEAK_IWA], config)
 
 
 def run_checks(
@@ -770,9 +755,8 @@ def run_checks(
         raise RafprefError(f"unknown axioms: {sorted(str(a) for a in unknown)}")
     audit = _Audit(rel, sample)
     results = _order_results(audit, config, requested)
-    for axiom in PAIR_AXIOMS + QUAD_AXIOMS:
-        if axiom in requested:
-            results.append(_axiom_result(axiom, audit, config))
+    results += [_pair_result(a, audit, config) for a in PAIR_AXIOMS if a in requested]
+    results += [_quad_result(a, audit, config) for a in QUAD_AXIOMS if a in requested]
     return AxiomReport(tuple(results), audit.n)
 
 

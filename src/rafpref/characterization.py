@@ -17,9 +17,11 @@ emitted plus skipped must equal the n-th Fubini number or the run aborts.
 One walk produces every candidate stream, deterministic (depth-first,
 blocks by decreasing bitmask): enumerate_weak_orders drains it plain and
 the search drains it pruned. Pruning only refuses block choices, so the
-pruned stream is a subsequence of the plain one by construction, and
-pruned and unpruned runs produce identical reports apart from elapsed
-time. The search runs in one process.
+pruned stream is a subsequence of the plain one by construction. Every
+requested filter, strong monotonicity included, runs on every candidate
+either way, so pruned and unpruned runs give the same pass_counts,
+survivors and verdict; they differ only in pruned, checked, pruned_away
+and elapsed_ms. The search runs in one process.
 """
 
 from __future__ import annotations
@@ -220,9 +222,7 @@ def _bit_lists(n: int) -> list[list[int]]:
     return bits
 
 
-def _eligible(
-    remaining: int, dom: list[int], bits: list[list[int]], fub: list[int]
-) -> tuple[int, int]:
+def _eligible(remaining: int, dom: list[int], fub: list[int]) -> tuple[int, int]:
     """(eligible, skipped) for the next block placed from remaining.
 
     Only points whose forced dominators are all placed are eligible;
@@ -236,8 +236,8 @@ def _eligible(
         if not dom[low.bit_length() - 1] & remaining:
             eligible |= low
         m ^= low
-    r = len(bits[remaining])
-    e = len(bits[eligible])
+    r = remaining.bit_count()
+    e = eligible.bit_count()
     skipped = 0
     if e < r:
         # nonempty subsets of remaining that are not subsets of eligible;
@@ -282,7 +282,7 @@ class _Walk:
             if dom is None:
                 eligible = rest
             else:
-                eligible, skipped = _eligible(rest, dom, bits, fub)
+                eligible, skipped = _eligible(rest, dom, fub)
                 self.skipped += skipped
             rems[depth] = rest
             eligs[depth] = sub = eligible
@@ -391,26 +391,16 @@ def _passes(rv, kind: str, data) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sm_dominator_masks(
-    values: list[tuple], arity: int, sigs: list[list[tuple[int, int, int]]]
-) -> list[int]:
-    """dom[j] = mask of points that strong monotonicity forces above j."""
-    n = len(values)
-    dom = [0] * n
-    _, forced = _compile_constraint(AxiomId.STRONG_MONOTONICITY, values, arity, sigs)
-    for i, j in forced:
-        dom[j] |= 1 << i
-    return dom
-
-
 @dataclass(frozen=True)
 class CharacterizationReport:
     """Outcome of one verification run.
 
     enumerated always equals checked + pruned_away and is verified against
     the Fubini recurrence; pass_counts are sequential (each axiom sees only
-    the candidates that survived the previous filters, with pruning playing
-    the role of the strong-monotonicity filter when active).
+    the candidates that survived the previous filters). The
+    strong-monotonicity filter always runs: pruning only keeps the walk
+    from emitting candidates it would reject, so pass_counts do not depend
+    on pruning, and under pruning every checked candidate passes it.
     """
 
     grid: GridSpec
@@ -427,23 +417,6 @@ class CharacterizationReport:
     survivor_lex_agreement: tuple[bool, ...]
     matches_lex: bool
     elapsed_ms: float
-
-
-def _agrees_with_lex(ranking: RankedRelation) -> bool:
-    """Pointwise agreement with the priority-order comparator on all pairs."""
-    pts = ranking.domain
-    ranks = ranking.ranks
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            if ranks[i] < ranks[j]:
-                got = ComparisonOutcome.FIRST_PREFERRED
-            elif ranks[i] > ranks[j]:
-                got = ComparisonOutcome.SECOND_PREFERRED
-            else:
-                got = ComparisonOutcome.INDIFFERENT
-            if got is not lex_compare(a, b):
-                return False
-    return True
 
 
 def _audit_survivor(
@@ -470,8 +443,9 @@ def verify_characterization(
     """Enumerate all weak orders on the grid, filter by the axioms, and
     compare the survivors against the priority-order comparator.
 
-    Pruning applies only when strong monotonicity is in the axiom set; it
-    is then exactly equivalent to the strong-monotonicity filter and the
+    Pruning applies only when strong monotonicity is in the axiom set, and
+    it only narrows the walk: the strong-monotonicity filter still runs on
+    every candidate, the walk just skips the ones it would reject, and the
     skipped candidates are counted, not lost.
 
     workers is accepted and ignored: the search runs in one process.
@@ -494,16 +468,17 @@ def verify_characterization(
     points = grid_points(grid, ctx)
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
     values = [p.values for p in points]
-    arity = grid.arity
     sigs = _pair_signatures(values)
+    compiled = {a: _compile_constraint(a, values, grid.arity, sigs) for a in order}
+    constraints = list(compiled.values())
 
-    use_dom = prune and AxiomId.STRONG_MONOTONICITY in order
-    dom = _sm_dominator_masks(values, arity, sigs) if use_dom else None
-    # with pruning active the strong-monotonicity filter is the prune itself
-    filter_axioms = tuple(
-        a for a in order if not (use_dom and a is AxiomId.STRONG_MONOTONICITY)
-    )
-    constraints = [_compile_constraint(a, values, arity, sigs) for a in filter_axioms]
+    dom = None
+    if prune and AxiomId.STRONG_MONOTONICITY in compiled:
+        # the strong-monotonicity filter still runs; the masks only keep
+        # the walk from emitting candidates it would reject
+        dom = [0] * n
+        for i, j in compiled[AxiomId.STRONG_MONOTONICITY][1]:
+            dom[j] |= 1 << i
 
     walk = _Walk(n, dom)
     checked = survivor_count = 0
@@ -527,28 +502,25 @@ def verify_characterization(
             f"but the Fubini recurrence demands {fubini(n)}"
         )
 
-    counts = iter(passed)
-    pass_counts = tuple(
-        (a, checked if use_dom and a is AxiomId.STRONG_MONOTONICITY else next(counts))
-        for a in order
-    )
-
     pts = tuple(points)
     survivors = tuple(RankedRelation(pts, rv) for rv in listed)
     for ranking in survivors:
         _audit_survivor(ranking, order)
-    agreement = tuple(_agrees_with_lex(s) for s in survivors)
+    # grid points are distinct, so lex is a linear order and a survivor
+    # agrees with it on every pair exactly when their rank tuples are equal
+    lex_ranks = lex_ranking(pts).ranks
+    agreement = tuple(s.ranks == lex_ranks for s in survivors)
     matches_lex = survivor_count == 1 and bool(agreement and agreement[0])
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CharacterizationReport(
         grid=grid,
         points=pts,
         axiom_order=order,
-        pruned=use_dom,
+        pruned=dom is not None,
         enumerated=enumerated,
         checked=checked,
         pruned_away=walk.skipped,
-        pass_counts=pass_counts,
+        pass_counts=tuple(zip(order, passed)),
         survivor_count=survivor_count,
         survivors=survivors,
         survivors_truncated=survivor_count > len(survivors),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from rafpref import (
     RankedRelation,
     Raf,
     RafprefError,
+    TableRelation,
     TooManyPointsError,
     construct_proof_witness,
     default_context,
@@ -42,7 +44,6 @@ from rafpref.characterization import (
     _compile_constraint,
     _Walk,
     _passes,
-    _sm_dominator_masks,
 )
 
 LEX = LexicographicRelation()
@@ -320,6 +321,44 @@ class TestVerify:
         assert pruned.survivor_count == plain.survivor_count == 1
         assert plain.checked == 545835 and pruned.checked == 223
 
+    @pytest.mark.parametrize(
+        "arity,axioms",
+        # every subset of the verify axioms that contains SM on {0,1}^2,
+        # and all six on {0,1}^3
+        [
+            (2, (SM, *others))
+            for size in range(len(VERIFY_AXIOMS))
+            for others in combinations(VERIFY_AXIOMS[1:], size)
+        ]
+        + [(3, VERIFY_AXIOMS)],
+    )
+    def test_pruning_changes_only_the_walk(self, arity, axioms):
+        spec = GridSpec.of(["0", "1"], arity)
+        pruned = verify_characterization(spec, axioms, prune=True)
+        plain = verify_characterization(spec, axioms, prune=False)
+        assert pruned.pruned and not plain.pruned
+        for field in (
+            "enumerated", "pass_counts", "survivor_count", "survivors",
+            "survivors_truncated", "survivor_lex_agreement", "matches_lex",
+        ):
+            assert getattr(pruned, field) == getattr(plain, field), field
+        assert dict(pruned.pass_counts)[SM] == pruned.checked
+        assert pruned.checked + pruned.pruned_away == plain.checked == fubini(1 << arity)
+
+    @pytest.mark.parametrize("axiom", [SM, WEAK_IWA])
+    def test_lex_agreement_is_pairwise_agreement(self, axiom):
+        report = verify_characterization(GridSpec.of(["0", "1"], 2), [axiom])
+        pairwise = tuple(
+            all(
+                TableRelation(s).compare(a, b) is lex_compare(a, b)
+                for a in report.points
+                for b in report.points
+            )
+            for s in report.survivors
+        )
+        assert report.survivor_lex_agreement == pairwise
+        assert True in pairwise and False in pairwise
+
     def test_workers_do_not_change_the_report(self):
         spec = GridSpec.of(["0", "1"], 3)
         solo = verify_characterization(spec, [SM, WEAK_IWA], workers=1)
@@ -429,15 +468,3 @@ class TestVerify:
             for b in report.points:
                 if a != b:
                     assert proof_trace_check(rel, a, b).passed
-
-
-class TestDominatorMasks:
-    def test_masks_match_forced_pairs(self, unit_square):
-        values = [p.values for p in unit_square]
-        sigs = _pair_signatures(values)
-        dom = _sm_dominator_masks(values, 2, sigs)
-        _, forced = _compile_constraint(SM, values, 2, sigs)
-        rebuilt = [0] * len(values)
-        for i, j in forced:
-            rebuilt[j] |= 1 << i
-        assert dom == rebuilt

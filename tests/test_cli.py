@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rafpref import characterization
+from rafpref import characterization, cli
 from rafpref.cli import InputDocument, DocumentError, main
 
 MONEY_DOC = {
@@ -227,6 +227,24 @@ class TestCheck:
         assert set(result["violations"][0]) == {
             "axiom", "witness", "index", "observed", "detail",
         }
+
+    def test_huge_grid_refused_before_building_points(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("grid_points called on an oversized grid")
+
+        monkeypatch.setattr(cli, "grid_points", refuse)
+        argv = ["check", "--relation", "lex", "--grid", "0,1", "--arity", "30"]
+        assert main(argv) == 2
+        assert main(argv[:-1] + ["20000"]) == 2  # 2^20000 has too many digits to print
+        err = capsys.readouterr().err
+        assert err.count("error: --arity:") == 2 and "bound of 1024" in err
+
+    def test_grid_point_bound_is_inclusive(self, capsys):
+        argv = ["check", "--relation", "lex", "--grid", "0,1", "--axioms", "Reflexive"]
+        assert cli.CHECK_MAX_POINTS == 2 ** 10
+        assert main(argv + ["--arity", "10"]) == 0
+        assert main(argv + ["--arity", "11"]) == 2
+        assert "bound of 1024" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "1"]])
     def test_removed_sampling_flags_exit_2(self, flag, capsys):
