@@ -84,6 +84,8 @@ VERIFY_SELECTIONS = [
     "SM,IWA",
     "WeakIWA",
     "SM,WeakDominance,StrongDominance,NonCompensation,IWA,WeakIWA",
+    "StrongDominance,WeakIWA",
+    "WeakDominance",
 ]
 # The unpruned walk visits all fubini(n) weak orders: 545,835 on 8 points
 # take seconds per selection, 7,087,261 on 9 points far longer.

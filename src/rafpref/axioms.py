@@ -316,23 +316,24 @@ def _pair_signatures(values: Sequence[tuple]) -> list[list[tuple[int, int, int]]
     return sigs
 
 
-def _pair_hypothesis(axiom: AxiomId, up: int, down: int, full: int) -> bool:
-    """Whether an ordered pair with signature (up, down) meets a pair
-    axiom's hypothesis; full has one bit per coordinate.
-
-    WeakDominance: strictly above at every coordinate. StrongMonotonicity:
-    strictly above at exactly one coordinate and equal elsewhere.
-    StrongDominance: nowhere below and above somewhere.
-    """
-    if down:
-        return False
-    if axiom is AxiomId.WEAK_DOMINANCE:
-        return up == full
-    if axiom is AxiomId.STRONG_MONOTONICITY:
-        return up != 0 and up & (up - 1) == 0
-    if axiom is AxiomId.STRONG_DOMINANCE:
-        return up != 0
-    raise RafprefError(f"axiom {axiom} has no pair hypothesis")
+def _qualifying_pairs(
+    axiom: AxiomId, arity: int, sigs: list[list[tuple[int, int, int]]]
+) -> Iterator[tuple[int, int, int]]:
+    """(i, j, fd) for each ordered pair meeting a pair axiom's hypothesis,
+    in row-major order. WeakDominance: strictly above at every coordinate.
+    StrongMonotonicity: strictly above at exactly one coordinate and equal
+    elsewhere. StrongDominance: nowhere below and above somewhere."""
+    full = (1 << arity) - 1
+    meets = {
+        AxiomId.WEAK_DOMINANCE: lambda up: up == full,
+        AxiomId.STRONG_MONOTONICITY: lambda up: up != 0 and up & (up - 1) == 0,
+        AxiomId.STRONG_DOMINANCE: lambda up: up != 0,
+    }[axiom]
+    return (
+        (i, j, fd)
+        for i, row in enumerate(sigs) for j, (up, down, fd) in enumerate(row)
+        if not down and meets(up)
+    )
 
 
 def _hypothesis_classes(
@@ -580,16 +581,13 @@ def _pair_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomRes
     report the raised coordinate; the other two have no index."""
     n = audit.n
     sample = audit.sample
-    full = (1 << len(audit.values[0])) - 1
     FIRST = ComparisonOutcome.FIRST_PREFERRED
     qualifying = 0
     failed: list[tuple[int, int, int]] = []
-    for i, row in enumerate(audit.signatures):
-        for j, (up, down, fd) in enumerate(row):
-            if _pair_hypothesis(axiom, up, down, full):
-                qualifying += 1
-                if audit.outcome(i, j) is not FIRST:
-                    failed.append((i, j, fd))
+    for i, j, fd in _qualifying_pairs(axiom, len(audit.values[0]), audit.signatures):
+        qualifying += 1
+        if audit.outcome(i, j) is not FIRST:
+            failed.append((i, j, fd))
     requirement = _PAIR_REQUIREMENTS[axiom]
     indexed = axiom is AxiomId.STRONG_MONOTONICITY
     witnesses = (

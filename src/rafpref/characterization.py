@@ -6,22 +6,25 @@ be allowed a priori or part of the conclusion would be assumed. Candidates
 are filtered by the requested axioms and the survivors compared pointwise
 against the priority-order comparator.
 
-With strong-monotonicity pruning the search walks only the candidates
-whose block structure already respects single-coordinate dominance, by
-placing blocks best-first and allowing a point into a block only once
-every point that must beat it has been placed. The candidates a rejected
-branch would have contained are counted exactly with Fubini-number
-arithmetic, so the reported total provably covers the whole space:
-emitted plus skipped must equal the n-th Fubini number or the run aborts.
+With pruning the search walks only the candidates that already rank
+every forced pair of every requested pair axiom (WeakDominance,
+StrongMonotonicity, StrongDominance) strictly, by placing blocks
+best-first and allowing a point into a block only once every point that
+must beat it has been placed. The candidates a rejected branch would
+have contained are counted exactly with Fubini-number arithmetic, so the
+reported total provably covers the whole space: emitted plus skipped
+must equal the n-th Fubini number or the run aborts.
 
 One walk produces every candidate stream, deterministic (depth-first,
 blocks by decreasing bitmask): enumerate_weak_orders drains it plain and
 the search drains it pruned. Pruning only refuses block choices, so the
 pruned stream is a subsequence of the plain one by construction. Every
-requested filter, strong monotonicity included, runs on every candidate
-either way, so pruned and unpruned runs give the same pass_counts,
-survivors and verdict; they differ only in pruned, checked, pruned_away
-and elapsed_ms. The search runs in one process.
+requested filter, the pair axioms included, runs on every candidate
+either way, so pruned and unpruned runs give the same survivors and
+verdict; they differ in pruned, checked, pruned_away and elapsed_ms, and
+in a pair axiom's sequential pass count only when a later pair axiom
+forces pairs that it does not imply (see CharacterizationReport). The
+search runs in one process.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ from .axioms import (
     PAIR_AXIOMS,
     AxiomId,
     _hypothesis_classes,
-    _pair_hypothesis,
+    _members,
     _pair_signatures,
+    _qualifying_pairs,
     run_checks,
 )
 
@@ -222,31 +226,25 @@ def _bit_lists(n: int) -> list[list[int]]:
     return bits
 
 
-def _eligible(remaining: int, dom: list[int], fub: list[int]) -> tuple[int, int]:
-    """(eligible, skipped) for the next block placed from remaining.
+def _eligible(remaining: int, dom: list[int]) -> int:
+    """The points of remaining whose forced dominators are all placed."""
+    eligible = remaining
+    for b in _members(remaining):
+        if dom[b] & remaining:
+            eligible ^= 1 << b
+    return eligible
 
-    Only points whose forced dominators are all placed are eligible;
-    skipped counts the completions that the excluded first blocks would
-    have led to.
-    """
-    eligible = 0
-    m = remaining
-    while m:
-        low = m & -m
-        if not dom[low.bit_length() - 1] & remaining:
-            eligible |= low
-        m ^= low
-    r = remaining.bit_count()
-    e = eligible.bit_count()
-    skipped = 0
-    if e < r:
-        # nonempty subsets of remaining that are not subsets of eligible;
-        # each such first-block choice S skips fubini(r - |S|) completions
-        for s in range(1, r + 1):
-            count = comb(r, s) - (comb(e, s) if s <= e else 0)
-            if count:
-                skipped += count * fub[r - s]
-    return eligible, skipped
+
+def _skip_table(n: int) -> list[list[int]]:
+    """skip[r][e]: the completions refused at a node with r points left and
+    e of them eligible. A first block S leads to fubini(r - |S|) of them;
+    only the nonempty subsets of the eligible points are taken."""
+    fub = [fubini(i) for i in range(n + 1)]
+    return [
+        [fub[r] - sum(comb(e, s) * fub[r - s] for s in range(1, e + 1)) if e < r else 0
+         for e in range(r + 1)]
+        for r in range(n + 1)
+    ]
 
 
 class _Walk:
@@ -269,7 +267,7 @@ class _Walk:
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         n, dom = self.n, self.dom
         bits = _bit_lists(n)
-        fub = [fubini(i) for i in range(n + 1)]
+        skip = _skip_table(n)
         ranks = [0] * n
         # the stack, by depth: points left, eligible points, next block
         rems = [0] * (n + 1)
@@ -282,8 +280,8 @@ class _Walk:
             if dom is None:
                 eligible = rest
             else:
-                eligible, skipped = _eligible(rest, dom, fub)
-                self.skipped += skipped
+                eligible = _eligible(rest, dom)
+                self.skipped += skip[rest.bit_count()][eligible.bit_count()]
             rems[depth] = rest
             eligs[depth] = sub = eligible
             if sub == rest:
@@ -358,14 +356,7 @@ def _compile_constraint(
     axiom: AxiomId, values: list[tuple], arity: int, sigs: list[list[tuple[int, int, int]]]
 ):
     if axiom in PAIR_AXIOMS:
-        full = (1 << arity) - 1
-        forced = [
-            (i, j)
-            for i, row in enumerate(sigs)
-            for j, (up, down, _) in enumerate(row)
-            if _pair_hypothesis(axiom, up, down, full)
-        ]
-        return ("forced", forced)
+        return ("forced", [(i, j) for i, j, _ in _qualifying_pairs(axiom, arity, sigs)])
     classes = _hypothesis_classes(axiom, values, sigs)
     # singleton groups constrain nothing; drop them to keep the hot loop lean
     return ("groups", [g for g in classes.values() if len(g) > 1])
@@ -397,10 +388,14 @@ class CharacterizationReport:
 
     enumerated always equals checked + pruned_away and is verified against
     the Fubini recurrence; pass_counts are sequential (each axiom sees only
-    the candidates that survived the previous filters). The
-    strong-monotonicity filter always runs: pruning only keeps the walk
-    from emitting candidates it would reject, so pass_counts do not depend
-    on pruning, and under pruning every checked candidate passes it.
+    the candidates that survived the previous filters). Every filter
+    always runs: pruning only keeps the walk from emitting candidates that
+    a requested pair axiom would reject, so under pruning every checked
+    candidate passes every pair axiom. The pair axioms come first, so the
+    counts from the last one on do not depend on pruning; an earlier one's
+    count drops to checked when it does not imply the pairs forced after
+    it, which on a product grid happens only to WeakDominance requested
+    with StrongDominance but without SM.
     """
 
     grid: GridSpec
@@ -443,10 +438,12 @@ def verify_characterization(
     """Enumerate all weak orders on the grid, filter by the axioms, and
     compare the survivors against the priority-order comparator.
 
-    Pruning applies only when strong monotonicity is in the axiom set, and
-    it only narrows the walk: the strong-monotonicity filter still runs on
-    every candidate, the walk just skips the ones it would reject, and the
-    skipped candidates are counted, not lost.
+    Pruning applies when a pair axiom (WeakDominance, StrongMonotonicity,
+    StrongDominance) is in the axiom set: the forced pairs of every one of
+    them feed the walk's dominator masks. It only narrows the walk: every
+    filter still runs on every candidate, the walk just skips the ones a
+    forced pair would reject, and the skipped candidates are counted, not
+    lost.
 
     workers is accepted and ignored: the search runs in one process.
     """
@@ -460,25 +457,25 @@ def verify_characterization(
             f"axiom {bad[0]} cannot drive the verification; "
             f"choose from {[str(a) for a in VERIFY_AXIOMS]}"
         )
-    n = grid.size
-    if n > max_points:
+    if not grid.within(max_points):
         raise TooManyPointsError(
-            f"grid has {n} points, above the enumeration bound of {max_points}"
+            f"grid has {grid.size_text()} points at arity {grid.arity}; "
+            f"the enumeration bound of {max_points} caps both"
         )
+    n = grid.size
     points = grid_points(grid, ctx)
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
     values = [p.values for p in points]
     sigs = _pair_signatures(values)
-    compiled = {a: _compile_constraint(a, values, grid.arity, sigs) for a in order}
-    constraints = list(compiled.values())
-
+    constraints = [_compile_constraint(a, values, grid.arity, sigs) for a in order]
+    forced = [data for kind, data in constraints if kind == "forced"]
     dom = None
-    if prune and AxiomId.STRONG_MONOTONICITY in compiled:
-        # the strong-monotonicity filter still runs; the masks only keep
-        # the walk from emitting candidates it would reject
+    if prune and forced:
+        # every filter still runs; the masks only narrow the walk
         dom = [0] * n
-        for i, j in compiled[AxiomId.STRONG_MONOTONICITY][1]:
-            dom[j] |= 1 << i
+        for pairs in forced:
+            for i, j in pairs:
+                dom[j] |= 1 << i
 
     walk = _Walk(n, dom)
     checked = survivor_count = 0

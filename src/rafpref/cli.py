@@ -48,6 +48,7 @@ from .axioms import (
     run_checks,
 )
 from .characterization import (
+    DEFAULT_MAX_POINTS,
     CharacterizationReport,
     VERIFY_AXIOMS,
     construct_proof_witness,
@@ -60,8 +61,8 @@ EXIT_USAGE = 2
 
 RELATION_NAMES = ("lex", "mep", "wlog")
 
-# check --grid refuses larger samples before building a point: an
-# all-axiom lex audit of 1,024 points takes about 17 s and 350 MB
+# check --grid refuses more points or a higher arity before building a
+# point: an all-axiom lex audit of 1,024 points takes about 17 s and 350 MB
 CHECK_MAX_POINTS = 1024
 
 
@@ -263,12 +264,10 @@ def _grid_spec(text: str, arity: int, field: str) -> GridSpec:
 
 def _grid_sample(args) -> tuple[PriorityContext, list[Raf], Optional[WeightVector]]:
     spec = _grid_spec(args.grid, args.arity, "--grid")
-    # the same test as size > bound (one level gives one point, and two or
-    # more exceed the bound once the arity does) without a huge power
-    if len(spec.levels) ** min(spec.arity, CHECK_MAX_POINTS) > CHECK_MAX_POINTS:
+    if not spec.within(CHECK_MAX_POINTS):
         raise DocumentError(
-            f"--arity: {len(spec.levels)} levels at arity {spec.arity} give more "
-            f"points than the check bound of {CHECK_MAX_POINTS}"
+            f"--arity: the grid has {spec.size_text()} points at arity {spec.arity}; "
+            f"the check bound of {CHECK_MAX_POINTS} caps both"
         )
     labels = tuple(f"x{i}" for i in range(1, args.arity + 1))
     payoffs = None
@@ -570,9 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--arity", type=int, required=True)
     p_verify.add_argument("--axioms", default="SM,WeakIWA", help="comma-separated axiom names")
     p_verify.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True,
-                          help="strong-monotonicity pruning (exact, counted)")
-    p_verify.add_argument("--max-points", type=int, default=9,
-                          help="refuse grids with more points than this")
+                          help="skip candidates that break a requested pair axiom's "
+                          "forced pairs (exact, counted)")
+    p_verify.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
+                          help="refuse grids with more points, or a higher arity, than this")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

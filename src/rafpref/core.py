@@ -272,6 +272,20 @@ class GridSpec:
     def size(self) -> int:
         return len(self.levels) ** self.arity
 
+    def within(self, bound: int) -> bool:
+        """Whether points and arity are both at most bound (one level gives
+        one point at any arity). No power past bound is taken: two or more
+        levels exceed any bound once the arity passes its bit length."""
+        return self.arity <= bound and (
+            len(self.levels) ** min(self.arity, bound.bit_length() + 1) <= bound
+        )
+
+    def size_text(self) -> str:
+        """The point count in decimal, or as levels^arity past 64 bits."""
+        if (len(self.levels) - 1).bit_length() * self.arity <= 64:
+            return str(self.size)
+        return f"{len(self.levels)}^{self.arity}"
+
 
 def default_context(arity: int) -> PriorityContext:
     """Anonymous context x1..xK, used when only the grid geometry matters."""

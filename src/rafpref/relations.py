@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 from .core import (
     PriorityContext,
@@ -165,17 +165,6 @@ class WeightVector:
         for w in self.weights:
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise InvalidWeightError(f"weight {w!r} is not a positive integer")
-
-    @classmethod
-    def of(
-        cls, ctx: PriorityContext, weights: Mapping[str, int] | Sequence[int]
-    ) -> "WeightVector":
-        if isinstance(weights, Mapping):
-            missing = [a for a in ctx.alternatives if a not in weights]
-            if missing:
-                raise WeightArityMismatchError(f"weight missing for {missing[0]!r}")
-            return cls(ctx, tuple(weights[a] for a in ctx.alternatives))
-        return cls(ctx, tuple(weights))
 
 
 def wlog_compare(a: Raf, b: Raf, weights: WeightVector) -> ComparisonOutcome:

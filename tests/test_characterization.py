@@ -30,6 +30,7 @@ from rafpref import (
     verify_characterization,
 )
 from rafpref.axioms import (
+    PAIR_AXIOMS,
     _pair_signatures,
     check_iwa,
     check_non_compensation,
@@ -48,11 +49,18 @@ from rafpref.characterization import (
 
 LEX = LexicographicRelation()
 SM = AxiomId.STRONG_MONOTONICITY
+WD = AxiomId.WEAK_DOMINANCE
+SD = AxiomId.STRONG_DOMINANCE
 WEAK_IWA = AxiomId.WEAK_IWA
 IWA = AxiomId.IWA
 
 # pinned from the binomial recurrence a(n) = sum C(n,k) a(n-k), a(0) = 1
 FUBINI_PINNED = (1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
+
+
+def _subsets(items):
+    """Every subset of items, by size, in combinations order."""
+    return [c for size in range(len(items) + 1) for c in combinations(items, size)]
 
 
 def independent_fubini(n: int) -> int:
@@ -323,27 +331,42 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "arity,axioms",
-        # every subset of the verify axioms that contains SM on {0,1}^2,
-        # and all six on {0,1}^3
-        [
-            (2, (SM, *others))
-            for size in range(len(VERIFY_AXIOMS))
-            for others in combinations(VERIFY_AXIOMS[1:], size)
-        ]
-        + [(3, VERIFY_AXIOMS)],
+        # the 32 subsets of the verify axioms that contain SM on {0,1}^2,
+        # all six on {0,1}^3, then the 31 nonempty subsets without SM
+        [(2, (SM, *rest)) for rest in _subsets(VERIFY_AXIOMS[1:])]
+        + [(3, VERIFY_AXIOMS)]
+        + [(2, axioms) for axioms in _subsets(VERIFY_AXIOMS[1:]) if axioms],
     )
     def test_pruning_changes_only_the_walk(self, arity, axioms):
         spec = GridSpec.of(["0", "1"], arity)
         pruned = verify_characterization(spec, axioms, prune=True)
         plain = verify_characterization(spec, axioms, prune=False)
-        assert pruned.pruned and not plain.pruned
+        pair_axioms = [a for a in axioms if a in PAIR_AXIOMS]
+        assert pruned.pruned == bool(pair_axioms) and not plain.pruned
         for field in (
-            "enumerated", "pass_counts", "survivor_count", "survivors",
+            "enumerated", "survivor_count", "survivors",
             "survivors_truncated", "survivor_lex_agreement", "matches_lex",
         ):
             assert getattr(pruned, field) == getattr(plain, field), field
-        assert dict(pruned.pass_counts)[SM] == pruned.checked
+        counts = dict(pruned.pass_counts)
+        for axiom in pair_axioms:
+            assert counts[axiom] == pruned.checked, axiom
+        # a sequential count shrinks under pruning only when a later pair
+        # axiom forces pairs that the filters up to it do not imply; on a
+        # grid SM and SD force the same order, which implies WD's, so that
+        # happens only to WD ahead of SD without SM
+        shrunk = {a for a, c in plain.pass_counts if counts[a] != c}
+        assert shrunk == ({WD} if {WD, SD} <= set(axioms) and SM not in axioms else set())
         assert pruned.checked + pruned.pruned_away == plain.checked == fubini(1 << arity)
+
+    def test_strong_dominance_prunes_like_sm(self):
+        # on a product grid every StrongDominance pair follows from SM
+        # pairs by transitivity, so its forced pairs prune the same walk
+        spec = GridSpec.of(["0", "1/2", "1"], 2)
+        report = verify_characterization(spec, [SD, WEAK_IWA])
+        assert report.pruned and report.checked == 197
+        assert report.survivor_count == 1 and report.matches_lex
+        assert report.survivors[0].ranks == lex_ranking(report.points).ranks
 
     @pytest.mark.parametrize("axiom", [SM, WEAK_IWA])
     def test_lex_agreement_is_pairwise_agreement(self, axiom):
@@ -384,13 +407,17 @@ class TestVerify:
         assert solo.checked == team.checked == 75
 
     def test_fubini_mismatch_raises(self, monkeypatch):
-        real = characterization._eligible
+        real = characterization._skip_table
 
-        def undercount(*args):
-            eligible, skipped = real(*args)
-            return eligible, max(0, skipped - 1)
+        def undercount(n):
+            # on {0,1}^2 under SM the root has four points left and one
+            # eligible, (1, 1)
+            skip = real(n)
+            assert skip[4][1] > 0
+            skip[4][1] -= 1
+            return skip
 
-        monkeypatch.setattr(characterization, "_eligible", undercount)
+        monkeypatch.setattr(characterization, "_skip_table", undercount)
         with pytest.raises(RafprefError, match="Fubini recurrence"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
 

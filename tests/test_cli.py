@@ -291,6 +291,28 @@ class TestVerify:
         assert main(["verify", "--levels", "0,1", "--arity", "30"]) == 2
         assert "bound of 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["verify", "--levels", "0,1", "--arity", "20000"], "2^20000"),
+            (["verify", "--levels", "1", "--arity", "1000000"], "1"),
+            (["check", "--relation", "lex", "--grid", "1", "--arity", "1000000"], "1"),
+            (["verify", "--levels", "0,1/2,1", "--arity", "10000000"], "3^10000000"),
+        ],
+    )
+    def test_huge_arity_refused_before_building_points(
+        self, monkeypatch, capsys, argv, size
+    ):
+        def refuse(*args):
+            raise AssertionError("grid_points called on an oversized grid")
+
+        monkeypatch.setattr(cli, "grid_points", refuse)
+        monkeypatch.setattr(characterization, "grid_points", refuse)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"has {size} points at arity {argv[-1]};" in err
+
     def test_max_points_override(self, capsys):
         code = main(
             ["verify", "--levels", "0,1/2,1", "--arity", "2", "--max-points", "9"]

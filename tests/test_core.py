@@ -180,6 +180,34 @@ class TestGrid:
         assert len(points) == size
         assert len(set(points)) == size
 
+    @pytest.mark.parametrize(
+        "levels,arity,bound,within",
+        [
+            (["0", "1"], 10, 1024, True),
+            (["0", "1"], 11, 1024, False),
+            (["0", "1/2", "1"], 2, 9, True),
+            (["0", "1/2", "1"], 2, 8, False),
+            (["1"], 9, 9, True),
+            (["1"], 10, 9, False),  # one point, but the arity is held to the bound
+            (["0", "1"], 10 ** 9, 9, False),
+        ],
+    )
+    def test_within(self, levels, arity, bound, within):
+        assert GridSpec.of(levels, arity).within(bound) is within
+
+    @pytest.mark.parametrize(
+        "levels,arity,text",
+        [
+            (["0", "1"], 30, "1073741824"),
+            (["0", "1"], 64, str(2 ** 64)),
+            (["0", "1"], 65, "2^65"),
+            (["1"], 10 ** 9, "1"),
+            (["0", "1/2", "1"], 10 ** 7, "3^10000000"),
+        ],
+    )
+    def test_size_text(self, levels, arity, text):
+        assert GridSpec.of(levels, arity).size_text() == text
+
     def test_deterministic_order(self):
         spec = GridSpec.of(["0", "1/2", "1"], 2)
         assert grid_points(spec) == grid_points(spec)
