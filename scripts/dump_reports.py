@@ -86,10 +86,14 @@ VERIFY_SELECTIONS = [
     "SM,WeakDominance,StrongDominance,NonCompensation,IWA,WeakIWA",
     "StrongDominance,WeakIWA",
     "WeakDominance",
+    "SM,NonCompensation",
 ]
 # The unpruned walk visits all fubini(n) weak orders: 545,835 on 8 points
 # take seconds per selection, 7,087,261 on 9 points far longer.
-UNPRUNED = {("0,1", 2): VERIFY_SELECTIONS, ("0,1", 3): ["SM,WeakIWA", "WeakIWA"]}
+UNPRUNED = {
+    ("0,1", 2): VERIFY_SELECTIONS,
+    ("0,1", 3): ["SM,WeakIWA", "WeakIWA", "SM,NonCompensation"],
+}
 
 OUTCOMES = tuple(ComparisonOutcome)
 

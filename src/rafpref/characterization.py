@@ -6,25 +6,27 @@ be allowed a priori or part of the conclusion would be assumed. Candidates
 are filtered by the requested axioms and the survivors compared pointwise
 against the priority-order comparator.
 
-With pruning the search walks only the candidates that already rank
-every forced pair of every requested pair axiom (WeakDominance,
-StrongMonotonicity, StrongDominance) strictly, by placing blocks
-best-first and allowing a point into a block only once every point that
-must beat it has been placed. The candidates a rejected branch would
-have contained are counted exactly with Fubini-number arithmetic, so the
-reported total provably covers the whole space: emitted plus skipped
-must equal the n-th Fubini number or the run aborts.
+With pruning every requested axiom prunes, so every leaf the search
+reaches is a survivor. The walk places blocks best-first. A pair axiom
+(WeakDominance, StrongMonotonicity, StrongDominance) forces pairs: a
+point may join a block only once every point that must beat it has been
+placed. A group axiom (NonCompensation, IWA, WeakIWA) asks for one weak
+verdict per group of pairs: placing a block decides every pair that
+touches it, and a block that decides two pairs of one group differently
+is refused (forward checking, Haralick & Elliott 1980). The candidates a
+refused choice would have led to are counted exactly with Fubini-number
+arithmetic, per reason, so the reported total provably covers the whole
+space: emitted plus skipped must equal the n-th Fubini number or the run
+aborts.
 
-One walk produces every candidate stream, deterministic (depth-first,
-blocks by decreasing bitmask): enumerate_weak_orders drains it plain and
-the search drains it pruned. Pruning only refuses block choices, so the
-pruned stream is a subsequence of the plain one by construction. Every
-requested filter, the pair axioms included, runs on every candidate
-either way, so pruned and unpruned runs give the same survivors and
-verdict; they differ in pruned, checked, pruned_away and elapsed_ms, and
-in a pair axiom's sequential pass count only when a later pair axiom
-forces pairs that it does not imply (see CharacterizationReport). The
-search runs in one process.
+Without pruning the walk emits every weak order and each requested
+filter runs on it in turn: the brute-force reference. One walk class
+produces both streams, deterministic (depth-first, blocks by decreasing
+bitmask): enumerate_weak_orders drains it plain. Pruning only refuses
+block choices, so the pruned stream is the plain one filtered, and the
+two runs give the same survivors and verdict; they differ in checked,
+pruned_away, pruned_by, pass_counts and elapsed_ms (see
+CharacterizationReport). The search runs in one process.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -247,32 +250,139 @@ def _skip_table(n: int) -> list[list[int]]:
     ]
 
 
+def _fix(
+    block: int,
+    rest: int,
+    heads: list[list[tuple[int, int]]],
+    tails: list[list[tuple[int, int]]],
+    verdict: list[Optional[bool]],
+    fixed: list[int],
+) -> bool:
+    """Fix the weak verdict of every grouped pair that placing block first
+    among the points of rest decides: i >= j holds for i in block and j in
+    rest, and fails for j in block and i placed after it. heads[p] and
+    tails[p] list (group, partner mask) for the pairs p starts and ends.
+    Each newly fixed group goes on fixed; False when a group would hold
+    both verdicts."""
+    after = rest ^ block
+    for p in _members(block):
+        for g, partners in heads[p]:
+            if partners & rest:
+                v = verdict[g]
+                if v is None:
+                    verdict[g] = True
+                    fixed.append(g)
+                elif not v:
+                    return False
+        for g, partners in tails[p]:
+            if partners & after:
+                v = verdict[g]
+                if v is None:
+                    verdict[g] = False
+                    fixed.append(g)
+                elif v:
+                    return False
+    return True
+
+
 class _Walk:
     """Rank tuple of every ordered set partition of range(n), exactly once.
 
     Canonical order: depth-first over blocks (best block first), candidate
     blocks visited by decreasing bitmask value. With dom set, bit i of
     dom[j] demands rank[i] < rank[j]: a point may join the next block only
-    once its dominators are placed, and skipped grows by the number of
-    completions each refused block choice would have led to. The stream
-    is then the plain one with the violating tuples left out, and its
-    length plus skipped is fubini(n) once it is exhausted.
+    once its dominators are placed. groups maps a reason to a list of
+    groups of pairs (i, j) whose weak verdict rank[i] <= rank[j] must be
+    constant per group: a block is refused as soon as placing it decides
+    two pairs of one group differently. pruned_by counts, per reason, the
+    completions the refused choices would have led to (dominators first,
+    then the group reasons in order). The stream is then the plain one
+    with the violating tuples left out, and its length plus skipped is
+    fubini(n) once it is exhausted.
+
+    Without constraints the walk reads the bits of each block from an
+    O(2^n) table, which the fubini(n) leaves of a plain walk already
+    bound to about ten points; a constrained walk reaches further and
+    reads them inline.
     """
 
-    def __init__(self, n: int, dom: Optional[list[int]] = None) -> None:
+    def __init__(
+        self,
+        n: int,
+        dom: Optional[list[int]] = None,
+        groups: Optional[dict[str, list[list[tuple[int, int]]]]] = None,
+    ) -> None:
         self.n = n
         self.dom = dom
-        self.skipped = 0
+        self.groups = groups or {}
+        reasons = ([] if dom is None else ["dominators"]) + list(self.groups)
+        self.pruned_by = dict.fromkeys(reasons, 0)
+
+    @property
+    def skipped(self) -> int:
+        return sum(self.pruned_by.values())
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        n, dom = self.n, self.dom
+        # no points leave no block to place and nothing to refuse
+        if not self.n or (self.dom is None and not self.groups):
+            return self._plain()
+        return self._checked()
+
+    def _plain(self) -> Iterator[tuple[int, ...]]:
+        n = self.n
         bits = _bit_lists(n)
-        skip = _skip_table(n)
         ranks = [0] * n
-        # the stack, by depth: points left, eligible points, next block
+        # the stack, by depth: points left, next block
+        rems = [0] * (n + 1)
+        subs = [0] * (n + 1)
+        depth = 0
+        rest = (1 << n) - 1
+        while True:
+            # a new node: the points of rest go into blocks depth, depth+1, ...
+            rems[depth] = rest
+            # the first block tried takes every point left: a leaf
+            for b in bits[rest]:
+                ranks[b] = depth
+            yield tuple(ranks)
+            sub = (rest - 1) & rest
+            while not sub:
+                depth -= 1
+                if depth < 0:
+                    return
+                sub = subs[depth]
+            subs[depth] = (sub - 1) & rems[depth]
+            for b in bits[sub]:
+                ranks[b] = depth
+            rest = rems[depth] ^ sub
+            depth += 1
+
+    def _checked(self) -> Iterator[tuple[int, ...]]:
+        n, dom, pruned_by = self.n, self.dom, self.pruned_by
+        skip = _skip_table(n)
+        fub = [fubini(r) for r in range(n + 1)]
+        # per reason, per point: (group, partner mask) of the pairs it
+        # starts and of the pairs it ends
+        index = []
+        verdict: list[Optional[bool]] = []
+        for reason, data in self.groups.items():
+            heads: list[dict[int, int]] = [{} for _ in range(n)]
+            tails: list[dict[int, int]] = [{} for _ in range(n)]
+            for grp in data:
+                g = len(verdict)
+                verdict.append(None)
+                for i, j in grp:
+                    heads[i][g] = heads[i].get(g, 0) | 1 << j
+                    tails[j][g] = tails[j].get(g, 0) | 1 << i
+            index.append(
+                (reason, [list(h.items()) for h in heads], [list(t.items()) for t in tails])
+            )
+        ranks = [0] * n
+        # the stack, by depth: points left, eligible points, next block,
+        # groups whose verdict the placed block fixed
         rems = [0] * (n + 1)
         eligs = [0] * (n + 1)
         subs = [0] * (n + 1)
+        fixed: list[list[int]] = [[] for _ in range(n + 1)]
         depth = 0
         rest = (1 << n) - 1
         while True:
@@ -281,24 +391,33 @@ class _Walk:
                 eligible = rest
             else:
                 eligible = _eligible(rest, dom)
-                self.skipped += skip[rest.bit_count()][eligible.bit_count()]
+                pruned_by["dominators"] += skip[rest.bit_count()][eligible.bit_count()]
             rems[depth] = rest
-            eligs[depth] = sub = eligible
-            if sub == rest:
-                # the first block tried takes every point left: a leaf
-                for b in bits[rest]:
-                    ranks[b] = depth
-                yield tuple(ranks)
-                sub = (sub - 1) & eligible
-            while not sub:
-                depth -= 1
-                if depth < 0:
-                    return
+            eligs[depth] = subs[depth] = eligible
+            while True:
                 sub = subs[depth]
-            subs[depth] = (sub - 1) & eligs[depth]
-            for b in bits[sub]:
-                ranks[b] = depth
-            rest = rems[depth] ^ sub
+                undo = fixed[depth]
+                for g in undo:
+                    verdict[g] = None
+                undo.clear()
+                if not sub:
+                    depth -= 1
+                    if depth < 0:
+                        return
+                    continue
+                subs[depth] = (sub - 1) & eligs[depth]
+                rest = rems[depth]
+                for reason, heads, tails in index:
+                    if not _fix(sub, rest, heads, tails, verdict, undo):
+                        pruned_by[reason] += fub[rest.bit_count() - sub.bit_count()]
+                        break
+                else:
+                    for b in _members(sub):
+                        ranks[b] = depth
+                    rest ^= sub
+                    if rest:
+                        break
+                    yield tuple(ranks)
             depth += 1
 
 
@@ -387,15 +506,15 @@ class CharacterizationReport:
     """Outcome of one verification run.
 
     enumerated always equals checked + pruned_away and is verified against
-    the Fubini recurrence; pass_counts are sequential (each axiom sees only
-    the candidates that survived the previous filters). Every filter
-    always runs: pruning only keeps the walk from emitting candidates that
-    a requested pair axiom would reject, so under pruning every checked
-    candidate passes every pair axiom. The pair axioms come first, so the
-    counts from the last one on do not depend on pruning; an earlier one's
-    count drops to checked when it does not imply the pairs forced after
-    it, which on a product grid happens only to WeakDominance requested
-    with StrongDominance but without SM.
+    the Fubini recurrence. checked counts the leaves the walk reached.
+    Without pruning that is every weak order, and pass_counts are
+    sequential: each axiom sees only the candidates that survived the
+    previous filters. With pruning every leaf reached is a survivor, so
+    checked equals survivor_count and every pass count equals checked;
+    pruned_by then splits pruned_away by reason: "dominators" (the forced
+    pairs of the pair axioms) and each requested group axiom's name, a
+    refused block counting for the first axiom in canonical order that it
+    breaks. pruned_by is empty without pruning.
     """
 
     grid: GridSpec
@@ -405,6 +524,7 @@ class CharacterizationReport:
     enumerated: int
     checked: int
     pruned_away: int
+    pruned_by: tuple[tuple[str, int], ...]
     pass_counts: tuple[tuple[AxiomId, int], ...]
     survivor_count: int
     survivors: tuple[RankedRelation, ...]
@@ -438,12 +558,14 @@ def verify_characterization(
     """Enumerate all weak orders on the grid, filter by the axioms, and
     compare the survivors against the priority-order comparator.
 
-    Pruning applies when a pair axiom (WeakDominance, StrongMonotonicity,
-    StrongDominance) is in the axiom set: the forced pairs of every one of
-    them feed the walk's dominator masks. It only narrows the walk: every
-    filter still runs on every candidate, the walk just skips the ones a
-    forced pair would reject, and the skipped candidates are counted, not
-    lost.
+    With pruning (the default) every requested axiom prunes the walk: the
+    pair axioms through their forced pairs, the group axioms by refusing
+    a block that fixes two pairs of one group to different weak verdicts.
+    Every leaf reached is then a survivor and no filter runs on it; the
+    refused candidates are counted per reason, not lost. prune=False
+    walks every weak order and runs each filter on it, the brute-force
+    reference. Either way the listed survivors are re-audited through
+    run_checks.
 
     workers is accepted and ignored: the search runs in one process.
     """
@@ -468,29 +590,39 @@ def verify_characterization(
     values = [p.values for p in points]
     sigs = _pair_signatures(values)
     constraints = [_compile_constraint(a, values, grid.arity, sigs) for a in order]
-    forced = [data for kind, data in constraints if kind == "forced"]
-    dom = None
-    if prune and forced:
-        # every filter still runs; the masks only narrow the walk
-        dom = [0] * n
-        for pairs in forced:
-            for i, j in pairs:
-                dom[j] |= 1 << i
-
-    walk = _Walk(n, dom)
-    checked = survivor_count = 0
-    passed = [0] * len(constraints)
-    listed: list[tuple[int, ...]] = []
-    for rv in walk:
-        checked += 1
-        for idx, (kind, data) in enumerate(constraints):
-            if not _passes(rv, kind, data):
-                break
-            passed[idx] += 1
-        else:
-            survivor_count += 1
-            if len(listed) < SURVIVOR_LISTING_CAP:
-                listed.append(rv)
+    if prune:
+        # every requested axiom prunes, so every leaf the walk reaches
+        # satisfies them all
+        forced = [data for kind, data in constraints if kind == "forced"]
+        dom = None
+        if forced:
+            dom = [0] * n
+            for pairs in forced:
+                for i, j in pairs:
+                    dom[j] |= 1 << i
+        groups = {
+            str(a): data for a, (kind, data) in zip(order, constraints) if kind == "groups"
+        }
+        walk = _Walk(n, dom, groups)
+        stream = iter(walk)
+        listed = list(islice(stream, SURVIVOR_LISTING_CAP))
+        checked = survivor_count = len(listed) + sum(1 for _ in stream)
+        passed = [checked] * len(constraints)
+    else:
+        walk = _Walk(n)
+        checked = survivor_count = 0
+        passed = [0] * len(constraints)
+        listed = []
+        for rv in walk:
+            checked += 1
+            for idx, (kind, data) in enumerate(constraints):
+                if not _passes(rv, kind, data):
+                    break
+                passed[idx] += 1
+            else:
+                survivor_count += 1
+                if len(listed) < SURVIVOR_LISTING_CAP:
+                    listed.append(rv)
 
     enumerated = checked + walk.skipped
     if enumerated != fubini(n):
@@ -513,10 +645,11 @@ def verify_characterization(
         grid=grid,
         points=pts,
         axiom_order=order,
-        pruned=dom is not None,
+        pruned=prune,
         enumerated=enumerated,
         checked=checked,
         pruned_away=walk.skipped,
+        pruned_by=tuple(walk.pruned_by.items()),
         pass_counts=tuple(zip(order, passed)),
         survivor_count=survivor_count,
         survivors=survivors,

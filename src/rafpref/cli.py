@@ -376,6 +376,7 @@ def _verify_json(rep: CharacterizationReport) -> dict:
         "enumerated": rep.enumerated,
         "checked": rep.checked,
         "pruned_away": rep.pruned_away,
+        "pruned_by": dict(rep.pruned_by),
         "pass_counts": {str(a): c for a, c in rep.pass_counts},
         "survivor_count": rep.survivor_count,
         "survivors": [
@@ -400,7 +401,9 @@ def _render_verify_text(rep: CharacterizationReport) -> str:
         + ", ".join(str(a) for a in rep.axiom_order)
         + f"   pruning: {'on' if rep.pruned else 'off'}",
         f"enumerated {rep.enumerated} weak orders (recurrence check: ok); "
-        f"{rep.checked} reached the checkers, {rep.pruned_away} pruned",
+        f"{rep.checked} reached the leaves, {rep.pruned_away} pruned"
+        + (" (" + ", ".join(f"{c} by {r}" for r, c in rep.pruned_by) + ")"
+           if rep.pruned_by else ""),
         "pass counts: " + ", ".join(f"{a}={c}" for a, c in rep.pass_counts),
         f"survivors: {rep.survivor_count}"
         + (" (listing first 10)" if rep.survivors_truncated else ""),
@@ -569,8 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--arity", type=int, required=True)
     p_verify.add_argument("--axioms", default="SM,WeakIWA", help="comma-separated axiom names")
     p_verify.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True,
-                          help="skip candidates that break a requested pair axiom's "
-                          "forced pairs (exact, counted)")
+                          help="refuse every block that breaks a requested axiom, so "
+                          "only survivors are reached (exact, counted); --no-prune "
+                          "walks and filters every weak order")
     p_verify.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
                           help="refuse grids with more points, or a higher arity, than this")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

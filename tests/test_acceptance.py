@@ -42,6 +42,7 @@ from rafpref import (
     proof_trace_check,
     replay_violation,
     utility_compare,
+    verify_characterization,
 )
 from rafpref.axioms import iwa_indices, qualifies_non_compensation, qualifies_axiom2, qualifies_weak_iwa
 from rafpref.cli import main
@@ -311,3 +312,42 @@ def test_c9_enumeration_matches_recurrence_oracle():
             assert fubini(n) == expected
             streamed = sum(1 for _ in enumerate_weak_orders(base[:n]))
             assert streamed == expected, f"n={n}: streamed {streamed}"
+
+
+# OEIS A000670 at n = 81, the weak orders on the 81 points of {0,1/2,1}^4
+FUBINI_81 = int(
+    "3269602373817648700301767843715283175182953626969514831242153251243876662933"
+    "1337467457372188965826162331372814768194762261217544238621"
+)
+
+
+def test_c10_forward_checked_search_on_81_points():
+    with criterion("C10", "SM + WeakIWA leave exactly lex among all weak orders on {0,1/2,1}^4"):
+        # the same total as sum_k k! S(81, k), ordered partitions by block count
+        stirling = [1]  # S(0, k) for k = 0
+        for m in range(1, 82):
+            stirling = [
+                (k * stirling[k] if k < len(stirling) else 0)
+                + (stirling[k - 1] if k >= 1 else 0)
+                for k in range(m + 1)
+            ]
+        factorial = 1
+        total = 0
+        for k in range(1, 82):
+            factorial *= k
+            total += factorial * stirling[k]
+        assert total == FUBINI_81 == fubini(81)
+
+        started = time.perf_counter()
+        report = verify_characterization(
+            GridSpec.of(["0", "1/2", "1"], 4),
+            [AxiomId.STRONG_MONOTONICITY, AxiomId.WEAK_IWA],
+            max_points=81,
+        )
+        elapsed = time.perf_counter() - started
+        assert report.pruned
+        assert report.enumerated == FUBINI_81
+        assert report.checked == report.survivor_count == 1
+        assert report.matches_lex
+        assert sum(c for _, c in report.pruned_by) == report.pruned_away == FUBINI_81 - 1
+        assert elapsed < 30.0, f"81 points took {elapsed:.2f} s"

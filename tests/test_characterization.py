@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -282,6 +283,25 @@ def dominator_masks(draw):
     return draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
 
 
+@st.composite
+def forward_checks(draw):
+    """Optional dominator masks and up to three named partitions of some
+    ordered pairs (the diagonal included) of n <= 6 points."""
+    n = draw(st.integers(0, 6))
+    dom = draw(st.none() | st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    groups = {}
+    for reason in draw(st.lists(st.sampled_from(["A", "B", "C"]), unique=True, max_size=3)):
+        # label -1 leaves a pair out of every group
+        labels = draw(st.lists(st.integers(-1, 3), min_size=len(pairs), max_size=len(pairs)))
+        parts = {}
+        for pair, label in zip(pairs, labels):
+            if label >= 0:
+                parts.setdefault(label, []).append(pair)
+        groups[reason] = list(parts.values())
+    return n, dom, groups
+
+
 class TestWalk:
     PLAIN = {n: list(_Walk(n)) for n in range(7)}
 
@@ -301,6 +321,24 @@ class TestWalk:
         ]
         assert len(pruned) + walk.skipped == fubini(n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(forward_checks())
+    def test_forward_checked_is_filtered_plain_stream(self, case):
+        n, dom, groups = case
+        forced = [(i, j) for j in range(n) for i in range(n) if dom and dom[j] >> i & 1]
+        walk = _Walk(n, dom, groups)
+        checked = list(walk)
+        assert checked == [
+            rv
+            for rv in self.PLAIN[n]
+            if all(rv[i] < rv[j] for i, j in forced)
+            and all(_passes(rv, "groups", data) for data in groups.values())
+        ]
+        reasons = (["dominators"] if dom is not None else []) + list(groups)
+        assert list(walk.pruned_by) == reasons
+        assert len(checked) + sum(walk.pruned_by.values()) == fubini(n)
+        assert walk.skipped == sum(walk.pruned_by.values())
+
 
 class TestVerify:
     def test_unit_square_characterization(self):
@@ -308,55 +346,60 @@ class TestVerify:
         assert report.enumerated == 75
         assert report.survivor_count == 1
         assert report.matches_lex
-        assert dict(report.pass_counts) == {SM: 3, WEAK_IWA: 1}
+        assert dict(report.pass_counts) == {SM: 1, WEAK_IWA: 1}
         assert report.survivors[0].ranks == (3, 2, 1, 0)
+        plain = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
+        assert dict(plain.pass_counts) == {SM: 3, WEAK_IWA: 1}
 
     def test_pruned_equals_unpruned(self):
         spec = GridSpec.of(["0", "1"], 2)
         pruned = verify_characterization(spec, [SM, WEAK_IWA], prune=True)
         plain = verify_characterization(spec, [SM, WEAK_IWA], prune=False)
-        assert pruned.pass_counts == plain.pass_counts
         assert pruned.survivors == plain.survivors
         assert pruned.enumerated == plain.enumerated == 75
-        assert plain.checked == 75 and pruned.checked == 3
+        assert plain.checked == 75 and pruned.checked == 1
+        assert pruned.pruned_by == (("dominators", 70), ("WeakIWA", 4))
+        assert plain.pruned_by == ()
 
     def test_pruned_equals_unpruned_depth_grid(self):
         spec = GridSpec.of(["0", "1"], 3)
         pruned = verify_characterization(spec, [SM, WEAK_IWA], prune=True)
         plain = verify_characterization(spec, [SM, WEAK_IWA], prune=False)
-        assert pruned.pass_counts == plain.pass_counts
         assert pruned.survivors == plain.survivors
         assert pruned.survivor_count == plain.survivor_count == 1
-        assert plain.checked == 545835 and pruned.checked == 223
+        assert plain.checked == 545835 and pruned.checked == 1
+        # the strong-monotonicity survivors on the cube
+        assert dict(plain.pass_counts) == {SM: 223, WEAK_IWA: 1}
 
     @pytest.mark.parametrize(
         "arity,axioms",
         # the 32 subsets of the verify axioms that contain SM on {0,1}^2,
-        # all six on {0,1}^3, then the 31 nonempty subsets without SM
+        # all six on {0,1}^3, the 31 nonempty subsets without SM, then the
+        # 7 nonempty subsets of the group axioms on {0,1}^3
         [(2, (SM, *rest)) for rest in _subsets(VERIFY_AXIOMS[1:])]
         + [(3, VERIFY_AXIOMS)]
-        + [(2, axioms) for axioms in _subsets(VERIFY_AXIOMS[1:]) if axioms],
+        + [(2, axioms) for axioms in _subsets(VERIFY_AXIOMS[1:]) if axioms]
+        + [(3, axioms) for axioms in _subsets(VERIFY_AXIOMS[3:]) if axioms],
     )
     def test_pruning_changes_only_the_walk(self, arity, axioms):
         spec = GridSpec.of(["0", "1"], arity)
         pruned = verify_characterization(spec, axioms, prune=True)
         plain = verify_characterization(spec, axioms, prune=False)
-        pair_axioms = [a for a in axioms if a in PAIR_AXIOMS]
-        assert pruned.pruned == bool(pair_axioms) and not plain.pruned
+        assert pruned.pruned and not plain.pruned
         for field in (
-            "enumerated", "survivor_count", "survivors",
+            "enumerated", "axiom_order", "survivor_count", "survivors",
             "survivors_truncated", "survivor_lex_agreement", "matches_lex",
         ):
             assert getattr(pruned, field) == getattr(plain, field), field
-        counts = dict(pruned.pass_counts)
-        for axiom in pair_axioms:
-            assert counts[axiom] == pruned.checked, axiom
-        # a sequential count shrinks under pruning only when a later pair
-        # axiom forces pairs that the filters up to it do not imply; on a
-        # grid SM and SD force the same order, which implies WD's, so that
-        # happens only to WD ahead of SD without SM
-        shrunk = {a for a, c in plain.pass_counts if counts[a] != c}
-        assert shrunk == ({WD} if {WD, SD} <= set(axioms) and SM not in axioms else set())
+        # every axiom prunes, so every leaf reached is a survivor
+        assert pruned.checked == pruned.survivor_count
+        assert dict(pruned.pass_counts) == {a: pruned.checked for a in pruned.axiom_order}
+        reasons = (["dominators"] if any(a in PAIR_AXIOMS for a in axioms) else []) + [
+            str(a) for a in pruned.axiom_order if a not in PAIR_AXIOMS
+        ]
+        assert [r for r, _ in pruned.pruned_by] == reasons
+        assert sum(c for _, c in pruned.pruned_by) == pruned.pruned_away
+        assert plain.pruned_by == () and plain.pruned_away == 0
         assert pruned.checked + pruned.pruned_away == plain.checked == fubini(1 << arity)
 
     def test_strong_dominance_prunes_like_sm(self):
@@ -364,9 +407,18 @@ class TestVerify:
         # pairs by transitivity, so its forced pairs prune the same walk
         spec = GridSpec.of(["0", "1/2", "1"], 2)
         report = verify_characterization(spec, [SD, WEAK_IWA])
-        assert report.pruned and report.checked == 197
+        assert report.pruned and report.checked == 1
         assert report.survivor_count == 1 and report.matches_lex
         assert report.survivors[0].ranks == lex_ranking(report.points).ranks
+        sm = verify_characterization(spec, [SM, WEAK_IWA])
+        assert report.pruned_by == sm.pruned_by
+        # the orders SD's forced pairs leave: a pruned run reaches exactly
+        # them, where an unpruned one would walk all 7,087,261
+        sd_alone = verify_characterization(spec, [SD])
+        assert sd_alone.checked == sd_alone.survivor_count == 197
+        sm_alone = verify_characterization(spec, [SM])
+        assert sd_alone.survivors == sm_alone.survivors
+        assert sd_alone.pruned_away == sm_alone.pruned_away
 
     @pytest.mark.parametrize("axiom", [SM, WEAK_IWA])
     def test_lex_agreement_is_pairwise_agreement(self, axiom):
@@ -435,7 +487,9 @@ class TestVerify:
         ranks = {s.ranks for s in report.survivors}
         assert (0, 0, 0, 0) in ranks  # total indifference
         assert (3, 2, 1, 0) in ranks  # lex
-        assert not report.pruned  # pruning inapplicable without SM
+        assert report.pruned and report.pruned_by == (("WeakIWA", 68),)
+        plain = verify_characterization(GridSpec.of(["0", "1"], 2), [WEAK_IWA], prune=False)
+        assert not plain.pruned and plain.survivors == report.survivors
 
     def test_filter_intersection(self):
         spec = GridSpec.of(["0", "1"], 2)
@@ -463,8 +517,23 @@ class TestVerify:
     def test_depth_three_regression(self):
         report = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, WEAK_IWA])
         assert report.enumerated == 545835
-        assert report.checked == 223  # strong-monotonicity survivors on the cube
+        assert report.checked == 1  # every leaf reached is a survivor
         assert report.survivor_count == 1 and report.matches_lex
+
+    def test_pruned_walk_builds_no_subset_table(self):
+        # a table of the bits of every subset of the 16 points took 8.0 MiB
+        # on its own; the forward-checked walk reads bits inline
+        tracemalloc.start()
+        try:
+            report = verify_characterization(
+                GridSpec.of(["0", "1/3", "2/3", "1"], 2), [SM, WEAK_IWA], max_points=16
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.enumerated == fubini(16)
+        assert report.survivor_count == 1 and report.matches_lex
+        assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
 
     def test_grid_too_large(self):
         with pytest.raises(TooManyPointsError):
@@ -487,6 +556,19 @@ class TestVerify:
             verify_characterization(
                 GridSpec.of(["0", "1"], 2), [AxiomId.TRANSITIVE]
             )
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_survivors_are_reaudited(self, monkeypatch, prune):
+        # a compiled WeakIWA that constrains nothing lets the SM-only
+        # survivors through; the checkers must refuse them
+        real = characterization._compile_constraint
+
+        def lax(axiom, *args):
+            return ("groups", []) if axiom is WEAK_IWA else real(axiom, *args)
+
+        monkeypatch.setattr(characterization, "_compile_constraint", lax)
+        with pytest.raises(RafprefError, match="compiled filter and checker disagree"):
+            verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=prune)
 
     def test_survivors_pass_proof_trace(self, unit_square):
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])

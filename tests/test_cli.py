@@ -265,12 +265,22 @@ class TestVerify:
         assert payload["survivor_count"] == 1
         assert payload["matches_lex"] is True
         assert payload["survivors"][0]["agrees_with_lex"] is True
+        assert payload["pass_counts"] == {"StrongMonotonicity": 1, "WeakIWA": 1}
+        assert payload["pruned_by"] == {"dominators": 70, "WeakIWA": 4}
+        code = main(
+            ["verify", "--levels", "0,1", "--arity", "2",
+             "--axioms", "SM,WeakIWA", "--no-prune", "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["pass_counts"]["StrongMonotonicity"] == 3
+        assert payload["pruned_by"] == {}
 
     def test_text_output(self, capsys):
         assert main(["verify", "--levels", "0,1", "--arity", "2"]) == 0
         out = capsys.readouterr().out
         assert "enumerated 75 weak orders" in out
+        assert "74 pruned (70 by dominators, 4 by WeakIWA)" in out
         assert "survivor set equals lex: yes" in out
 
     def test_sm_alone_exits_1(self, capsys):
@@ -329,7 +339,7 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "command", "grid", "axioms", "pruned", "enumerated", "checked",
-            "pruned_away", "pass_counts", "survivor_count", "survivors",
+            "pruned_away", "pruned_by", "pass_counts", "survivor_count", "survivors",
             "survivors_truncated", "matches_lex", "elapsed_ms",
         }
         assert set(payload["grid"]) == {"levels", "arity"}
