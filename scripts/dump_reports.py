@@ -82,6 +82,7 @@ VERIFY_SELECTIONS = [
     "SM",
     "SM,WeakIWA",
     "SM,IWA",
+    "SM,IWA,WeakIWA",
     "WeakIWA",
     "SM,WeakDominance,StrongDominance,NonCompensation,IWA,WeakIWA",
     "StrongDominance,WeakIWA",

@@ -378,10 +378,25 @@ def _hypothesis_classes(
     return classes
 
 
-class _Audit:
-    """Validated sample plus a memo of relation verdicts by index pair."""
+def _class_key(axiom: AxiomId) -> AxiomId:
+    """The axiom whose hypothesis classes axiom's are: IWA shares WeakIWA's
+    (see _hypothesis_classes), every other quadruple axiom has its own."""
+    return AxiomId.WEAK_IWA if axiom is AxiomId.IWA else axiom
 
-    def __init__(self, rel: PreferenceRelation, sample: Sequence[Raf]) -> None:
+
+class _Audit:
+    """Validated sample plus a memo of relation verdicts by index pair.
+
+    signatures, when given, must be _pair_signatures of the sample's
+    values in sample order; it is then read instead of being rebuilt.
+    """
+
+    def __init__(
+        self,
+        rel: PreferenceRelation,
+        sample: Sequence[Raf],
+        signatures: Optional[list[list[tuple[int, int, int]]]] = None,
+    ) -> None:
         if not sample:
             raise RafprefError("sample must be nonempty")
         ctx = sample[0].context
@@ -393,21 +408,22 @@ class _Audit:
         self.n = len(sample)
         self.values = [raf.values for raf in self.sample]
         self._memo: dict[tuple[int, int], ComparisonOutcome] = {}
+        self._tallies: dict[AxiomId, tuple[int, int, dict]] = {}
+        if signatures is not None:
+            # takes the place of the cached property's first computation
+            self.signatures = signatures
 
     @cached_property
     def signatures(self) -> list[list[tuple[int, int, int]]]:
         return _pair_signatures(self.values)
 
-    @cached_property
-    def iwa_tally(self) -> tuple[int, int, dict]:
-        return self._count(AxiomId.WEAK_IWA)
-
     def tally(self, axiom: AxiomId) -> tuple[int, int, dict]:
-        """A quadruple axiom's class tally. IWA and WeakIWA share their
-        classes, so theirs is counted once per audit and kept."""
-        if axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
-            return self.iwa_tally
-        return self._count(axiom)
+        """A quadruple axiom's class tally, counted once per audit and
+        kept: IWA and WeakIWA share theirs."""
+        key = _class_key(axiom)
+        if key not in self._tallies:
+            self._tallies[key] = self._count(key)
+        return self._tallies[key]
 
     def _count(self, axiom: AxiomId) -> tuple[int, int, dict]:
         """(qualifying, violation_count, mixed) over a quadruple axiom's
@@ -745,13 +761,21 @@ def run_checks(
     """Run the requested axioms in canonical order, merged into one report.
 
     All scans share one memo of relation verdicts and one pair-signature
-    table.
+    table, built here from the sample. verify's survivor re-audit runs the
+    same scans through _run_audit on the table its search was compiled
+    from.
     """
+    return _run_audit(_Audit(rel, sample), axioms, config)
+
+
+def _run_audit(
+    audit: _Audit, axioms: Iterable[AxiomId], config: CheckConfig = DEFAULT_CONFIG
+) -> AxiomReport:
+    """run_checks on a prepared audit."""
     requested = set(axioms)
     unknown = requested - set(ALL_AXIOMS)
     if unknown:
         raise RafprefError(f"unknown axioms: {sorted(str(a) for a in unknown)}")
-    audit = _Audit(rel, sample)
     results = _order_results(audit, config, requested)
     results += [_pair_result(a, audit, config) for a in PAIR_AXIOMS if a in requested]
     results += [_quad_result(a, audit, config) for a in QUAD_AXIOMS if a in requested]

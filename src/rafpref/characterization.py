@@ -56,11 +56,13 @@ from .relations import (
 from .axioms import (
     PAIR_AXIOMS,
     AxiomId,
+    _Audit,
+    _class_key,
     _hypothesis_classes,
     _members,
     _pair_signatures,
     _qualifying_pairs,
-    run_checks,
+    _run_audit,
 )
 
 __all__ = [
@@ -240,14 +242,23 @@ def _eligible(remaining: int, dom: list[int]) -> int:
 
 def _skip_table(n: int) -> list[list[int]]:
     """skip[r][e]: the completions refused at a node with r points left and
-    e of them eligible. A first block S leads to fubini(r - |S|) of them;
-    only the nonempty subsets of the eligible points are taken."""
+    e of them eligible, 0 when e = r. A first block S leads to
+    fubini(r - |S|) of them; only the nonempty subsets of the eligible
+    points are taken, so the taken ones number
+    A(r, e) = sum over s = 1..e of comb(e, s) * fubini(r - s).
+    Pascal's rule on comb(e, s) gives
+    A(r, e) = A(r, e-1) + A(r-1, e-1) + fubini(r-1), with A(r, 0) = 0:
+    O(n^2) additions in all."""
     fub = [fubini(i) for i in range(n + 1)]
-    return [
-        [fub[r] - sum(comb(e, s) * fub[r - s] for s in range(1, e + 1)) if e < r else 0
-         for e in range(r + 1)]
-        for r in range(n + 1)
-    ]
+    skip = []
+    above: list[int] = []  # A(r-1, .)
+    for r in range(n + 1):
+        taken = [0]
+        for e in range(1, r + 1):
+            taken.append(taken[-1] + above[e - 1] + fub[r - 1])
+        skip.append([fub[r] - a for a in taken[:-1]] + [0])
+        above = taken
+    return skip
 
 
 def _fix(
@@ -365,6 +376,9 @@ class _Walk:
         index = []
         verdict: list[Optional[bool]] = []
         for reason, data in self.groups.items():
+            if not data:
+                # no group to fix: the reason refuses nothing
+                continue
             heads: list[dict[int, int]] = [{} for _ in range(n)]
             tails: list[dict[int, int]] = [{} for _ in range(n)]
             for grp in data:
@@ -535,11 +549,23 @@ class CharacterizationReport:
 
 
 def _audit_survivor(
-    ranking: RankedRelation, axiom_set: Iterable[AxiomId]
+    ranking: RankedRelation,
+    axiom_set: Iterable[AxiomId],
+    points: tuple[Raf, ...],
+    sigs: list[list[tuple[int, int, int]]],
 ) -> None:
-    """Re-check a survivor through the literal checkers; disagreement with
-    the compiled filters is an internal error, never a report."""
-    report = run_checks(TableRelation(ranking), list(ranking.domain), axiom_set)
+    """Re-check a survivor through the literal checkers, asking a
+    TableRelation for every verdict; disagreement with the compiled
+    filters is an internal error, never a report.
+
+    The scans read sigs, the pair-signature table the search was
+    compiled from, which must have been built on points, in that order;
+    one table serves every survivor of a run.
+    """
+    if ranking.domain != points:
+        raise RafprefError("internal error: survivor domain is not the audited point set")
+    audit = _Audit(TableRelation(ranking), points, sigs)
+    report = _run_audit(audit, axiom_set)
     for result in report.results:
         if not result.passed:
             raise RafprefError(
@@ -565,7 +591,8 @@ def verify_characterization(
     refused candidates are counted per reason, not lost. prune=False
     walks every weak order and runs each filter on it, the brute-force
     reference. Either way the listed survivors are re-audited through
-    run_checks.
+    the run_checks scans, which read the pair-signature table built here
+    for the compile instead of building their own.
 
     workers is accepted and ignored: the search runs in one process.
     """
@@ -589,7 +616,12 @@ def verify_characterization(
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
     values = [p.values for p in points]
     sigs = _pair_signatures(values)
-    constraints = [_compile_constraint(a, values, grid.arity, sigs) for a in order]
+    # IWA and WeakIWA share their classes, so they share one compiled list
+    compiled: dict[AxiomId, tuple] = {}
+    for a in order:
+        if _class_key(a) not in compiled:
+            compiled[_class_key(a)] = _compile_constraint(a, values, grid.arity, sigs)
+    constraints = [compiled[_class_key(a)] for a in order]
     if prune:
         # every requested axiom prunes, so every leaf the walk reaches
         # satisfies them all
@@ -600,9 +632,13 @@ def verify_characterization(
             for pairs in forced:
                 for i, j in pairs:
                     dom[j] |= 1 << i
-        groups = {
-            str(a): data for a, (kind, data) in zip(order, constraints) if kind == "groups"
-        }
+        # a list an earlier reason already checks can refuse nothing more:
+        # its reason keeps its place in pruned_by with a count of 0
+        groups: dict[str, list] = {}
+        for a, (kind, data) in zip(order, constraints):
+            if kind == "groups":
+                shared = any(data is other for other in groups.values())
+                groups[str(a)] = [] if shared else data
         walk = _Walk(n, dom, groups)
         stream = iter(walk)
         listed = list(islice(stream, SURVIVOR_LISTING_CAP))
@@ -634,7 +670,7 @@ def verify_characterization(
     pts = tuple(points)
     survivors = tuple(RankedRelation(pts, rv) for rv in listed)
     for ranking in survivors:
-        _audit_survivor(ranking, order)
+        _audit_survivor(ranking, order, pts, sigs)
     # grid points are distinct, so lex is a linear order and a survivor
     # agrees with it on every pair exactly when their rank tuples are equal
     lex_ranks = lex_ranking(pts).ranks

@@ -196,6 +196,18 @@ class Raf:
                     f"availability {format_rational(v)} lies outside [0, 1]"
                 )
 
+    def __hash__(self) -> int:
+        # Computed once and kept: hashing the values again would hash every
+        # Fraction again. Equal profiles have equal values, so this agrees
+        # with __eq__; Fraction hashes are not salted, so the kept hash
+        # stays valid through pickling and copying.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.values)
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def value_of(self, label: str) -> Fraction:
         return self.values[self.context.index_of(label)]
 

@@ -40,10 +40,12 @@ from rafpref.axioms import (
     check_weak_dominance,
     check_weak_iwa,
 )
-from rafpref import characterization
+from rafpref import axioms, characterization
 from rafpref.characterization import (
     VERIFY_AXIOMS,
+    _audit_survivor,
     _compile_constraint,
+    _skip_table,
     _Walk,
     _passes,
 )
@@ -340,6 +342,19 @@ class TestWalk:
         assert walk.skipped == sum(walk.pruned_by.values())
 
 
+class TestSkipTable:
+    def test_matches_direct_sum(self):
+        # skip[r][e] = fubini(r) - sum_{s=1..e} C(e,s) fubini(r-s), e < r
+        for n in range(31):
+            skip = _skip_table(n)
+            assert [len(row) for row in skip] == list(range(1, n + 2))
+            for r, row in enumerate(skip):
+                assert row[r] == 0
+                for e in range(r):
+                    taken = sum(comb(e, s) * fubini(r - s) for s in range(1, e + 1))
+                    assert row[e] == fubini(r) - taken, (n, r, e)
+
+
 class TestVerify:
     def test_unit_square_characterization(self):
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
@@ -472,6 +487,68 @@ class TestVerify:
         monkeypatch.setattr(characterization, "_skip_table", undercount)
         with pytest.raises(RafprefError, match="Fubini recurrence"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
+
+    def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch):
+        real_compile, real_walk = characterization._compile_constraint, _Walk
+        compiled, walked = [], []
+
+        def counting_compile(axiom, *args):
+            compiled.append(axiom)
+            return real_compile(axiom, *args)
+
+        def capturing_walk(n, dom=None, groups=None):
+            walked.append(groups)
+            return real_walk(n, dom, groups)
+
+        monkeypatch.setattr(characterization, "_compile_constraint", counting_compile)
+        monkeypatch.setattr(characterization, "_Walk", capturing_walk)
+        report = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, IWA, WEAK_IWA])
+        # the same report as when both reasons were forward-checked: IWA,
+        # first in canonical order, refused every block either would
+        assert report.survivor_count == report.checked == 1
+        assert [s.ranks for s in report.survivors] == [(7, 6, 5, 4, 3, 2, 1, 0)]
+        assert report.pruned_by == (("dominators", 534062), ("IWA", 11772), ("WeakIWA", 0))
+        assert report.pass_counts == ((SM, 1), (IWA, 1), (WEAK_IWA, 1))
+        # one compile for the shared classes, and the walk checks them once
+        assert compiled == [SM, IWA]
+        (groups,) = walked
+        assert list(groups) == ["IWA", "WeakIWA"]
+        assert groups["IWA"] and groups["WeakIWA"] == []
+        pair = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, IWA])
+        assert report.survivors == pair.survivors
+        assert report.pruned_by[:2] == pair.pruned_by
+
+    def test_one_signature_table_per_verify(self, monkeypatch):
+        built = []
+        real = axioms._pair_signatures
+
+        def counting(values):
+            built.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(axioms, "_pair_signatures", counting)
+        monkeypatch.setattr(characterization, "_pair_signatures", counting)
+        for prune in (True, False):
+            built.clear()
+            # the SM-only control lists ten survivors, each re-audited
+            report = verify_characterization(
+                GridSpec.of(["0", "1"], 3), [SM], prune=prune
+            )
+            assert len(report.survivors) == 10 and report.survivors_truncated
+            assert built == [8]
+
+    def test_audit_survivor_needs_the_table_points(self):
+        spec = GridSpec.of(["0", "1"], 2)
+        points = tuple(grid_points(spec))
+        sigs = _pair_signatures([p.values for p in points])
+        lex = lex_ranking(points)
+        _audit_survivor(lex, [SM, WEAK_IWA], points, sigs)
+        reordered = RankedRelation(points[::-1], lex.ranks[::-1])
+        with pytest.raises(RafprefError, match="survivor domain"):
+            _audit_survivor(reordered, [SM, WEAK_IWA], points, sigs)
+        other = tuple(grid_points(GridSpec.of(["1/4", "3/4"], 2)))
+        with pytest.raises(RafprefError, match="survivor domain"):
+            _audit_survivor(lex_ranking(other), [SM, WEAK_IWA], points, sigs)
 
     def test_sm_alone_controls(self):
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM])

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -110,6 +112,26 @@ class TestRaf:
 
     def test_str(self, raf_a):
         assert str(raf_a) == "(1/5, 4/5)"
+
+    def test_equal_profiles_hash_equal(self, money_ctx):
+        a = make_raf(("1/5", "4/5"), money_ctx)
+        b = make_raf(("0.2", "8/10"), money_ctx)
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        # the kept hash is returned again, and agrees with a fresh profile
+        assert hash(a) == hash(a) == hash(make_raf(("1/5", "4/5"), money_ctx))
+
+    @pytest.mark.parametrize(
+        "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy]
+    )
+    def test_hash_survives_round_trips(self, money_ctx, clone):
+        raf = make_raf(("1/5", "4/5"), money_ctx)
+        table = {raf: "kept"}
+        hash(raf)  # cache the hash before the round trip
+        twin = clone(raf)
+        assert twin == raf and hash(twin) == hash(raf)
+        assert table[twin] == "kept"
+        assert {twin: "copy"}[make_raf(("1/5", "4/5"), money_ctx)] == "copy"
 
 
 class TestFirstDifference:

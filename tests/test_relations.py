@@ -226,6 +226,18 @@ class TestTableRelation:
             for b in unit_square:
                 assert rel.compare(a, b) is INDIFF
 
+    def test_lookup_by_freshly_built_equal_profile(self, unit_square):
+        p00, p01, p10, p11 = unit_square
+        rel = table_relation(
+            RankedRelation.from_rank_map({p11: 0, p10: 1, p01: 2, p00: 3})
+        )
+        ctx = p00.context
+        fresh_top = make_raf(("1", "1"), ctx)
+        fresh_bottom = Raf(ctx, (Fraction(0), Fraction(0)))
+        assert fresh_top is not p11 and fresh_bottom is not p00
+        assert rel.compare(fresh_top, fresh_bottom) is FIRST
+        assert rel.compare(p01, make_raf(("1", "0"), ctx)) is SECOND
+
     def test_unknown_point_raises(self, unit_square, raf_a):
         rel = table_relation(RankedRelation.from_rank_map({p: 0 for p in unit_square}))
         with pytest.raises(UnknownPointError):
