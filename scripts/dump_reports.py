@@ -13,7 +13,11 @@ count, a verdict, a witness or its order shows up as a changed line.
 - ``repr`` of the report of each of the eight public ``check_*``
   functions for lex, mep and wlog on the grids of at most nine points,
   with and without ``all_violations``;
-- ``rafpref verify`` JSON without ``elapsed_ms``, pruned and unpruned;
+- ``rafpref verify`` JSON without ``elapsed_ms`` and text without the
+  ``elapsed:`` line, pruned and unpruned;
+- ``rafpref rank`` text and JSON for lex, mep and wlog on the README's
+  money document and on a document with a tie, written to a temporary
+  file;
 - the count and sha256 of the ``enumerate_weak_orders`` rank stream on
   1 to 8 points, so a change in the walk's order shows up too.
 
@@ -37,6 +41,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -94,6 +99,29 @@ VERIFY_SELECTIONS = [
 UNPRUNED = {
     ("0,1", 2): VERIFY_SELECTIONS,
     ("0,1", 3): ["SM,WeakIWA", "WeakIWA", "SM,NonCompensation"],
+}
+
+# the README's example document, and one where X and Y tie under mep
+MONEY_DOC = {
+    "alternatives": ["$40", "$10"],
+    "priority": ["$40", "$10"],
+    "payoffs": {"$40": "40", "$10": "10"},
+    "weights": {"$40": 1, "$10": 1},
+    "rafs": {
+        "A": {"$40": "1/5", "$10": "4/5"},
+        "B": {"$40": "1/10", "$10": "9/10"},
+    },
+}
+RANK_DOCS = {
+    "money": MONEY_DOC,
+    "ties": dict(
+        MONEY_DOC,
+        rafs={
+            "X": {"$40": "1/5", "$10": "3/5"},
+            "Y": {"$40": "1/5", "$10": "1/2"},
+            "Z": {"$40": "0", "$10": "0"},
+        },
+    ),
 }
 
 OUTCOMES = tuple(ComparisonOutcome)
@@ -178,8 +206,8 @@ def random_relation_cases() -> None:
                 case = f"run_checks random-mirror seed={seed} {grid}^{arity} all_violations={all_violations}"
                 code = 0 if report.passed else 1
                 # the CLI's own renderers, so these read as `rafpref check` output
-                emit(case + " text", code, cli._render_check_text(report, rel.name))
                 payload = cli._check_json(report, rel.name)
+                emit(case + " text", code, cli._render_check_text(payload))
                 emit(case + " json", code, json.dumps(payload, indent=2))
 
 
@@ -208,18 +236,38 @@ def verify_cases() -> None:
             for prune in ("--prune", "--no-prune"):
                 if prune == "--no-prune" and axioms not in UNPRUNED.get((levels, arity), ()):
                     continue
-                argv = [
-                    "verify", "--levels", levels, "--arity", str(arity),
-                    "--axioms", axioms, prune, "--format", "json",
-                ]
-                code, text = run_cli(argv)
-                try:
-                    payload = json.loads(text)
-                except json.JSONDecodeError:
-                    emit(" ".join(argv), code, text)
-                    continue
-                payload.pop("elapsed_ms", None)
-                emit(" ".join(argv), code, json.dumps(payload, indent=2))
+                for fmt in ("json", "text"):
+                    argv = [
+                        "verify", "--levels", levels, "--arity", str(arity),
+                        "--axioms", axioms, prune, "--format", fmt,
+                    ]
+                    code, text = run_cli(argv)
+                    emit(" ".join(argv), code, without_elapsed(text))
+
+
+def without_elapsed(text: str) -> str:
+    """A verify report without its run time: the elapsed_ms field of the
+    JSON, or the elapsed: line of the text."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return "\n".join(line for line in text.splitlines() if not line.startswith("elapsed: "))
+    payload.pop("elapsed_ms", None)
+    return json.dumps(payload, indent=2)
+
+
+def rank_cases() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in RANK_DOCS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for relation in RELATION_FLAGS:
+                for fmt in ("text", "json"):
+                    code, text = run_cli(
+                        ["rank", "--input", str(path), "--relation", relation, "--format", fmt]
+                    )
+                    emit(f"rank --input <{name} document> --relation {relation} --format {fmt}",
+                         code, text)
 
 
 def stream_digests() -> None:
@@ -240,6 +288,7 @@ def main() -> int:
     random_relation_cases()
     checker_cases()
     verify_cases()
+    rank_cases()
     stream_digests()
     return 0
 

@@ -296,23 +296,26 @@ def _pair_signatures(values: Sequence[tuple]) -> list[list[tuple[int, int, int]]
     differ, -1 when they are equal. Each coordinate's values are first
     replaced by their rank among the sample's distinct values there, an
     order-preserving integer code, so the n^2 pair loop compares ints
-    rather than exact rationals.
+    rather than exact rationals. Each pair i < j is computed once: sig[j][i]
+    is its mirror, with up and down swapped.
     """
     ranks = [{v: r for r, v in enumerate(sorted(set(column)))} for column in zip(*values)]
     coded = [tuple(rank[x] for rank, x in zip(ranks, p)) for p in values]
-    sigs = []
-    for p in coded:
-        row = []
-        for q in coded:
+    n = len(coded)
+    sigs = [[(0, 0, -1)] * n for _ in range(n)]
+    for i, p in enumerate(coded):
+        row = sigs[i]
+        for j in range(i + 1, n):
             up = down = 0
-            for c, (x, y) in enumerate(zip(p, q)):
+            for c, (x, y) in enumerate(zip(p, coded[j])):
                 if x > y:
                     up |= 1 << c
                 elif x < y:
                     down |= 1 << c
             diff = up | down
-            row.append((up, down, (diff & -diff).bit_length() - 1))
-        sigs.append(row)
+            fd = (diff & -diff).bit_length() - 1
+            row[j] = (up, down, fd)
+            sigs[j][i] = (down, up, fd)
     return sigs
 
 

@@ -40,7 +40,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     GridSpec,
-    PriorityContext,
     Raf,
     RafprefError,
     first_difference,
@@ -108,12 +107,15 @@ VERIFY_AXIOMS = (
 
 @lru_cache(maxsize=None)
 def fubini(n: int) -> int:
-    """Count of weak orders on n labeled points, by the binomial recurrence."""
+    """Count of weak orders on n labeled points, by the binomial recurrence.
+
+    The cache is filled from the bottom up, so a first call with a large n
+    recurses at most two frames deep, not one frame per point."""
     if n < 0:
         raise RafprefError("fubini is defined for nonnegative n")
-    if n == 0:
-        return 1
-    return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1))
+    for m in range(1, n):
+        fubini(m)
+    return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1)) if n else 1
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +579,6 @@ def verify_characterization(
     grid: GridSpec,
     axiom_set: Iterable[AxiomId],
     prune: bool = True,
-    ctx: Optional[PriorityContext] = None,
     max_points: int = DEFAULT_MAX_POINTS,
     workers: int = 1,
 ) -> CharacterizationReport:
@@ -612,7 +613,7 @@ def verify_characterization(
             f"the enumeration bound of {max_points} caps both"
         )
     n = grid.size
-    points = grid_points(grid, ctx)
+    points = grid_points(grid)
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
     values = [p.values for p in points]
     sigs = _pair_signatures(values)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     GridSpec,
@@ -345,22 +345,22 @@ def _check_json(report: AxiomReport, relation: str) -> dict:
     }
 
 
-def _render_check_text(report: AxiomReport, relation: str) -> str:
-    lines = [f"axiom check: relation={relation} sample={report.sample_size} points"]
-    for r in report.results:
-        status = "pass" if r.passed else "FAIL"
-        vac = ", vacuous" if r.vacuous else ""
+def _render_check_text(payload: dict) -> str:
+    lines = [f"axiom check: relation={payload['relation']} sample={payload['sample_size']} points"]
+    for r in payload["results"]:
+        status = "pass" if r["status"] == "pass" else "FAIL"
+        vac = ", vacuous" if r["vacuous"] else ""
         lines.append(
-            f"  {r.axiom.value:<20} {status:<4} "
-            f"({r.tuples_examined} tuples, {r.qualifying} qualifying, "
-            f"{r.violation_count} violations{vac})"
+            f"  {r['axiom']:<20} {status:<4} "
+            f"({r['tuples_examined']} tuples, {r['qualifying']} qualifying, "
+            f"{r['violation_count']} violations{vac})"
         )
-        for v in r.violations:
-            witness = " vs ".join(str(w) for w in v.witness)
-            where = f" at k={v.index}" if v.index is not None else ""
-            observed = ", ".join(str(o) for o in v.observed)
+        for v in r["violations"]:
+            witness = " vs ".join("(" + ", ".join(w["values"]) + ")" for w in v["witness"])
+            where = f" at k={v['index']}" if v["index"] is not None else ""
+            observed = ", ".join(v["observed"])
             lines.append(f"      witness: {witness}{where}; observed {observed}")
-    lines.append("result: " + ("all pass" if report.passed else "violations found"))
+    lines.append("result: " + ("all pass" if payload["passed"] else "violations found"))
     return "\n".join(lines)
 
 
@@ -393,36 +393,36 @@ def _verify_json(rep: CharacterizationReport) -> dict:
     }
 
 
-def _render_verify_text(rep: CharacterizationReport) -> str:
-    levels = ", ".join(format_rational(v) for v in rep.grid.levels)
+def _render_verify_text(payload: dict) -> str:
+    levels, arity = payload["grid"]["levels"], payload["grid"]["arity"]
+    pruned_by = payload["pruned_by"]
     lines = [
-        f"grid: levels [{levels}] arity {rep.grid.arity} ({len(rep.points)} points)",
+        f"grid: levels [{', '.join(levels)}] arity {arity} ({len(levels) ** arity} points)",
         "axioms: "
-        + ", ".join(str(a) for a in rep.axiom_order)
-        + f"   pruning: {'on' if rep.pruned else 'off'}",
-        f"enumerated {rep.enumerated} weak orders (recurrence check: ok); "
-        f"{rep.checked} reached the leaves, {rep.pruned_away} pruned"
-        + (" (" + ", ".join(f"{c} by {r}" for r, c in rep.pruned_by) + ")"
-           if rep.pruned_by else ""),
-        "pass counts: " + ", ".join(f"{a}={c}" for a, c in rep.pass_counts),
-        f"survivors: {rep.survivor_count}"
-        + (" (listing first 10)" if rep.survivors_truncated else ""),
+        + ", ".join(payload["axioms"])
+        + f"   pruning: {'on' if payload['pruned'] else 'off'}",
+        f"enumerated {payload['enumerated']} weak orders (recurrence check: ok); "
+        f"{payload['checked']} reached the leaves, {payload['pruned_away']} pruned"
+        + (" (" + ", ".join(f"{c} by {r}" for r, c in pruned_by.items()) + ")"
+           if pruned_by else ""),
+        "pass counts: " + ", ".join(f"{a}={c}" for a, c in payload["pass_counts"].items()),
+        f"survivors: {payload['survivor_count']}"
+        + (f" (listing first {len(payload['survivors'])})" if payload["survivors_truncated"] else ""),
     ]
-    for s, agrees in zip(rep.survivors, rep.survivor_lex_agreement):
-        verdict = "agrees with lex" if agrees else "differs from lex"
-        lines.append(f"  {s.chain()}   [{verdict}]")
-    lines.append(
-        "survivor set equals lex: " + ("yes" if rep.matches_lex else "no")
-    )
-    lines.append(f"elapsed: {rep.elapsed_ms:.1f} ms")
+    for s in payload["survivors"]:
+        verdict = "agrees with lex" if s["agrees_with_lex"] else "differs from lex"
+        lines.append(f"  {s['chain']}   [{verdict}]")
+    lines.append("survivor set equals lex: " + ("yes" if payload["matches_lex"] else "no"))
+    lines.append(f"elapsed: {payload['elapsed_ms']:.1f} ms")
     return "\n".join(lines)
 
 
-def _emit(args, text: str, payload: dict) -> None:
-    if getattr(args, "format", "text") == "json":
+def _emit(args, payload: dict, render_text: Callable[[dict], str]) -> None:
+    """Print the payload as JSON or as render_text(payload), building only that one."""
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(text)
+        print(render_text(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +486,13 @@ def cmd_rank(args) -> int:
     doc = load_document(args.input)
     ctx = doc.context()
     rel = _build_relation(args.relation, ctx, doc.weight_vector(ctx))
-    groups = _rank_groups(doc.named_rafs(ctx), rel)
-    chain = " ≻ ".join(" ∼ ".join(group) for group in groups)
     payload = {
         "command": "rank",
         "relation": args.relation,
-        "ranking": groups,
+        "ranking": _rank_groups(doc.named_rafs(ctx), rel),
         "document": doc.to_json_dict(),
     }
-    _emit(args, chain, payload)
+    _emit(args, payload, lambda p: " ≻ ".join(" ∼ ".join(g) for g in p["ranking"]))
     return EXIT_OK
 
 
@@ -516,20 +514,15 @@ def cmd_check(args) -> int:
     axioms = _parse_axioms(args.axioms, ALL_AXIOMS, "--axioms")
     config = CheckConfig(all_violations=args.all_violations)
     report = run_checks(rel, sample, axioms, config)
-    _emit(args, _render_check_text(report, rel.name), _check_json(report, rel.name))
+    _emit(args, _check_json(report, rel.name), _render_check_text)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def cmd_verify(args) -> int:
     spec = _grid_spec(args.levels, args.arity, "--levels")
     axioms = _parse_axioms(args.axioms, VERIFY_AXIOMS, "--axioms")
-    rep = verify_characterization(
-        spec,
-        axioms,
-        prune=args.prune,
-        max_points=args.max_points,
-    )
-    _emit(args, _render_verify_text(rep), _verify_json(rep))
+    rep = verify_characterization(spec, axioms, prune=args.prune, max_points=args.max_points)
+    _emit(args, _verify_json(rep), _render_verify_text)
     return EXIT_OK if rep.matches_lex else EXIT_VIOLATION
 
 

@@ -41,6 +41,8 @@ from rafpref.axioms import (
     PAIR_AXIOMS,
     QUAD_AXIOMS,
     AxiomViolation,
+    _pair_signatures,
+    _updown,
     iwa_indices,
     qualifies_axiom2,
     qualifies_non_compensation,
@@ -49,6 +51,8 @@ from rafpref.axioms import (
     single_coordinate_increase,
 )
 from rafpref.core import first_difference, strictly_dominates
+
+from conftest import raf_values
 
 FIRST = ComparisonOutcome.FIRST_PREFERRED
 SECOND = ComparisonOutcome.SECOND_PREFERRED
@@ -123,6 +127,16 @@ class RandomMirror(PreferenceRelation):
         return INDIFF if a == b else self.table[a, b]
 
 
+class AlwaysFirst(PreferenceRelation):
+    """Prefers its first argument on every call, a profile over itself
+    included: neither reflexive nor mirror consistent."""
+
+    name = "always-first"
+
+    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        return FIRST
+
+
 class NoVerdictOffDiagonal(PreferenceRelation):
     """Indifferent on equal profiles, None (not an outcome) otherwise."""
 
@@ -155,6 +169,23 @@ class TestAxiomId:
     def test_stable_strings(self):
         assert str(AxiomId.AXIOM2_MS) == "Axiom2MS"
         assert str(AxiomId.MIRROR_CONSISTENT) == "MirrorConsistent"
+
+
+class TestPairSignatures:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_every_entry_matches_the_profile_predicates(self, data):
+        arity = data.draw(st.integers(2, 4))
+        distinct = data.draw(st.lists(raf_values(arity, 4), min_size=1, max_size=4))
+        values = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=9))
+        values.append(values[0])  # at least one repeated point
+        ctx = default_context(arity)
+        sample = [Raf(ctx, v) for v in values]
+        sigs = _pair_signatures(values)
+        for i, a in enumerate(sample):
+            for j, b in enumerate(sample):
+                fd = first_difference(a, b)
+                assert sigs[i][j] == (*_updown(a, b), -1 if fd is None else fd - 1)
 
 
 class TestOrderAxioms:
@@ -192,6 +223,22 @@ class TestOrderAxioms:
     def test_context_mixing_rejected(self, unit_square, raf_a):
         with pytest.raises(ContextMismatchError):
             check_order_axioms(LEX, unit_square + [raf_a])
+
+    def test_always_first_breaks_reflexive_and_mirror(self, nine_grid):
+        rel = AlwaysFirst()
+        n = len(nine_grid)
+        report = check_order_axioms(rel, nine_grid, CheckConfig(all_violations=True))
+        reflexive = report.result_for(AxiomId.REFLEXIVE)
+        mirror = report.result_for(AxiomId.MIRROR_CONSISTENT)
+        assert reflexive.violation_count == len(reflexive.violations) == n
+        assert mirror.violation_count == len(mirror.violations) == n * (n - 1)
+        assert report.result_for(AxiomId.CONNECTED).passed
+        assert report.result_for(AxiomId.TRANSITIVE).passed
+        assert replay_violation(rel, reflexive.violations[0])
+        assert replay_violation(rel, mirror.violations[0])
+        # connectedness cannot fail, so a witness claiming it never replays
+        connected = AxiomViolation(AxiomId.CONNECTED, mirror.violations[0].witness, (FIRST, FIRST))
+        assert not replay_violation(rel, connected)
 
 
 class TestWeakDominance:

@@ -81,6 +81,12 @@ class TestFubini:
         for n in range(0, 12):
             assert fubini(n) == independent_fubini(n)
 
+    def test_large_first_call_does_not_recurse_per_point(self):
+        # from a cold cache, one stack frame per point would overflow the
+        # interpreter's default limit at about 340 points
+        fubini.cache_clear()
+        assert fubini(400) == independent_fubini(400)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 13), (4, 75), (5, 541)])

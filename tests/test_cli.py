@@ -246,6 +246,24 @@ class TestCheck:
         assert main(argv + ["--arity", "11"]) == 2
         assert "bound of 1024" in capsys.readouterr().err
 
+    def test_wlog_with_grid_weights(self, capsys):
+        argv = ["check", "--relation", "wlog", "--grid", "0,1/2,1", "--arity", "2"]
+        assert main(argv + ["--weights", "1,1"]) == 1
+        assert "violations found" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--weights", "1,x"], "--weights"),
+            (["--weights", "1"], "--weights"),
+            (["--weights", "1,1", "--payoffs", "40,10,5"], "--payoffs"),
+        ],
+    )
+    def test_bad_grid_lists_exit_2(self, extra, field, capsys):
+        argv = ["check", "--relation", "wlog", "--grid", "0,1", "--arity", "2", *extra]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+
     @pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "1"]])
     def test_removed_sampling_flags_exit_2(self, flag, capsys):
         argv = ["check", "--relation", "lex", "--grid", "0,1", "--arity", "2"]
@@ -349,3 +367,43 @@ class TestVerify:
         code = main(["verify", "--levels", "0,1", "--arity", "2",
                      "--axioms", "Transitive"])
         assert code == 2
+
+
+class TestEmit:
+    @pytest.fixture
+    def no_text(self, monkeypatch):
+        def refuse(payload):
+            raise AssertionError("a text report was built for --format json")
+
+        monkeypatch.setattr(cli, "_render_check_text", refuse)
+        monkeypatch.setattr(cli, "_render_verify_text", refuse)
+
+    def test_json_builds_no_text(self, no_text, capsys):
+        check = ["check", "--relation", "mep", "--grid", "1/5,1/2,3/5", "--arity", "2",
+                 "--payoffs", "40,10", "--all-violations", "--format", "json"]
+        assert main(check) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        verify = ["verify", "--levels", "0,1", "--arity", "2", "--format", "json"]
+        assert main(verify) == 0
+        assert json.loads(capsys.readouterr().out)["matches_lex"] is True
+
+    @pytest.mark.parametrize(
+        "argv,render",
+        [
+            (["check", "--relation", "mep", "--grid", "1/5,1/2,3/5", "--arity", "2",
+              "--payoffs", "40,10", "--axioms", "SM,WeakIWA"], "_render_check_text"),
+            (["verify", "--levels", "0,1", "--arity", "2", "--axioms", "SM"],
+             "_render_verify_text"),
+        ],
+    )
+    def test_text_is_rendered_from_the_json_payload(self, argv, render, capsys):
+        code = main(argv + ["--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv) == code
+        text = capsys.readouterr().out.splitlines()
+        expected = getattr(cli, render)(payload).splitlines()
+        # two verify runs differ only in their elapsed line
+        if argv[0] == "verify":
+            assert text[-1].startswith("elapsed: ")
+            text, expected = text[:-1], expected[:-1]
+        assert text == expected
