@@ -225,7 +225,7 @@ def proof_trace_check(rel, a: Raf, b: Raf) -> ProofTrace:
 
 
 def _bit_lists(n: int) -> list[list[int]]:
-    """bits[mask] = indices of the set bits, lowest first."""
+    """bits[mask] = indices of the set bits, highest first."""
     bits: list[list[int]] = [[] for _ in range(1 << n)]
     for mask in range(1, 1 << n):
         low = mask & -mask

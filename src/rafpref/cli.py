@@ -5,13 +5,16 @@ Subcommands: ``demo`` prints the built-in two-alternative walkthrough,
 relation against the axioms on a document or grid sample, and ``verify``
 runs the characterization search. Exit codes: 0 all checks pass (or the
 survivor set is exactly the priority-order comparator), 1 violations or a
-different survivor set, 2 input or usage errors.
+different survivor set, 2 input or usage errors, 141 (what a shell reports
+for a process ended by SIGPIPE) when the reader of standard output closed
+it early, as ``| head`` does; nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +61,7 @@ from .characterization import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 RELATION_NAMES = ("lex", "mep", "wlog")
 
@@ -181,7 +185,10 @@ class InputDocument:
     def weight_vector(self, ctx: PriorityContext) -> Optional[WeightVector]:
         if self.weights is None:
             return None
-        return WeightVector(ctx, tuple(w for _, w in self.weights))
+        try:
+            return WeightVector(ctx, tuple(w for _, w in self.weights))
+        except RafprefError as exc:
+            raise DocumentError(f"weights: {exc}") from None
 
     def named_rafs(self, ctx: PriorityContext) -> list[tuple[str, Raf]]:
         return [(name, Raf(ctx, values)) for name, values in self.rafs]
@@ -276,7 +283,10 @@ def _grid_sample(args) -> tuple[PriorityContext, list[Raf], Optional[WeightVecto
         if len(values) != args.arity:
             raise DocumentError(f"--payoffs: expected {args.arity} values")
         payoffs = dict(zip(labels, values))
-    ctx = PriorityContext.of(labels, payoffs)
+    try:
+        ctx = PriorityContext.of(labels, payoffs)
+    except RafprefError as exc:
+        raise DocumentError(f"--payoffs: {exc}") from None
     weights = None
     if args.weights:
         try:
@@ -285,7 +295,10 @@ def _grid_sample(args) -> tuple[PriorityContext, list[Raf], Optional[WeightVecto
             raise DocumentError("--weights: expected integers") from None
         if len(ws) != args.arity:
             raise DocumentError(f"--weights: expected {args.arity} values")
-        weights = WeightVector(ctx, tuple(ws))
+        try:
+            weights = WeightVector(ctx, tuple(ws))
+        except RafprefError as exc:
+            raise DocumentError(f"--weights: {exc}") from None
     return ctx, grid_points(spec, ctx), weights
 
 
@@ -583,10 +596,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except RafprefError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Point standard output at devnull, so that the interpreter's
+        # flush at exit does not fail on the closed pipe again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # not backed by a file descriptor: nothing is left to flush
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ reflexivity (comparing a profile with itself is Indifferent) and mirror
 consistency (swapping the arguments mirrors the verdict) but deliberately
 does not promise transitivity: the axiom checkers must be able to audit
 broken relations, so the contract is the weakest structure they consume.
+
+The three utility relations (mep, wlog and a caller-supplied utility)
+evaluate the utility once per distinct profile per relation instance and
+compare the stored exact values, so a utility must be a pure function of
+the profile.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import abc
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
@@ -37,6 +42,7 @@ __all__ = [
     "mep_utility",
     "utility_compare",
     "wlog_compare",
+    "MAX_WEIGHT",
     "WeightVector",
     "LexicographicRelation",
     "MaxExpectedPayoffRelation",
@@ -146,9 +152,16 @@ def utility_compare(
     return _outcome_of(utility(a), utility(b))
 
 
+# Exact powers grow with the weight. A Transitive check of wlog on the
+# 1,024 points of {1/3, 2/3}^10 took 2.5 s with every weight 1, 4.6 s at
+# 100 and 77 s at 1,000 (CPython 3.11 on a 2-core Xeon).
+MAX_WEIGHT = 100
+
+
 @dataclass(frozen=True)
 class WeightVector:
-    """One positive integer weight per alternative, in context order.
+    """One positive integer weight per alternative, in context order, at
+    most MAX_WEIGHT.
 
     Integer weights keep the weighted product comparison in exact integer
     arithmetic; rational exponents would drag in radicals.
@@ -165,6 +178,18 @@ class WeightVector:
         for w in self.weights:
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise InvalidWeightError(f"weight {w!r} is not a positive integer")
+            if w > MAX_WEIGHT:
+                raise InvalidWeightError(f"a weight above {MAX_WEIGHT} is refused")
+
+
+def _weighted_product(a: Raf, weights: WeightVector) -> Fraction:
+    """The exact product of a's coordinates, each to the power of its weight."""
+    return math.prod((v ** w for v, w in zip(a.values, weights.weights)), start=Fraction(1))
+
+
+def _require_weights_context(a: Raf, weights: WeightVector) -> None:
+    if weights.context != a.context:
+        raise WeightArityMismatchError("weights built on a different context")
 
 
 def wlog_compare(a: Raf, b: Raf, weights: WeightVector) -> ComparisonOutcome:
@@ -179,11 +204,8 @@ def wlog_compare(a: Raf, b: Raf, weights: WeightVector) -> ComparisonOutcome:
     axiom checkers a designed negative control.
     """
     require_same_context(a, b)
-    if weights.context != a.context:
-        raise WeightArityMismatchError("weights built on a different context")
-    pa = math.prod((v ** w for v, w in zip(a.values, weights.weights)), start=Fraction(1))
-    pb = math.prod((v ** w for v, w in zip(b.values, weights.weights)), start=Fraction(1))
-    return _outcome_of(pa, pb)
+    _require_weights_context(a, weights)
+    return _outcome_of(_weighted_product(a, weights), _weighted_product(b, weights))
 
 
 @dataclass(frozen=True)
@@ -197,35 +219,73 @@ class LexicographicRelation(PreferenceRelation):
 
 
 @dataclass(frozen=True)
-class MaxExpectedPayoffRelation(PreferenceRelation):
+class _MemoizedUtilityRelation(PreferenceRelation):
+    """Compares profiles by a utility evaluated once per distinct profile.
+
+    The memo maps each profile this instance has compared to its utility.
+    It takes no part in repr, == or hash, and a hit never skips a check:
+    _check runs on every compare before the lookup.
+    """
+
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @abc.abstractmethod
+    def _utility(self, a: Raf) -> Fraction:
+        ...
+
+    def _check(self, a: Raf, b: Raf) -> None:
+        require_same_context(a, b)
+
+    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        self._check(a, b)
+        memo = self._memo
+        ua = memo.get(a)
+        if ua is None:
+            ua = memo[a] = self._utility(a)
+        ub = memo.get(b)
+        if ub is None:
+            ub = memo[b] = self._utility(b)
+        return _outcome_of(ua, ub)
+
+
+@dataclass(frozen=True)
+class MaxExpectedPayoffRelation(_MemoizedUtilityRelation):
     """Utility relation ranking profiles by their largest expected pay-off."""
 
     name: str = "mep"
 
-    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
-        return utility_compare(a, b, mep_utility)
+    def _utility(self, a: Raf) -> Fraction:
+        return mep_utility(a)
 
 
 @dataclass(frozen=True)
-class WeightedLogProductRelation(PreferenceRelation):
+class WeightedLogProductRelation(_MemoizedUtilityRelation):
     """Utility relation backed by the exact weighted product comparison."""
 
     weights: WeightVector
     name: str = "wlog"
 
-    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
-        return wlog_compare(a, b, self.weights)
+    def _check(self, a: Raf, b: Raf) -> None:
+        require_same_context(a, b)
+        _require_weights_context(a, self.weights)
+
+    def _utility(self, a: Raf) -> Fraction:
+        return _weighted_product(a, self.weights)
 
 
 @dataclass(frozen=True)
-class UtilityRelation(PreferenceRelation):
-    """Generic numerical representation: compare by a caller-supplied utility."""
+class UtilityRelation(_MemoizedUtilityRelation):
+    """Generic numerical representation: compare by a caller-supplied utility.
+
+    The utility is evaluated once per distinct profile per instance and
+    its value reused, so it must be a pure function of the profile.
+    """
 
     utility: Callable[[Raf], Fraction]
     name: str = "utility"
 
-    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
-        return utility_compare(a, b, self.utility)
+    def _utility(self, a: Raf) -> Fraction:
+        return self.utility(a)
 
 
 class RankedRelation(NamedTuple):

@@ -1,8 +1,10 @@
+import io
 import json
+import sys
 
 import pytest
 
-from rafpref import characterization, cli
+from rafpref import characterization, cli, relations
 from rafpref.cli import InputDocument, DocumentError, main
 
 MONEY_DOC = {
@@ -257,12 +259,29 @@ class TestCheck:
             (["--weights", "1,x"], "--weights"),
             (["--weights", "1"], "--weights"),
             (["--weights", "1,1", "--payoffs", "40,10,5"], "--payoffs"),
+            (["--weights=0,1"], "--weights"),
+            (["--weights", "1,1", "--payoffs=-1,2"], "--payoffs"),
         ],
     )
     def test_bad_grid_lists_exit_2(self, extra, field, capsys):
         argv = ["check", "--relation", "wlog", "--grid", "0,1", "--arity", "2", *extra]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    def test_huge_weight_refused_before_any_power(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a weighted product was computed")
+
+        monkeypatch.setattr(relations, "_weighted_product", refuse)
+        argv = ["check", "--relation", "wlog", "--grid", "1/3,1", "--arity", "2",
+                "--weights", f"{10 ** 22},1", "--axioms", "Reflexive"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --weights:")
+
+    def test_document_weight_above_bound_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, dict(MONEY_DOC, weights={"$40": 10 ** 22, "$10": 1}))
+        assert main(["check", "-i", path, "-r", "wlog"]) == 2
+        assert capsys.readouterr().err.startswith("error: weights:")
 
     @pytest.mark.parametrize("flag", [["--samples", "5"], ["--seed", "1"]])
     def test_removed_sampling_flags_exit_2(self, flag, capsys):
@@ -407,3 +426,17 @@ class TestEmit:
             assert text[-1].startswith("elapsed: ")
             text, expected = text[:-1], expected[:-1]
         assert text == expected
+
+
+class ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipe_exits_quietly(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    argv = ["verify", "--levels", "0,1/2,1", "--arity", "2", "--format", "json"]
+    assert main(argv) == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rafpref import (
+    ALL_AXIOMS,
     ComparisonOutcome,
+    ContextMismatchError,
     GridSpec,
     InvalidWeightError,
     LexicographicRelation,
+    MaxExpectedPayoffRelation,
     MissingPayoffsError,
     NonContiguousRanksError,
     PriorityContext,
@@ -17,6 +20,7 @@ from rafpref import (
     UnknownPointError,
     UtilityRelation,
     WeightArityMismatchError,
+    WeightedLogProductRelation,
     WeightVector,
     at_least_as_good,
     default_context,
@@ -24,10 +28,12 @@ from rafpref import (
     lex_compare,
     make_raf,
     mep_utility,
+    run_checks,
     table_relation,
     utility_compare,
     wlog_compare,
 )
+from rafpref.relations import MAX_WEIGHT
 from conftest import rationals01
 
 FIRST = ComparisonOutcome.FIRST_PREFERRED
@@ -167,6 +173,13 @@ class TestWlog:
         with pytest.raises(InvalidWeightError):
             WeightVector(ctx, (0, 1))
 
+    def test_weight_bound(self):
+        ctx = default_context(2)
+        assert WeightVector(ctx, (MAX_WEIGHT, 1)).weights == (MAX_WEIGHT, 1)
+        for w in (MAX_WEIGHT + 1, 10 ** 22):
+            with pytest.raises(InvalidWeightError, match=f"above {MAX_WEIGHT}"):
+                WeightVector(ctx, (1, w))
+
     def test_weight_context_checked(self):
         ctx = default_context(2)
         other = PriorityContext(("a", "b"))
@@ -258,3 +271,69 @@ class TestRelationContract:
 
     def test_lex_relation_wrapper(self, raf_a, raf_b):
         assert LexicographicRelation().compare(raf_a, raf_b) is FIRST
+
+
+class TestUtilityMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_verdicts_match_the_plain_comparators(self, data):
+        arity = data.draw(st.integers(2, 3))
+        levels = data.draw(st.lists(rationals01(6), min_size=1, max_size=3, unique=True))
+        labels = [f"x{i}" for i in range(1, arity + 1)]
+        payoffs = data.draw(st.lists(st.integers(0, 9), min_size=arity, max_size=arity))
+        ctx = PriorityContext.of(labels, dict(zip(labels, payoffs)))
+        weights = WeightVector(
+            ctx, tuple(data.draw(st.lists(st.integers(1, 4), min_size=arity, max_size=arity)))
+        )
+        points = grid_points(GridSpec.of(levels, arity), ctx)
+        index = st.integers(0, len(points) - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
+        mep, wlog = MaxExpectedPayoffRelation(), WeightedLogProductRelation(weights)
+        for i, j in pairs:
+            a, b = points[i], points[j]
+            assert mep.compare(a, b) is utility_compare(a, b, mep_utility)
+            assert wlog.compare(a, b) is wlog_compare(a, b, weights)
+
+    def test_run_checks_evaluates_each_point_once(self):
+        ctx = PriorityContext.of(("a", "b", "c"), {"a": 40, "b": 10, "c": 5})
+        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3), ctx)
+        calls = []
+
+        def utility(a):
+            calls.append(a)
+            return mep_utility(a)
+
+        report = run_checks(UtilityRelation(utility), sample, ALL_AXIOMS)
+        assert len(calls) == len(sample) == 27
+        assert report.results == run_checks(MaxExpectedPayoffRelation(), sample, ALL_AXIOMS).results
+
+    def test_checks_run_on_a_memo_hit(self, raf_a):
+        other = make_raf(("1/5", "4/5"), PriorityContext.of(("p", "q"), {"p": 40, "q": 10}))
+        for rel in (MaxExpectedPayoffRelation(), UtilityRelation(mep_utility)):
+            assert rel.compare(raf_a, raf_a) is INDIFF
+            with pytest.raises(ContextMismatchError):
+                rel.compare(raf_a, other)
+            with pytest.raises(ContextMismatchError):
+                rel.compare(other, raf_a)
+        rel = WeightedLogProductRelation(WeightVector(raf_a.context, (1, 1)))
+        assert rel.compare(raf_a, raf_a) is INDIFF
+        with pytest.raises(ContextMismatchError):
+            rel.compare(raf_a, other)
+        # same values on another context: the weights no longer fit
+        with pytest.raises(WeightArityMismatchError):
+            rel.compare(other, other)
+
+    def test_memo_leaves_repr_eq_and_hash_alone(self, money_ctx):
+        points = grid_points(GridSpec.of([0, Fraction(1, 3), Fraction(1, 2), 1], 2), money_ctx)
+        weights = WeightVector(money_ctx, (2, 3))
+        for make in (
+            MaxExpectedPayoffRelation,
+            lambda: WeightedLogProductRelation(weights),
+            lambda: UtilityRelation(mep_utility),
+        ):
+            rel, fresh = make(), make()
+            before = (repr(rel), hash(rel))
+            for k in range(1000):
+                rel.compare(points[k % len(points)], points[(7 * k) % len(points)])
+            assert (repr(rel), hash(rel)) == before == (repr(fresh), hash(fresh))
+            assert rel == fresh
