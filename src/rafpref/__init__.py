@@ -12,6 +12,7 @@ from .core import (
     ArityMismatchError,
     ContextMismatchError,
     GridSpec,
+    InvalidArityError,
     InvalidContextError,
     InvalidGridError,
     OutOfRangeError,

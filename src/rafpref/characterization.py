@@ -316,7 +316,11 @@ class _Walk:
     Without constraints the walk reads the bits of each block from an
     O(2^n) table, which the fubini(n) leaves of a plain walk already
     bound to about ten points; a constrained walk reaches further and
-    reads them inline.
+    reads them inline. The plain stream keeps its own loop because it is
+    about half of an unpruned verify: with no constraints the checked loop
+    drained the 545,835 orders of 8 points in 0.96 s against 0.30 s for
+    the plain one (2-core machine), and single-loop versions of the two
+    measured 1.4 to 1.9 times slower.
     """
 
     def __init__(

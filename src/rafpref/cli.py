@@ -16,13 +16,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     GridSpec,
+    InvalidArityError,
     PriorityContext,
     Raf,
     RafprefError,
@@ -74,31 +76,43 @@ class DocumentError(RafprefError):
     """Input document failed validation; the message names the field."""
 
 
+@contextmanager
+def _field(name: str) -> Iterator[None]:
+    """Re-raise a core error from the block as a DocumentError starting
+    ``name:``. Every grid takes its arity from --arity, so an arity error
+    names that flag instead."""
+    try:
+        yield
+    except InvalidArityError as exc:
+        raise DocumentError(f"--arity: {exc}") from None
+    except RafprefError as exc:
+        raise DocumentError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class InputDocument:
-    """Parsed, normalized form of the JSON input document.
+    """A JSON input document, held as the validated core objects.
 
-    Alternatives keep their file order; payoffs, weights, and profile
-    values are stored in priority order, so emitting and re-parsing a
-    document yields an identical object.
+    The document checks only its JSON shape; every range, sign and bound
+    rule is the one ``PriorityContext``, ``WeightVector`` and ``Raf``
+    enforce. Alternatives and named profiles keep their file order;
+    pay-offs, weights and profile values are in priority order, so
+    emitting and re-parsing a document yields an equal object.
     """
 
     alternatives: tuple[str, ...]
-    priority: tuple[str, ...]
-    payoffs: Optional[tuple[tuple[str, Fraction], ...]]
-    weights: Optional[tuple[tuple[str, int], ...]]
-    rafs: tuple[tuple[str, tuple[Fraction, ...]], ...]
+    context: PriorityContext
+    weights: Optional[WeightVector]
+    rafs: tuple[tuple[str, Raf], ...]
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "InputDocument":
         if not isinstance(obj, dict):
             raise DocumentError("document: expected a JSON object")
-        alternatives = _require_str_list(obj, "alternatives")
-        if len(set(alternatives)) != len(alternatives):
-            raise DocumentError("alternatives: labels must be distinct")
-        if len(alternatives) < 2:
-            raise DocumentError("alternatives: need at least two")
-        priority = _require_str_list(obj, "priority")
+        alternatives = tuple(_require_str_list(obj, "alternatives"))
+        with _field("alternatives"):
+            PriorityContext(alternatives)  # the label rules, before priority is read
+        priority = tuple(_require_str_list(obj, "priority"))
         if sorted(priority) != sorted(alternatives):
             raise DocumentError("priority: must be a permutation of alternatives")
 
@@ -108,13 +122,11 @@ class InputDocument:
             if not isinstance(raw, dict):
                 raise DocumentError("payoffs: expected a label-to-rational object")
             payoffs = tuple(
-                (label, _parse_field_rational(raw, label, "payoffs"))
-                for label in priority
+                _parse_field_rational(raw, label, "payoffs") for label in priority
             )
             _no_extra_labels(raw, alternatives, "payoffs")
-            for label, value in payoffs:
-                if value < 0:
-                    raise DocumentError(f"payoffs.{label}: must be nonnegative")
+        with _field("payoffs"):
+            ctx = PriorityContext(priority, payoffs)
 
         weights = None
         if obj.get("weights") is not None:
@@ -122,15 +134,14 @@ class InputDocument:
             if not isinstance(raw, dict):
                 raise DocumentError("weights: expected a label-to-integer object")
             _no_extra_labels(raw, alternatives, "weights")
-            parsed = []
             for label in priority:
                 if label not in raw:
                     raise DocumentError(f"weights.{label}: missing")
                 w = raw[label]
                 if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                     raise DocumentError(f"weights.{label}: must be a positive integer")
-                parsed.append((label, w))
-            weights = tuple(parsed)
+            with _field("weights"):
+                weights = WeightVector(ctx, tuple(raw[label] for label in priority))
 
         raw_rafs = obj.get("rafs")
         if not isinstance(raw_rafs, dict) or not raw_rafs:
@@ -141,57 +152,25 @@ class InputDocument:
                 raise DocumentError(f"rafs.{name}: expected a label-to-rational object")
             _no_extra_labels(entry, alternatives, f"rafs.{name}")
             values = tuple(
-                _parse_field_rational(entry, label, f"rafs.{name}")
-                for label in priority
+                _parse_field_rational(entry, label, f"rafs.{name}") for label in priority
             )
-            for v in values:
-                if v < 0 or v > 1:
-                    raise DocumentError(
-                        f"rafs.{name}: availability {format_rational(v)} outside [0, 1]"
-                    )
-            rafs.append((name, values))
-        return cls(
-            alternatives=tuple(alternatives),
-            priority=tuple(priority),
-            payoffs=payoffs,
-            weights=weights,
-            rafs=tuple(rafs),
-        )
+            with _field(f"rafs.{name}"):
+                rafs.append((name, Raf(ctx, values)))
+        return cls(alternatives, ctx, weights, tuple(rafs))
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "alternatives": list(self.alternatives),
-            "priority": list(self.priority),
-        }
-        if self.payoffs is not None:
-            out["payoffs"] = {label: format_rational(v) for label, v in self.payoffs}
+        priority = self.context.alternatives
+
+        def by_label(values) -> dict:
+            return {label: format_rational(v) for label, v in zip(priority, values)}
+
+        out: dict = {"alternatives": list(self.alternatives), "priority": list(priority)}
+        if self.context.payoffs is not None:
+            out["payoffs"] = by_label(self.context.payoffs)
         if self.weights is not None:
-            out["weights"] = {label: w for label, w in self.weights}
-        out["rafs"] = {
-            name: {
-                label: format_rational(v)
-                for label, v in zip(self.priority, values)
-            }
-            for name, values in self.rafs
-        }
+            out["weights"] = dict(zip(priority, self.weights.weights))
+        out["rafs"] = {name: by_label(raf.values) for name, raf in self.rafs}
         return out
-
-    def context(self) -> PriorityContext:
-        payoffs = None
-        if self.payoffs is not None:
-            payoffs = tuple(v for _, v in self.payoffs)
-        return PriorityContext(self.priority, payoffs)
-
-    def weight_vector(self, ctx: PriorityContext) -> Optional[WeightVector]:
-        if self.weights is None:
-            return None
-        try:
-            return WeightVector(ctx, tuple(w for _, w in self.weights))
-        except RafprefError as exc:
-            raise DocumentError(f"weights: {exc}") from None
-
-    def named_rafs(self, ctx: PriorityContext) -> list[tuple[str, Raf]]:
-        return [(name, Raf(ctx, values)) for name, values in self.rafs]
 
 
 def _require_str_list(obj: dict, field: str) -> list[str]:
@@ -207,10 +186,8 @@ def _parse_field_rational(raw: dict, label: str, field: str) -> Fraction:
     value = raw[label]
     if not isinstance(value, str):
         raise DocumentError(f"{field}.{label}: expected a rational string")
-    try:
+    with _field(f"{field}.{label}"):
         return parse_rational(value)
-    except RafprefError as exc:
-        raise DocumentError(f"{field}.{label}: {exc}") from None
 
 
 def _no_extra_labels(raw: dict, alternatives: Sequence[str], field: str) -> None:
@@ -225,10 +202,10 @@ def load_document(path: str) -> InputDocument:
             obj = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: invalid JSON ({exc})") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise DocumentError(f"{path}: not UTF-8 text ({exc})") from None
+    except ValueError as exc:  # bad syntax, or an integer past int()'s digit limit
+        raise DocumentError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
         raise DocumentError(f"{path}: JSON nested too deeply") from None
     return InputDocument.from_json_dict(obj)
@@ -255,18 +232,13 @@ def _build_relation(
     raise DocumentError(f"relation: unknown name {name!r}")
 
 
-def _parse_rational_csv(text: str, field: str) -> list[Fraction]:
-    try:
-        return [parse_rational(part) for part in text.split(",") if part.strip()]
-    except RafprefError as exc:
-        raise DocumentError(f"{field}: {exc}") from None
+def _parse_rational_csv(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(part) for part in text.split(",") if part.strip())
 
 
 def _grid_spec(text: str, arity: int, field: str) -> GridSpec:
-    levels = _parse_rational_csv(text, field)
-    if not levels:
-        raise DocumentError(f"{field}: needs at least one level")
-    return GridSpec.of(levels, arity)
+    with _field(field):
+        return GridSpec.of(_parse_rational_csv(text), arity)
 
 
 def _grid_sample(args) -> tuple[PriorityContext, list[Raf], Optional[WeightVector]]:
@@ -277,28 +249,17 @@ def _grid_sample(args) -> tuple[PriorityContext, list[Raf], Optional[WeightVecto
             f"the check bound of {CHECK_MAX_POINTS} caps both"
         )
     labels = tuple(f"x{i}" for i in range(1, args.arity + 1))
-    payoffs = None
-    if args.payoffs:
-        values = _parse_rational_csv(args.payoffs, "--payoffs")
-        if len(values) != args.arity:
-            raise DocumentError(f"--payoffs: expected {args.arity} values")
-        payoffs = dict(zip(labels, values))
-    try:
-        ctx = PriorityContext.of(labels, payoffs)
-    except RafprefError as exc:
-        raise DocumentError(f"--payoffs: {exc}") from None
+    with _field("--payoffs"):
+        payoffs = _parse_rational_csv(args.payoffs) if args.payoffs else None
+        ctx = PriorityContext(labels, payoffs)
     weights = None
     if args.weights:
         try:
-            ws = [int(part) for part in args.weights.split(",") if part.strip()]
+            ws = tuple(int(part) for part in args.weights.split(",") if part.strip())
         except ValueError:
             raise DocumentError("--weights: expected integers") from None
-        if len(ws) != args.arity:
-            raise DocumentError(f"--weights: expected {args.arity} values")
-        try:
-            weights = WeightVector(ctx, tuple(ws))
-        except RafprefError as exc:
-            raise DocumentError(f"--weights: {exc}") from None
+        with _field("--weights"):
+            weights = WeightVector(ctx, ws)
     return ctx, grid_points(spec, ctx), weights
 
 
@@ -475,7 +436,7 @@ def cmd_demo(args) -> int:
 
 
 def _rank_groups(
-    items: list[tuple[str, Raf]], rel: PreferenceRelation
+    items: Sequence[tuple[str, Raf]], rel: PreferenceRelation
 ) -> list[list[str]]:
     def cmp(x, y) -> int:
         out = rel.compare(x[1], y[1])
@@ -497,12 +458,11 @@ def _rank_groups(
 
 def cmd_rank(args) -> int:
     doc = load_document(args.input)
-    ctx = doc.context()
-    rel = _build_relation(args.relation, ctx, doc.weight_vector(ctx))
+    rel = _build_relation(args.relation, doc.context, doc.weights)
     payload = {
         "command": "rank",
         "relation": args.relation,
-        "ranking": _rank_groups(doc.named_rafs(ctx), rel),
+        "ranking": _rank_groups(doc.rafs, rel),
         "document": doc.to_json_dict(),
     }
     _emit(args, payload, lambda p: " ≻ ".join(" ∼ ".join(g) for g in p["ranking"]))
@@ -516,9 +476,8 @@ def cmd_check(args) -> int:
         raise DocumentError("--arity/--payoffs/--weights: only meaningful with --grid")
     if args.input:
         doc = load_document(args.input)
-        ctx = doc.context()
-        sample = [raf for _, raf in doc.named_rafs(ctx)]
-        weights = doc.weight_vector(ctx)
+        ctx, weights = doc.context, doc.weights
+        sample = [raf for _, raf in doc.rafs]
     else:
         if args.arity is None:
             raise DocumentError("--arity: required with --grid")

@@ -9,6 +9,7 @@ exact coordinate equality, which binary floating point would corrupt.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -23,6 +24,7 @@ __all__ = [
     "ContextMismatchError",
     "InvalidContextError",
     "InvalidGridError",
+    "InvalidArityError",
     "parse_rational",
     "format_rational",
     "PriorityContext",
@@ -73,28 +75,37 @@ class InvalidGridError(RafprefError, ValueError):
     """Grid specification violates its invariants."""
 
 
+class InvalidArityError(InvalidGridError):
+    """Grid arity below two."""
+
+
 _FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
-_DECIMAL_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
+# A digit run matches in one way only: with "\d+\.?\d*" a failed match
+# would retry every split of the run, quadratic in its length.
+_DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` (with q > 0) or a finite decimal, exactly.
 
     Decimals convert without rounding ("0.8" is 4/5). Exponents and any
-    other float notation are rejected so no inexactness can sneak in.
+    other float notation are rejected so no inexactness can sneak in, and
+    so is a literal with more digits than ``int()`` converts.
     """
     s = text.strip()
     m = _FRACTION_RE.match(s)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            raise RationalParseError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    if _DECIMAL_RE.match(s):
-        return Fraction(s)
-    raise RationalParseError(
-        f"not a rational literal: {text!r} (use p/q or a finite decimal)"
-    )
+    if not (m or _DECIMAL_RE.match(s)):
+        raise RationalParseError(
+            f"not a rational literal: {text!r} (use p/q or a finite decimal)"
+        )
+    try:
+        return Fraction(int(m.group(1)), int(m.group(2))) if m else Fraction(s)
+    except ZeroDivisionError:
+        raise RationalParseError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise RationalParseError(
+            f"more than {sys.get_int_max_str_digits()} digits in a rational literal"
+        ) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -272,7 +283,7 @@ class GridSpec:
             if lo >= hi:
                 raise InvalidGridError("levels must be strictly increasing")
         if self.arity < 2:
-            raise InvalidGridError("arity must be at least 2")
+            raise InvalidArityError("arity must be at least 2")
 
     @classmethod
     def of(cls, levels: Iterable[RationalLike], arity: int) -> "GridSpec":

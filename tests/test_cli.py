@@ -1,10 +1,15 @@
+import contextlib
 import io
 import json
+import os
+import re
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rafpref import characterization, cli, relations
+from rafpref import PriorityContext, Raf, WeightVector, characterization, cli, relations
 from rafpref.cli import InputDocument, DocumentError, main
 
 MONEY_DOC = {
@@ -440,3 +445,120 @@ def test_closed_pipe_exits_quietly(monkeypatch, capsys):
     argv = ["verify", "--levels", "0,1/2,1", "--arity", "2", "--format", "json"]
     assert main(argv) == cli.EXIT_BROKEN_PIPE == 141
     assert capsys.readouterr().err == ""
+
+
+class TestInputBoundary:
+    """Every bad input value exits 2 with one line naming its field or flag."""
+
+    ONES = "1" * 5000  # past int()'s 4,300-digit conversion limit
+
+    def test_document_holds_core_objects(self):
+        doc = InputDocument.from_json_dict(MONEY_DOC)
+        ctx = PriorityContext.of(("$40", "$10"), {"$40": 40, "$10": 10})
+        assert doc.context == ctx
+        assert doc.weights == WeightVector(ctx, (1, 1))
+        assert [name for name, _ in doc.rafs] == ["A", "B"]
+        assert all(isinstance(raf, Raf) and raf.context == ctx for _, raf in doc.rafs)
+
+    def test_document_payoff_sign_named(self):
+        obj = dict(MONEY_DOC, payoffs={"$40": "-1", "$10": "10"})
+        with pytest.raises(DocumentError, match=r"^payoffs: .*'\$40'.*nonnegative"):
+            InputDocument.from_json_dict(obj)
+
+    def error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["verify", "--levels", "0,1/" + ONES, "--arity", "2"], "--levels"),
+            (["check", "-r", "lex", "--grid", "0,0." + ONES, "--arity", "2"], "--grid"),
+            (["verify", "--levels", "0,2", "--arity", "2"], "--levels"),
+            (["verify", "--levels", "0,1", "--arity", "-3"], "--arity"),
+            (["check", "-r", "lex", "--grid", "0,1", "--arity", "1"], "--arity"),
+            (["check", "-r", "mep", "--grid", "0,1", "--arity", "2", "--payoffs=1/" + ONES + ",1"],
+             "--payoffs"),
+        ],
+    )
+    def test_flag_value_named(self, argv, field, capsys):
+        assert self.error_line(argv, capsys).startswith(f"error: {field}: ")
+
+    def test_document_rational_past_digit_limit_named(self, tmp_path, capsys):
+        obj = dict(MONEY_DOC, rafs={"A": {"$40": "1/" + self.ONES, "$10": "0"}})
+        err = self.error_line(["rank", "-i", write_doc(tmp_path, obj), "-r", "lex"], capsys)
+        assert err.startswith("error: rafs.A.$40: ")
+
+    def test_document_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        text = json.dumps(dict(MONEY_DOC, weights={"$40": 7, "$10": 1}))
+        path = tmp_path / "big.json"
+        path.write_text(text.replace('"$40": 7', '"$40": ' + self.ONES))
+        err = self.error_line(["rank", "-i", str(path), "-r", "lex"], capsys)
+        assert err.startswith(f"error: {path}: invalid JSON")
+
+
+_DIGITS = st.one_of(st.text("0123456789", max_size=3), st.just("1" * 5000))
+_RATIONAL_LIKE = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "+", "-", " "]),
+    _DIGITS,
+    st.sampled_from(["", "/", ".", "/-", "e", "x"]),
+    _DIGITS,
+)
+# at most three parts: no grid at arity 2 has more than nine points
+_CSV = st.lists(_RATIONAL_LIKE, max_size=3).map(",".join)
+_WEIGHT = st.one_of(st.from_regex(r"-?[0-9]{1,3}", fullmatch=True), st.just("1" * 5000))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _document_text(payoffs, values, weight):
+    doc = dict(
+        MONEY_DOC,
+        payoffs=dict(zip(("$40", "$10"), payoffs)),
+        weights={"$40": 123456789, "$10": 1},
+        rafs={"A": dict(zip(("$40", "$10"), values))},
+    )
+    return json.dumps(doc).replace("123456789", weight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    levels=_CSV,
+    grid=_CSV,
+    payoffs=_CSV,
+    weights=_CSV,
+    doc_payoffs=st.tuples(_RATIONAL_LIKE, _RATIONAL_LIKE),
+    doc_values=st.tuples(_RATIONAL_LIKE, _RATIONAL_LIKE),
+    doc_weight=_WEIGHT,
+)
+def test_fuzzed_inputs_exit_cleanly(levels, grid, payoffs, weights, doc_payoffs,
+                                    doc_values, doc_weight):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_document_text(doc_payoffs, doc_values, doc_weight))
+        grid_flags = [f"--grid={grid}", "--arity", "2", "--axioms", "SM,WeakIWA"]
+        runs = [
+            ["verify", f"--levels={levels}", "--arity", "2"],
+            ["check", "-r", "mep", *grid_flags, f"--payoffs={payoffs}"],
+            ["check", "-r", "wlog", *grid_flags, f"--weights={weights}"],
+            ["rank", "-i", path, "-r", "mep"],
+            ["rank", "-i", path, "-r", "wlog"],
+        ]
+        named = re.compile(
+            r"error: (--levels|--grid|--arity|--payoffs|--weights|input|payoffs|weights|rafs"
+            rf"|{re.escape(path)})[.:]"
+        )
+        for argv in runs:
+            code, err = _run(argv)  # no exception may escape main
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.count("\n") == 1 and named.match(err), (argv, err[:200])

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from rafpref import (
     ArityMismatchError,
     ContextMismatchError,
     GridSpec,
+    InvalidArityError,
     InvalidContextError,
     InvalidGridError,
     OutOfRangeError,
@@ -56,6 +58,19 @@ class TestParseRational:
     @given(st.fractions())
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    @pytest.mark.parametrize(
+        "text", ["1/" + "1" * 5000, "1" * 5000 + "/3", "0." + "1" * 5000, "1" * 5000]
+    )
+    def test_digits_past_int_limit_refused(self, text):
+        with pytest.raises(RationalParseError, match="digits in a rational literal"):
+            parse_rational(text)
+
+    def test_long_bad_literal_refused_in_linear_time(self):
+        start = time.perf_counter()
+        with pytest.raises(RationalParseError, match="not a rational literal"):
+            parse_rational("1" * 100_000 + "x")
+        assert time.perf_counter() - start < 1.0  # quadratic matching took minutes
 
     def test_floats_refused_in_construction(self):
         ctx = default_context(2)
@@ -254,6 +269,14 @@ class TestGrid:
             GridSpec.of([], 2)
         with pytest.raises(InvalidGridError):
             GridSpec.of(["0", "1"], 1)
+
+    @pytest.mark.parametrize("arity", [1, 0, -3])
+    def test_low_arity_has_its_own_error(self, arity):
+        with pytest.raises(InvalidArityError):
+            GridSpec.of(["0", "1"], arity)
+        with pytest.raises(InvalidGridError) as info:
+            GridSpec.of(["0", "2"], arity)
+        assert not isinstance(info.value, InvalidArityError)  # levels are checked first
 
     def test_context_arity_checked(self):
         with pytest.raises(ArityMismatchError):
