@@ -19,7 +19,10 @@ count, a verdict, a witness or its order shows up as a changed line.
   money document and on a document with a tie, written to a temporary
   file;
 - the count and sha256 of the ``enumerate_weak_orders`` rank stream on
-  1 to 8 points, so a change in the walk's order shows up too.
+  1 to 8 points, so a change in the walk's order shows up too;
+- the exit code and error line of every refusal in ``ERROR_DOCUMENTS``
+  (given to ``rafpref rank --input``) and ``ERROR_FLAGS``, so a change in
+  error text shows up as well as a change in a report.
 
 Full witness lists are kept to samples of at most nine points, so the
 output stays a few megabytes.
@@ -123,6 +126,61 @@ RANK_DOCS = {
         },
     ),
 }
+
+# documents that `rafpref rank` refuses, one broken field each
+ERROR_DOCUMENTS = {
+    "not an object": [],
+    "alternatives not a list": dict(MONEY_DOC, alternatives="$40,$10"),
+    "alternatives repeated": dict(MONEY_DOC, alternatives=["$40", "$40"]),
+    "priority with a number": dict(MONEY_DOC, priority=["$40", 10]),
+    "priority not a permutation": dict(MONEY_DOC, priority=["$40", "$5"]),
+    "payoffs not an object": dict(MONEY_DOC, payoffs=["40", "10"]),
+    "payoffs unknown label": dict(MONEY_DOC, payoffs={"$40": "40", "$10": "10", "$5": "5"}),
+    "payoffs unknown and missing label": dict(MONEY_DOC, payoffs={"$40": "40", "$5": "5"}),
+    "payoffs missing label": dict(MONEY_DOC, payoffs={"$40": "40"}),
+    "payoffs number value": dict(MONEY_DOC, payoffs={"$40": 40, "$10": "10"}),
+    "payoffs negative": dict(MONEY_DOC, payoffs={"$40": "-1", "$10": "10"}),
+    "weights not an object": dict(MONEY_DOC, weights=[1, 1]),
+    "weights unknown and missing label": dict(MONEY_DOC, weights={"$40": 1, "$5": 1}),
+    "weights missing label": dict(MONEY_DOC, weights={"$40": 1}),
+    "weights zero": dict(MONEY_DOC, weights={"$40": 0, "$10": 1}),
+    "weights string": dict(MONEY_DOC, weights={"$40": "1", "$10": 1}),
+    "weights above bound": dict(MONEY_DOC, weights={"$40": 101, "$10": 1}),
+    "rafs empty": dict(MONEY_DOC, rafs={}),
+    "rafs not an object": dict(MONEY_DOC, rafs=[]),
+    "raf not an object": dict(MONEY_DOC, rafs={"A": ["1/5", "4/5"]}),
+    "raf unknown and missing label": dict(MONEY_DOC, rafs={"A": {"$40": "1/5", "$5": "1"}}),
+    "raf missing label": dict(MONEY_DOC, rafs={"A": {"$40": "1/5"}}),
+    "raf number value": dict(MONEY_DOC, rafs={"A": {"$40": 0.2, "$10": "4/5"}}),
+    "raf bad literal": dict(MONEY_DOC, rafs={"A": {"$40": "1e-3", "$10": "4/5"}}),
+    "raf zero denominator": dict(MONEY_DOC, rafs={"A": {"$40": "1/0", "$10": "4/5"}}),
+    "raf out of range": dict(MONEY_DOC, rafs={"A": {"$40": "3/2", "$10": "4/5"}}),
+}
+CHECK_GRID = ["check", "--relation", "lex", "--grid", "0,1", "--arity", "2"]
+VERIFY_GRID = ["verify", "--levels", "0,1", "--arity", "2"]
+# flag values that `rafpref check` and `rafpref verify` refuse; <document>
+# stands for the README's money document
+ERROR_FLAGS = [
+    ["check", "--relation", "lex", "--input", "<document>", "--arity", "2"],
+    ["check", "--relation", "lex", "--input", "<document>", "--grid", "0,1"],
+    ["check", "--relation", "lex", "--grid", "0,1"],
+    ["check", "--relation", "lex", "--grid", "0,1", "--arity", "11"],
+    ["check", "--relation", "lex", "--grid", "0,x", "--arity", "2"],
+    ["check", "--relation", "wlog", "--grid", "0,1", "--arity", "2"],
+    *(CHECK_GRID + ["--axioms", axioms] for axioms in (",", "Foo", "SM,Foo")),
+    *(VERIFY_GRID + ["--axioms", axioms] for axioms in (",", "Foo", "Transitive")),
+    *(CHECK_GRID + ["--weights", weights]
+      for weights in ("1_0,1", "\u0661,1", "+1,1", "0,1", "-1,1", "101,1", "1", "1,x")),
+    CHECK_GRID + ["--payoffs", "40,10,5"],
+    CHECK_GRID + ["--payoffs=-1,2"],
+    ["verify", "--levels", "0,1", "--arity", "30"],
+    VERIFY_GRID + ["--max-points", "0"],
+    VERIFY_GRID + ["--max-points=-1"],
+    ["verify", "--levels", "0,2", "--arity", "2"],
+    ["verify", "--levels", "0,1", "--arity", "1"],
+    ["verify", "--levels", "0,1/0", "--arity", "2"],
+    ["verify", "--levels", "0," + "1" * 300 + "x", "--arity", "2"],
+]
 
 OUTCOMES = tuple(ComparisonOutcome)
 
@@ -270,6 +328,21 @@ def rank_cases() -> None:
                          code, text)
 
 
+def error_cases() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in ERROR_DOCUMENTS.items():
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, text = run_cli(["rank", "--input", str(path), "--relation", "lex"])
+            emit(f"rank --input <{name} document> --relation lex", code,
+                 text.replace(str(path), "<document>"))
+        path = Path(tmp) / "money.json"
+        path.write_text(json.dumps(MONEY_DOC), encoding="utf-8")
+        for argv in ERROR_FLAGS:
+            code, text = run_cli([str(path) if a == "<document>" else a for a in argv])
+            emit(" ".join(argv), code, text)
+
+
 def stream_digests() -> None:
     points = grid_points(GridSpec.of(["0", "1/2", "1"], 2))
     for n in range(1, 9):
@@ -290,6 +363,7 @@ def main() -> int:
     verify_cases()
     rank_cases()
     stream_digests()
+    error_cases()
     return 0
 
 

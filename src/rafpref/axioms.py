@@ -98,7 +98,7 @@ class AxiomId(str, enum.Enum):
         try:
             return _AXIOM_ALIASES[key]
         except KeyError:
-            raise RafprefError(f"unknown axiom {name!r}") from None
+            raise RafprefError(f"unknown axiom {name!r:.40}") from None
 
 
 _AXIOM_ALIASES: dict[str, AxiomId] = {m.value.lower(): m for m in AxiomId}

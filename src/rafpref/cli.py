@@ -18,9 +18,8 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core import (
     GridSpec,
@@ -28,6 +27,7 @@ from .core import (
     PriorityContext,
     Raf,
     RafprefError,
+    default_context,
     format_rational,
     grid_points,
     make_raf,
@@ -55,6 +55,7 @@ from .axioms import (
 from .characterization import (
     DEFAULT_MAX_POINTS,
     CharacterizationReport,
+    TooManyPointsError,
     VERIFY_AXIOMS,
     construct_proof_witness,
     verify_characterization,
@@ -66,6 +67,7 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 RELATION_NAMES = ("lex", "mep", "wlog")
+T = TypeVar("T")
 
 # check --grid refuses more points or a higher arity before building a
 # point: an all-axiom lex audit of 1,024 points takes about 17 s and 350 MB
@@ -77,15 +79,14 @@ class DocumentError(RafprefError):
 
 
 @contextmanager
-def _field(name: str) -> Iterator[None]:
-    """Re-raise a core error from the block as a DocumentError starting
-    ``name:``. Every grid takes its arity from --arity, so an arity error
-    names that flag instead."""
+def _field(name: str, errors: type = RafprefError) -> Iterator[None]:
+    """Re-raise a core error from the block (only one of type errors, if given) as a
+    DocumentError starting ``name:``; an arity error names --arity, every grid's arity flag."""
     try:
         yield
     except InvalidArityError as exc:
         raise DocumentError(f"--arity: {exc}") from None
-    except RafprefError as exc:
+    except errors as exc:
         raise DocumentError(f"{name}: {exc}") from None
 
 
@@ -116,47 +117,24 @@ class InputDocument:
         if sorted(priority) != sorted(alternatives):
             raise DocumentError("priority: must be a permutation of alternatives")
 
-        payoffs = None
+        ctx = PriorityContext(priority)
         if obj.get("payoffs") is not None:
-            raw = obj["payoffs"]
-            if not isinstance(raw, dict):
-                raise DocumentError("payoffs: expected a label-to-rational object")
-            payoffs = tuple(
-                _parse_field_rational(raw, label, "payoffs") for label in priority
-            )
-            _no_extra_labels(raw, alternatives, "payoffs")
-        with _field("payoffs"):
-            ctx = PriorityContext(priority, payoffs)
-
+            ctx = _by_label(obj["payoffs"], "payoffs", priority, "rational",
+                            lambda payoffs: PriorityContext(priority, payoffs))
         weights = None
         if obj.get("weights") is not None:
-            raw = obj["weights"]
-            if not isinstance(raw, dict):
-                raise DocumentError("weights: expected a label-to-integer object")
-            _no_extra_labels(raw, alternatives, "weights")
-            for label in priority:
-                if label not in raw:
-                    raise DocumentError(f"weights.{label}: missing")
-                w = raw[label]
-                if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                    raise DocumentError(f"weights.{label}: must be a positive integer")
-            with _field("weights"):
-                weights = WeightVector(ctx, tuple(raw[label] for label in priority))
+            weights = _by_label(obj["weights"], "weights", priority, "integer",
+                                lambda ws: WeightVector(ctx, ws))
 
         raw_rafs = obj.get("rafs")
         if not isinstance(raw_rafs, dict) or not raw_rafs:
             raise DocumentError("rafs: expected a nonempty object of named profiles")
-        rafs = []
-        for name, entry in raw_rafs.items():
-            if not isinstance(entry, dict):
-                raise DocumentError(f"rafs.{name}: expected a label-to-rational object")
-            _no_extra_labels(entry, alternatives, f"rafs.{name}")
-            values = tuple(
-                _parse_field_rational(entry, label, f"rafs.{name}") for label in priority
-            )
-            with _field(f"rafs.{name}"):
-                rafs.append((name, Raf(ctx, values)))
-        return cls(alternatives, ctx, weights, tuple(rafs))
+        rafs = tuple(
+            (name, _by_label(entry, f"rafs.{name}", priority, "rational",
+                             lambda values: Raf(ctx, values)))
+            for name, entry in raw_rafs.items()
+        )
+        return cls(alternatives, ctx, weights, rafs)
 
     def to_json_dict(self) -> dict:
         priority = self.context.alternatives
@@ -180,20 +158,34 @@ def _require_str_list(obj: dict, field: str) -> list[str]:
     return raw
 
 
-def _parse_field_rational(raw: dict, label: str, field: str) -> Fraction:
-    if label not in raw:
-        raise DocumentError(f"{field}.{label}: missing")
-    value = raw[label]
-    if not isinstance(value, str):
-        raise DocumentError(f"{field}.{label}: expected a rational string")
-    with _field(f"{field}.{label}"):
+def _label_value(value, kind: str):
+    if kind == "rational" and isinstance(value, str):
         return parse_rational(value)
+    # a zero weight is refused here, not only by WeightVector, so that its label is named
+    if kind == "integer" and type(value) is int and value >= 1:
+        return value
+    raise RafprefError("expected a rational string" if kind == "rational"
+                       else "must be a positive integer")
 
 
-def _no_extra_labels(raw: dict, alternatives: Sequence[str], field: str) -> None:
-    extra = [k for k in raw if k not in alternatives]
-    if extra:
-        raise DocumentError(f"{field}.{extra[0]}: not an alternative")
+def _by_label(raw, field: str, priority: Sequence[str], kind: str,
+              build: Callable[[tuple], T]) -> T:
+    """Read payoffs, weights or rafs.<name>, one value per alternative. Refuse a
+    non-object, then an unknown label, then a missing one; parse each value in
+    _field("<field>.<label>"), and pass them in priority order to build in _field(field)."""
+    if not isinstance(raw, dict):
+        raise DocumentError(f"{field}: expected a label-to-{kind} object")
+    unknown = [label for label in raw if label not in priority]
+    if unknown:
+        raise DocumentError(f"{field}.{unknown[0]}: not an alternative")
+    values = []
+    for label in priority:
+        if label not in raw:
+            raise DocumentError(f"{field}.{label}: missing")
+        with _field(f"{field}.{label}"):
+            values.append(_label_value(raw[label], kind))
+    with _field(field):
+        return build(tuple(values))
 
 
 def load_document(path: str) -> InputDocument:
@@ -232,51 +224,55 @@ def _build_relation(
     raise DocumentError(f"relation: unknown name {name!r}")
 
 
-def _parse_rational_csv(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(",") if part.strip())
+def _comma_list(text: str, flag: str, parse: Callable[[str], object],
+                build: Callable[[tuple], T]) -> T:
+    """Read a comma-list flag: parse each nonempty part and pass the parts
+    to build, all inside _field(flag), so that every error names the flag."""
+    with _field(flag):
+        return build(tuple(parse(part) for part in text.split(",") if part.strip()))
 
 
-def _grid_spec(text: str, arity: int, field: str) -> GridSpec:
-    with _field(field):
-        return GridSpec.of(_parse_rational_csv(text), arity)
+def _weight_part(text: str) -> int:
+    """A --weights part: an integer in plain ASCII digits, as in a document."""
+    s = text.strip()
+    if not (s.isascii() and s.removeprefix("-").isdigit()):
+        raise RafprefError("expected integers in plain digits")
+    return int(parse_rational(s))  # which refuses a run past int()'s digit limit
 
 
 def _grid_sample(args) -> tuple[PriorityContext, list[Raf], Optional[WeightVector]]:
-    spec = _grid_spec(args.grid, args.arity, "--grid")
+    spec = _comma_list(args.grid, "--grid", parse_rational,
+                       lambda levels: GridSpec.of(levels, args.arity))
     if not spec.within(CHECK_MAX_POINTS):
         raise DocumentError(
             f"--arity: the grid has {spec.size_text()} points at arity {spec.arity}; "
             f"the check bound of {CHECK_MAX_POINTS} caps both"
         )
-    labels = tuple(f"x{i}" for i in range(1, args.arity + 1))
-    with _field("--payoffs"):
-        payoffs = _parse_rational_csv(args.payoffs) if args.payoffs else None
-        ctx = PriorityContext(labels, payoffs)
+    ctx = default_context(args.arity)
+    if args.payoffs:
+        ctx = _comma_list(args.payoffs, "--payoffs", parse_rational,
+                          lambda payoffs: PriorityContext(ctx.alternatives, payoffs))
     weights = None
     if args.weights:
-        try:
-            ws = tuple(int(part) for part in args.weights.split(",") if part.strip())
-        except ValueError:
-            raise DocumentError("--weights: expected integers") from None
-        with _field("--weights"):
-            weights = WeightVector(ctx, ws)
+        weights = _comma_list(args.weights, "--weights", _weight_part,
+                              lambda ws: WeightVector(ctx, ws))
     return ctx, grid_points(spec, ctx), weights
 
 
-def _parse_axioms(text: str, allowed: Sequence[AxiomId], field: str) -> list[AxiomId]:
+def _parse_axioms(text: str, allowed: Sequence[AxiomId]) -> list[AxiomId]:
     if text.strip().lower() == "all":
         return list(allowed)
-    out = []
-    for part in text.split(","):
-        if not part.strip():
-            continue
+
+    def usable(part: str) -> AxiomId:
         axiom = AxiomId.parse(part)
         if axiom not in allowed:
-            raise DocumentError(f"{field}: axiom {axiom} not usable here")
-        out.append(axiom)
-    if not out:
-        raise DocumentError(f"{field}: no axioms named")
-    return out
+            raise RafprefError(f"axiom {axiom} not usable here")
+        return axiom
+
+    axioms = _comma_list(text, "--axioms", usable, list)
+    if not axioms:
+        raise DocumentError("--axioms: no axioms named")
+    return axioms
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +468,18 @@ def cmd_rank(args) -> int:
 def cmd_check(args) -> int:
     if bool(args.input) == bool(args.grid):
         raise DocumentError("input: give exactly one of --input or --grid")
-    if args.input and (args.arity is not None or args.payoffs or args.weights):
-        raise DocumentError("--arity/--payoffs/--weights: only meaningful with --grid")
     if args.input:
+        if args.arity is not None or args.payoffs or args.weights:
+            raise DocumentError("--arity/--payoffs/--weights: only meaningful with --grid")
         doc = load_document(args.input)
         ctx, weights = doc.context, doc.weights
         sample = [raf for _, raf in doc.rafs]
+    elif args.arity is None:
+        raise DocumentError("--arity: required with --grid")
     else:
-        if args.arity is None:
-            raise DocumentError("--arity: required with --grid")
         ctx, sample, weights = _grid_sample(args)
     rel = _build_relation(args.relation, ctx, weights)
-    axioms = _parse_axioms(args.axioms, ALL_AXIOMS, "--axioms")
+    axioms = _parse_axioms(args.axioms, ALL_AXIOMS)
     config = CheckConfig(all_violations=args.all_violations)
     report = run_checks(rel, sample, axioms, config)
     _emit(args, _check_json(report, rel.name), _render_check_text)
@@ -491,9 +487,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _grid_spec(args.levels, args.arity, "--levels")
-    axioms = _parse_axioms(args.axioms, VERIFY_AXIOMS, "--axioms")
-    rep = verify_characterization(spec, axioms, prune=args.prune, max_points=args.max_points)
+    spec = _comma_list(args.levels, "--levels", parse_rational,
+                       lambda levels: GridSpec.of(levels, args.arity))
+    axioms = _parse_axioms(args.axioms, VERIFY_AXIOMS)
+    with _field("--max-points", TooManyPointsError):  # an internal error names no flag
+        rep = verify_characterization(spec, axioms, prune=args.prune, max_points=args.max_points)
     _emit(args, _verify_json(rep), _render_verify_text)
     return EXIT_OK if rep.matches_lex else EXIT_VIOLATION
 

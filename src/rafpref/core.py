@@ -90,18 +90,19 @@ def parse_rational(text: str) -> Fraction:
 
     Decimals convert without rounding ("0.8" is 4/5). Exponents and any
     other float notation are rejected so no inexactness can sneak in, and
-    so is a literal with more digits than ``int()`` converts.
+    so is a literal with more digits than ``int()`` converts. An error
+    quotes at most the first 40 characters of the literal's repr.
     """
     s = text.strip()
     m = _FRACTION_RE.match(s)
     if not (m or _DECIMAL_RE.match(s)):
         raise RationalParseError(
-            f"not a rational literal: {text!r} (use p/q or a finite decimal)"
+            f"not a rational literal: {text!r:.40} (use p/q or a finite decimal)"
         )
     try:
         return Fraction(int(m.group(1)), int(m.group(2))) if m else Fraction(s)
     except ZeroDivisionError:
-        raise RationalParseError(f"zero denominator in {text!r}") from None
+        raise RationalParseError(f"zero denominator in {text!r:.40}") from None
     except ValueError:
         raise RationalParseError(
             f"more than {sys.get_int_max_str_digits()} digits in a rational literal"

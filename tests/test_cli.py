@@ -9,7 +9,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rafpref import PriorityContext, Raf, WeightVector, characterization, cli, relations
+from rafpref import (
+    PriorityContext, Raf, RafprefError, WeightVector, characterization, cli, relations,
+)
 from rafpref.cli import InputDocument, DocumentError, main
 
 MONEY_DOC = {
@@ -365,6 +367,30 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"has {size} points at arity {argv[-1]};" in err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--arity", "30"], "1073741824 points at arity 30; the enumeration bound of 9"),
+            (["--arity", "2", "--max-points", "0"], "4 points at arity 2; the enumeration bound of 0"),
+            (["--arity", "2", "--max-points=-1"], "4 points at arity 2; the enumeration bound of -1"),
+        ],
+    )
+    def test_point_bound_names_max_points(self, monkeypatch, capsys, extra, message):
+        def refuse(*args):
+            raise AssertionError("grid_points called on an oversized grid")
+
+        monkeypatch.setattr(characterization, "grid_points", refuse)
+        assert main(["verify", "--levels", "0,1", *extra]) == 2
+        assert capsys.readouterr().err == f"error: --max-points: grid has {message} caps both\n"
+
+    def test_internal_error_names_no_flag(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RafprefError("internal error: survivor domain is not the audited point set")
+
+        monkeypatch.setattr(cli, "verify_characterization", broken)
+        assert main(["verify", "--levels", "0,1", "--arity", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: internal error: ")
+
     def test_max_points_override(self, capsys):
         code = main(
             ["verify", "--levels", "0,1/2,1", "--arity", "2", "--max-points", "9"]
@@ -486,6 +512,53 @@ class TestInputBoundary:
     def test_flag_value_named(self, argv, field, capsys):
         assert self.error_line(argv, capsys).startswith(f"error: {field}: ")
 
+    RANK = ["rank", "-i", "DOC", "-r", "lex"]
+    GRID = ["check", "-r", "lex", "--grid", "0,1", "--arity", "2"]
+
+    @pytest.mark.parametrize(
+        "argv,document,field",
+        [
+            (RANK, [], "document"),
+            (RANK, dict(MONEY_DOC, alternatives="$40,$10"), "alternatives"),
+            (RANK, dict(MONEY_DOC, priority=["$40", 10]), "priority"),
+            (RANK, dict(MONEY_DOC, payoffs=["40", "10"]), "payoffs"),
+            (RANK, dict(MONEY_DOC, payoffs={"$40": "40", "$10": "10", "$5": "5"}), "payoffs.$5"),
+            # an unknown label is refused before a missing one, in every field
+            (RANK, dict(MONEY_DOC, payoffs={"$40": "40", "$5": "5"}), "payoffs.$5"),
+            (RANK, dict(MONEY_DOC, weights={"$40": 1, "$5": 1}), "weights.$5"),
+            (RANK, dict(MONEY_DOC, rafs={"A": {"$40": "1/5", "$5": "1"}}), "rafs.A.$5"),
+            (RANK, dict(MONEY_DOC, weights=[1, 1]), "weights"),
+            (RANK, dict(MONEY_DOC, weights={"$40": 1}), "weights.$10"),
+            (RANK, dict(MONEY_DOC, rafs={}), "rafs"),
+            (RANK, dict(MONEY_DOC, rafs=[]), "rafs"),
+            (RANK, dict(MONEY_DOC, rafs={"A": ["1/5", "4/5"]}), "rafs.A"),
+            (RANK, dict(MONEY_DOC, rafs={"A": {"$40": 0.2, "$10": "4/5"}}), "rafs.A.$40"),
+            (["check", "-r", "lex", "-i", "DOC", "--arity", "2"], MONEY_DOC,
+             "--arity/--payoffs/--weights"),
+            (["check", "-r", "lex", "-i", "DOC", "--weights", "1,1"], MONEY_DOC,
+             "--arity/--payoffs/--weights"),
+            (["check", "-r", "lex", "--grid", "0,1"], MONEY_DOC, "--arity"),
+            (GRID + ["--axioms", ","], MONEY_DOC, "--axioms"),
+            (["verify", "--levels", "0,1", "--arity", "2", "--axioms", ","], MONEY_DOC, "--axioms"),
+            (GRID + ["--weights", "1_0,1"], MONEY_DOC, "--weights"),
+            (GRID + ["--weights", "\u0661,1"], MONEY_DOC, "--weights"),
+            (GRID + ["--weights", "+1,1"], MONEY_DOC, "--weights"),
+        ],
+    )
+    def test_refusal_named(self, argv, document, field, tmp_path, capsys):
+        path = write_doc(tmp_path, document)
+        argv = [path if a == "DOC" else a for a in argv]
+        assert self.error_line(argv, capsys).startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "argv", [GRID, ["verify", "--levels", "0,1", "--arity", "2"]]
+    )
+    def test_unknown_axiom_named(self, argv, capsys):
+        err = self.error_line(argv + ["--axioms", "Foo"], capsys)
+        assert err == "error: --axioms: unknown axiom 'Foo'\n"
+        long_name = self.error_line(argv + ["--axioms", "x" * 100_000], capsys)
+        assert long_name.startswith("error: --axioms: unknown axiom 'xxx") and len(long_name) < 100
+
     def test_document_rational_past_digit_limit_named(self, tmp_path, capsys):
         obj = dict(MONEY_DOC, rafs={"A": {"$40": "1/" + self.ONES, "$10": "0"}})
         err = self.error_line(["rank", "-i", write_doc(tmp_path, obj), "-r", "lex"], capsys)
@@ -562,3 +635,34 @@ def test_fuzzed_inputs_exit_cleanly(levels, grid, payoffs, weights, doc_payoffs,
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert err.count("\n") == 1 and named.match(err), (argv, err[:200])
+
+
+_AXIOM_PART = st.sampled_from(
+    ["", " ", "sm", "SM", "all", "ALL", "Foo", "WeakIWA", "iwa", "Transitive", "NonCompensation"]
+)
+_WEIGHT_PART = st.sampled_from(
+    ["1_0", "\u0661", "+1", "0", "101", " 1", "2 ", "", "-1", "1.0", "1" * 5000]
+)
+
+
+# every grid has at most 4 points, so no draw starts a large walk
+@settings(max_examples=100, deadline=None)
+@given(
+    axioms=st.lists(_AXIOM_PART, max_size=3).map(",".join),
+    weights=st.lists(_WEIGHT_PART, max_size=3).map(",".join),
+    max_points=st.integers(-3, 6),
+)
+def test_fuzzed_flags_exit_cleanly(axioms, weights, max_points):
+    runs = [
+        ["verify", "--levels", "0,1", "--arity", "2", f"--axioms={axioms}",
+         f"--max-points={max_points}"],
+        ["check", "-r", "wlog", "--grid", "0,1", "--arity", "2", f"--axioms={axioms}",
+         f"--weights={weights}"],
+    ]
+    named = re.compile(r"error: (--axioms|--weights|--max-points|weights): ")
+    for argv in runs:
+        code, err = _run(argv)  # no exception may escape main
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") == 1 and named.match(err), (argv, err[:200])

@@ -26,6 +26,7 @@ from rafpref import (
     pointwise_geq,
     strictly_dominates,
 )
+from rafpref.cli import main
 from conftest import rationals01
 
 
@@ -71,6 +72,16 @@ class TestParseRational:
         with pytest.raises(RationalParseError, match="not a rational literal"):
             parse_rational("1" * 100_000 + "x")
         assert time.perf_counter() - start < 1.0  # quadratic matching took minutes
+
+    @pytest.mark.parametrize("text", ["1" * 100_000 + "x", "1/0" + " " * 100_000])
+    def test_long_bad_literal_quoted_in_short(self, text, capsys):
+        with pytest.raises(RationalParseError) as info:
+            parse_rational(text)
+        assert len(str(info.value)) < 100
+        assert main(["verify", "--levels", "0," + text, "--arity", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --levels: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
 
     def test_floats_refused_in_construction(self):
         ctx = default_context(2)
