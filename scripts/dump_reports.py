@@ -13,6 +13,9 @@ count, a verdict, a witness or its order shows up as a changed line.
 - ``repr`` of the report of each of the eight public ``check_*``
   functions for lex, mep and wlog on the grids of at most nine points,
   with and without ``all_violations``;
+- after each ``run_checks`` and ``check_*`` report, one ``replay`` line per
+  axiom with the ``replay_violation`` verdict (1 or 0) of every listed
+  witness, so a change in replay shows up too;
 - ``rafpref verify`` JSON without ``elapsed_ms`` and text without the
   ``elapsed:`` line, pruned and unpruned;
 - ``rafpref rank`` text and JSON for lex, mep and wlog on the README's
@@ -64,6 +67,7 @@ from rafpref import (  # noqa: E402
     check_weak_iwa,
     enumerate_weak_orders,
     grid_points,
+    replay_violation,
     run_checks,
 )
 from rafpref import cli  # noqa: E402
@@ -155,6 +159,7 @@ ERROR_DOCUMENTS = {
     "raf bad literal": dict(MONEY_DOC, rafs={"A": {"$40": "1e-3", "$10": "4/5"}}),
     "raf zero denominator": dict(MONEY_DOC, rafs={"A": {"$40": "1/0", "$10": "4/5"}}),
     "raf out of range": dict(MONEY_DOC, rafs={"A": {"$40": "3/2", "$10": "4/5"}}),
+    "raf non-ASCII digit": dict(MONEY_DOC, rafs={"A": {"$40": "\u0661/5", "$10": "4/5"}}),
 }
 CHECK_GRID = ["check", "--relation", "lex", "--grid", "0,1", "--arity", "2"]
 VERIFY_GRID = ["verify", "--levels", "0,1", "--arity", "2"]
@@ -180,6 +185,9 @@ ERROR_FLAGS = [
     ["verify", "--levels", "0,1", "--arity", "1"],
     ["verify", "--levels", "0,1/0", "--arity", "2"],
     ["verify", "--levels", "0," + "1" * 300 + "x", "--arity", "2"],
+    ["verify", "--levels", "0,\u0661", "--arity", "2"],
+    ["check", "--relation", "lex", "--grid", "0,\u0661", "--arity", "2"],
+    ["check", "--relation", "mep", "--grid", "0,1", "--arity", "2", "--payoffs", "\u0664,1"],
 ]
 
 OUTCOMES = tuple(ComparisonOutcome)
@@ -230,6 +238,14 @@ def emit(case: str, code: int, text: str) -> None:
     print(text.rstrip("\n"))
 
 
+def replays(rel, report) -> str:
+    """One line per result: the replay_violation verdict of each listed witness."""
+    return "\n".join(
+        f"replay {r.axiom}: " + "".join(str(int(replay_violation(rel, v))) for v in r.violations)
+        for r in report.results
+    )
+
+
 def points_of(grid: str, arity: int) -> int:
     return len(grid.split(",")) ** arity
 
@@ -267,6 +283,7 @@ def random_relation_cases() -> None:
                 payload = cli._check_json(report, rel.name)
                 emit(case + " text", code, cli._render_check_text(payload))
                 emit(case + " json", code, json.dumps(payload, indent=2))
+                emit(case + " replay", code, replays(rel, report))
 
 
 def checker_cases() -> None:
@@ -285,7 +302,7 @@ def checker_cases() -> None:
                 for all_violations in (False, True):
                     report = checker(rel, sample, CheckConfig(all_violations))
                     case = f"{checker.__name__} {relation} {grid}^{arity} all_violations={all_violations}"
-                    emit(case, 0 if report.passed else 1, repr(report))
+                    emit(case, 0 if report.passed else 1, repr(report) + "\n" + replays(rel, report))
 
 
 def verify_cases() -> None:

@@ -10,7 +10,8 @@ Every audit reads two tables over the n^2 ordered pairs of the sample:
 the (up-set, down-set, first difference) signature of each pair, and the
 relation's verdicts, drawn once per pair and memoized.
 
-- Reflexivity and mirror consistency visit every point and pair.
+- Reflexivity visits every point; mirror consistency and connectedness
+  every ordered pair.
 - The pair axioms' hypotheses are conditions on a pair's up and down
   sets, so only the qualifying pairs are put to the relation.
 - Transitivity counts ordered triples from one bit row of weak verdicts
@@ -20,8 +21,11 @@ relation's verdicts, drawn once per pair and memoized.
   weak verdict is constant on every key class; qualifying and violating
   quadruples are counted from the classes instead of visiting all n^4.
 
-Counts are always exact; the witness policy only controls how many
-violations are recorded, and only those are built.
+Each axiom has one scan, and every scan has one shape: it returns
+(tuples examined, qualifying, violation count, witnesses), with exact
+counts and the witnesses as a lazy stream in canonical order. run_checks
+runs the requested scans in one pass over ALL_AXIOMS and draws only the
+witnesses the config records.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     ContextMismatchError,
@@ -223,40 +227,30 @@ def _updown(a: Raf, b: Raf) -> tuple[int, int]:
 
 def qualifies_non_compensation(a: Raf, b: Raf, c: Raf, d: Raf) -> bool:
     """The two pairs have identical up-sets and identical down-sets."""
-    require_same_context(a, b)
-    require_same_context(a, c)
-    require_same_context(a, d)
+    for other in (b, c, d):
+        require_same_context(a, other)
     return _updown(a, b) == _updown(c, d)
 
 
 def qualifies_axiom2(a: Raf, b: Raf, c: Raf, d: Raf) -> Optional[int]:
     """Single-coordinate hypothesis: both pairs differ only at one shared
     coordinate y with matching values there; returns the 1-based y."""
-    require_same_context(a, b)
-    require_same_context(a, c)
-    require_same_context(a, d)
-    y = None
-    for i, (x, z) in enumerate(zip(a.values, b.values)):
-        if x != z:
-            if y is not None:
-                return None
-            y = i
-    if y is None:
+    for other in (b, c, d):
+        require_same_context(a, other)
+    diffs = [i for i, (x, z) in enumerate(zip(a.values, b.values)) if x != z]
+    if len(diffs) != 1:
         return None
-    for i, (x, z) in enumerate(zip(c.values, d.values)):
-        if x != z and i != y:
-            return None
-    if c.values[y] != a.values[y] or d.values[y] != b.values[y]:
-        return None
-    return y + 1
+    y = diffs[0]
+    others_equal = all(x == z for i, (x, z) in enumerate(zip(c.values, d.values)) if i != y)
+    same_values = c.values[y] == a.values[y] and d.values[y] == b.values[y]
+    return y + 1 if others_equal and same_values else None
 
 
 def qualifies_iwa_at(a: Raf, b: Raf, c: Raf, d: Raf, k: int) -> bool:
     """Restricted-signature hypothesis at 1-based k: the first pair differs
     at k and both pairs show the same up/down pattern on coordinates <= k."""
-    require_same_context(a, b)
-    require_same_context(a, c)
-    require_same_context(a, d)
+    for other in (b, c, d):
+        require_same_context(a, other)
     if a.values[k - 1] == b.values[k - 1]:
         return False
     mask = (1 << k) - 1
@@ -319,23 +313,46 @@ def _pair_signatures(values: Sequence[tuple]) -> list[list[tuple[int, int, int]]
     return sigs
 
 
+class _PairAxiom(NamedTuple):
+    """A pair axiom, stated once. A pair qualifies when it is nowhere
+    below and meets(up, full) holds of its up-set, full being the set of
+    every coordinate; hypothesis is the raf-level predicate for the same
+    condition, which replay reads; a failing pair's witness states
+    requirement and, when indexed, reports the raised coordinate."""
+
+    meets: Callable[[int, int], bool]
+    hypothesis: Callable[[Raf, Raf], object]
+    requirement: str
+    indexed: bool = False
+
+
+_PAIR_HYPOTHESES = {
+    # strictly above at every coordinate
+    AxiomId.WEAK_DOMINANCE: _PairAxiom(
+        lambda up, full: up == full, strictly_dominates,
+        "strict dominance requires FirstPreferred"),
+    # strictly above at exactly one coordinate and equal elsewhere
+    AxiomId.STRONG_MONOTONICITY: _PairAxiom(
+        lambda up, full: up != 0 and up & (up - 1) == 0, single_coordinate_increase,
+        "a single-coordinate increase requires FirstPreferred", indexed=True),
+    # nowhere below and above somewhere
+    AxiomId.STRONG_DOMINANCE: _PairAxiom(
+        lambda up, full: up != 0, qualifies_strong_dominance,
+        "coordinatewise dominance requires FirstPreferred"),
+}
+
+
 def _qualifying_pairs(
     axiom: AxiomId, arity: int, sigs: list[list[tuple[int, int, int]]]
 ) -> Iterator[tuple[int, int, int]]:
     """(i, j, fd) for each ordered pair meeting a pair axiom's hypothesis,
-    in row-major order. WeakDominance: strictly above at every coordinate.
-    StrongMonotonicity: strictly above at exactly one coordinate and equal
-    elsewhere. StrongDominance: nowhere below and above somewhere."""
+    in row-major order."""
     full = (1 << arity) - 1
-    meets = {
-        AxiomId.WEAK_DOMINANCE: lambda up: up == full,
-        AxiomId.STRONG_MONOTONICITY: lambda up: up != 0 and up & (up - 1) == 0,
-        AxiomId.STRONG_DOMINANCE: lambda up: up != 0,
-    }[axiom]
+    meets = _PAIR_HYPOTHESES[axiom].meets
     return (
         (i, j, fd)
         for i, row in enumerate(sigs) for j, (up, down, fd) in enumerate(row)
-        if not down and meets(up)
+        if not down and meets(up, full)
     )
 
 
@@ -462,6 +479,12 @@ class _Audit:
     def geq(self, i: int, j: int) -> bool:
         return at_least_as_good(self.outcome(i, j))
 
+    @cached_property
+    def verdicts(self) -> list[list[Optional[ComparisonOutcome]]]:
+        """[i][j] is the verdict on i against j, drawn on first use; None if i == j."""
+        n = self.n
+        return [[self.outcome(i, j) if i != j else None for j in range(n)] for i in range(n)]
+
 
 def _members(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, in increasing order."""
@@ -471,87 +494,50 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _result(
-    axiom: AxiomId,
-    examined: int,
-    qualifying: int,
-    violations: Iterable[AxiomViolation],
-    config: CheckConfig,
-    violation_count: Optional[int] = None,
-) -> AxiomResult:
-    """violations lists witnesses in canonical order; only the recorded
-    ones are drawn from it. violation_count defaults to its length, for
-    scans that pass a list of every violation they find."""
-    count = len(violations) if violation_count is None else violation_count
-    recorded = tuple(islice(violations, None if config.all_violations else 1))
-    return AxiomResult(
-        axiom=axiom,
-        passed=count == 0,
-        tuples_examined=examined,
-        qualifying=qualifying,
-        violation_count=count,
-        violations=recorded,
+# ---------------------------------------------------------------------------
+# Scans: one per axiom, called as scan(audit, axiom), each of the shape the
+# module docstring gives.
+# ---------------------------------------------------------------------------
+
+_Scan = tuple[int, int, int, Iterator[AxiomViolation]]
+
+
+def _reflexive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
+    """Each point compared with itself must be Indifferent."""
+    sample, outcome = audit.sample, audit.outcome
+    failed = [i for i in range(audit.n) if outcome(i, i) is not ComparisonOutcome.INDIFFERENT]
+    witnesses = (
+        AxiomViolation(axiom, (sample[i],), (outcome(i, i),),
+                       detail="comparing a profile with itself must be Indifferent")
+        for i in failed
     )
+    return audit.n, audit.n, len(failed), witnesses
 
 
-def _order_results(
-    audit: _Audit, config: CheckConfig, axioms: Collection[AxiomId]
-) -> list[AxiomResult]:
-    """Results for the requested order axioms, in canonical order; only
-    their scans run."""
-    n = audit.n
-    sample = audit.sample
-    INDIFF = ComparisonOutcome.INDIFFERENT
-    results: list[AxiomResult] = []
-
-    if AxiomId.REFLEXIVE in axioms:
-        reflexive: list[AxiomViolation] = []
-        for i in range(n):
-            out = audit.outcome(i, i)
-            if out is not INDIFF:
-                reflexive.append(
-                    AxiomViolation(
-                        AxiomId.REFLEXIVE,
-                        (sample[i],),
-                        (out,),
-                        detail="comparing a profile with itself must be Indifferent",
-                    )
-                )
-        results.append(_result(AxiomId.REFLEXIVE, n, n, reflexive, config))
-
-    pairs = n * (n - 1)
-    if AxiomId.MIRROR_CONSISTENT in axioms or AxiomId.CONNECTED in axioms:
-        mirror: list[AxiomViolation] = []
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                fwd = audit.outcome(i, j)
-                back = audit.outcome(j, i)
-                if back is not fwd.mirrored():
-                    mirror.append(
-                        AxiomViolation(
-                            AxiomId.MIRROR_CONSISTENT,
-                            (sample[i], sample[j]),
-                            (fwd, back),
-                            detail="swapped arguments must mirror the verdict",
-                        )
-                    )
-        if AxiomId.MIRROR_CONSISTENT in axioms:
-            results.append(_result(AxiomId.MIRROR_CONSISTENT, pairs, pairs, mirror, config))
-        # Connectedness is structural: the outcome type has no "incomparable"
-        # value, and the scan above has drawn a verdict for every ordered
-        # pair (a comparator that cannot is rejected at memo time), so it
-        # cannot fail.
-        if AxiomId.CONNECTED in axioms:
-            results.append(_result(AxiomId.CONNECTED, pairs, pairs, [], config))
-
-    if AxiomId.TRANSITIVE in axioms:
-        results.append(_transitive_result(audit, config))
-    return results
+def _mirror_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
+    """Each ordered pair's verdict must be the mirror of its swap's."""
+    sample, rows = audit.sample, audit.verdicts
+    failed = [(i, j) for i, row in enumerate(rows) for j, out in enumerate(row)
+              if i != j and out.mirrored() is not rows[j][i]]
+    witnesses = (
+        AxiomViolation(axiom, (sample[i], sample[j]), (rows[i][j], rows[j][i]),
+                       detail="swapped arguments must mirror the verdict")
+        for i, j in failed
+    )
+    pairs = audit.n * (audit.n - 1)
+    return pairs, pairs, len(failed), witnesses
 
 
-def _transitive_result(audit: _Audit, config: CheckConfig) -> AxiomResult:
+def _connected_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
+    """Connectedness is structural: the outcome type has no "incomparable"
+    value, so drawing a verdict for every ordered pair is the whole check.
+    A comparator that cannot is rejected at memo time."""
+    audit.verdicts  # drawn here unless the Mirror scan already has
+    pairs = audit.n * (audit.n - 1)
+    return pairs, pairs, 0, iter(())
+
+
+def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Transitivity counted over one weak-verdict bit row per point.
 
     Bit j of rows[i] is set when i is at least as good as j. The triple
@@ -561,8 +547,7 @@ def _transitive_result(audit: _Audit, config: CheckConfig) -> AxiomResult:
     violations. Witnesses come in row-major (i, j, k) order.
     """
     n = audit.n
-    sample = audit.sample
-    geq = audit.geq
+    sample, outcome, geq = audit.sample, audit.outcome, audit.geq
     rows = [sum(1 << j for j in range(n) if geq(i, j)) for i in range(n)]
     sizes = [row.bit_count() for row in rows]
     qualifying = violation_count = 0
@@ -570,66 +555,42 @@ def _transitive_result(audit: _Audit, config: CheckConfig) -> AxiomResult:
         for j in _members(row):
             qualifying += sizes[j]
             violation_count += (rows[j] & ~row).bit_count()
-
-    def witnesses() -> Iterator[AxiomViolation]:
-        for i, row in enumerate(rows):
-            for j in _members(row):
-                for k in _members(rows[j] & ~row):
-                    yield AxiomViolation(
-                        AxiomId.TRANSITIVE,
-                        (sample[i], sample[j], sample[k]),
-                        (audit.outcome(i, j), audit.outcome(j, k), audit.outcome(i, k)),
-                        detail="weak preference must chain through the middle profile",
-                    )
-
-    return _result(
-        AxiomId.TRANSITIVE, n ** 3, qualifying, witnesses(), config, violation_count
-    )
-
-
-_PAIR_REQUIREMENTS = {
-    AxiomId.WEAK_DOMINANCE: "strict dominance requires FirstPreferred",
-    AxiomId.STRONG_MONOTONICITY: "a single-coordinate increase requires FirstPreferred",
-    AxiomId.STRONG_DOMINANCE: "coordinatewise dominance requires FirstPreferred",
-}
-
-
-def _pair_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
-    """Pair audit over the signature table: only pairs that meet the
-    hypothesis are put to the comparator. StrongMonotonicity witnesses
-    report the raised coordinate; the other two have no index."""
-    n = audit.n
-    sample = audit.sample
-    FIRST = ComparisonOutcome.FIRST_PREFERRED
-    qualifying = 0
-    failed: list[tuple[int, int, int]] = []
-    for i, j, fd in _qualifying_pairs(axiom, len(audit.values[0]), audit.signatures):
-        qualifying += 1
-        if audit.outcome(i, j) is not FIRST:
-            failed.append((i, j, fd))
-    requirement = _PAIR_REQUIREMENTS[axiom]
-    indexed = axiom is AxiomId.STRONG_MONOTONICITY
     witnesses = (
         AxiomViolation(
             axiom,
-            (sample[i], sample[j]),
-            (audit.outcome(i, j),),
-            index=fd + 1 if indexed else None,
-            detail=f"{requirement}; observed {audit.outcome(i, j)}",
+            (sample[i], sample[j], sample[k]),
+            (outcome(i, j), outcome(j, k), outcome(i, k)),
+            detail="weak preference must chain through the middle profile",
         )
+        for i, row in enumerate(rows) for j in _members(row) for k in _members(rows[j] & ~row)
+    )
+    return n ** 3, qualifying, violation_count, witnesses
+
+
+def _pair_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
+    """Pair audit over the signature table: only pairs that meet the
+    hypothesis are put to the comparator."""
+    sample, outcome = audit.sample, audit.outcome
+    entry = _PAIR_HYPOTHESES[axiom]
+    qualifying = list(_qualifying_pairs(axiom, len(audit.values[0]), audit.signatures))
+    failed = [(i, j, fd) for i, j, fd in qualifying
+              if outcome(i, j) is not ComparisonOutcome.FIRST_PREFERRED]
+    witnesses = (
+        AxiomViolation(axiom, (sample[i], sample[j]), (outcome(i, j),),
+                       index=fd + 1 if entry.indexed else None,
+                       detail=f"{entry.requirement}; observed {outcome(i, j)}")
         for i, j, fd in failed
     )
-    return _result(axiom, n * (n - 1), qualifying, witnesses, config, len(failed))
+    return audit.n * (audit.n - 1), len(qualifying), len(failed), witnesses
 
 
-def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomResult:
+def _quad_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Quadruple audit counted over the axiom's hypothesis classes.
 
     Witnesses come in row-major order: for each pair, the members of its
     class with the opposite verdict.
     """
-    sample = audit.sample
-    geq = audit.geq
+    sample, outcome, geq = audit.sample, audit.outcome, audit.geq
     qualifying, violation_count, mixed = audit.tally(axiom)
 
     def witnesses() -> Iterator[AxiomViolation]:
@@ -641,15 +602,22 @@ def _quad_result(axiom: AxiomId, audit: _Audit, config: CheckConfig) -> AxiomRes
                     yield AxiomViolation(
                         axiom,
                         (sample[i], sample[j], sample[k], sample[l]),
-                        (audit.outcome(i, j), audit.outcome(k, l)),
+                        (outcome(i, j), outcome(k, l)),
                         index=index,
                         detail="matching hypothesis but opposite weak verdicts",
                     )
 
-    return _result(
-        axiom, audit.n ** 4, qualifying, witnesses(), config, violation_count
-    )
+    return audit.n ** 4, qualifying, violation_count, witnesses()
 
+
+_SCANS: dict[AxiomId, Callable[[_Audit, AxiomId], _Scan]] = {
+    AxiomId.REFLEXIVE: _reflexive_scan,
+    AxiomId.MIRROR_CONSISTENT: _mirror_scan,
+    AxiomId.CONNECTED: _connected_scan,
+    AxiomId.TRANSITIVE: _transitive_scan,
+    **dict.fromkeys(PAIR_AXIOMS, _pair_scan),
+    **dict.fromkeys(QUAD_AXIOMS, _quad_scan),
+}
 
 # ---------------------------------------------------------------------------
 # Public checkers
@@ -774,15 +742,55 @@ def run_checks(
 def _run_audit(
     audit: _Audit, axioms: Iterable[AxiomId], config: CheckConfig = DEFAULT_CONFIG
 ) -> AxiomReport:
-    """run_checks on a prepared audit."""
+    """run_checks on a prepared audit: one pass over ALL_AXIOMS, running
+    each requested axiom's scan and drawing only the recorded witnesses."""
     requested = set(axioms)
     unknown = requested - set(ALL_AXIOMS)
     if unknown:
         raise RafprefError(f"unknown axioms: {sorted(str(a) for a in unknown)}")
-    results = _order_results(audit, config, requested)
-    results += [_pair_result(a, audit, config) for a in PAIR_AXIOMS if a in requested]
-    results += [_quad_result(a, audit, config) for a in QUAD_AXIOMS if a in requested]
+    recorded = None if config.all_violations else 1
+    results = []
+    for axiom in (a for a in ALL_AXIOMS if a in requested):
+        examined, qualifying, count, witnesses = _SCANS[axiom](audit, axiom)
+        results.append(AxiomResult(
+            axiom, count == 0, examined, qualifying, count, tuple(islice(witnesses, recorded))
+        ))
     return AxiomReport(tuple(results), audit.n)
+
+
+def _pair_replay(hypothesis: Callable) -> Callable[..., bool]:
+    """The pair qualifies but is not strictly preferred."""
+    return lambda rel, a, b: (
+        bool(hypothesis(a, b)) and rel.compare(a, b) is not ComparisonOutcome.FIRST_PREFERRED
+    )
+
+
+def _quad_replay(hypothesis: Callable) -> Callable[..., bool]:
+    """The quadruple qualifies but its pairs' weak verdicts differ."""
+    return lambda rel, a, b, c, d: (
+        bool(hypothesis(a, b, c, d)) and rel.at_least_as_good(a, b) != rel.at_least_as_good(c, d)
+    )
+
+
+# Each axiom's replay, called as replay(rel, *witness). The hypotheses are
+# the raf-level predicates (a 1-based index they return is never 0), never
+# the signature table, so a replay cross-checks the scans.
+_REPLAYS: dict[AxiomId, Callable[..., bool]] = {
+    AxiomId.REFLEXIVE: lambda rel, a: rel.compare(a, a) is not ComparisonOutcome.INDIFFERENT,
+    AxiomId.MIRROR_CONSISTENT: (
+        lambda rel, a, b: rel.compare(b, a) is not rel.compare(a, b).mirrored()
+    ),
+    AxiomId.CONNECTED: lambda rel, *witness: False,
+    AxiomId.TRANSITIVE: lambda rel, a, b, c: (
+        rel.at_least_as_good(a, b) and rel.at_least_as_good(b, c)
+        and not rel.at_least_as_good(a, c)
+    ),
+    **{axiom: _pair_replay(entry.hypothesis) for axiom, entry in _PAIR_HYPOTHESES.items()},
+    AxiomId.NON_COMPENSATION: _quad_replay(qualifies_non_compensation),
+    AxiomId.AXIOM2_MS: _quad_replay(qualifies_axiom2),
+    AxiomId.IWA: _quad_replay(iwa_indices),
+    AxiomId.WEAK_IWA: _quad_replay(qualifies_weak_iwa),
+}
 
 
 def replay_violation(rel: PreferenceRelation, violation: AxiomViolation) -> bool:
@@ -791,42 +799,7 @@ def replay_violation(rel: PreferenceRelation, violation: AxiomViolation) -> bool
     Goes through the raf-level hypothesis predicates rather than the
     signature table, so it also cross-checks the table-driven scans.
     """
-    w = violation.witness
-    axiom = violation.axiom
-    compare = rel.compare
-    geq = rel.at_least_as_good
-    if axiom is AxiomId.REFLEXIVE:
-        return compare(w[0], w[0]) is not ComparisonOutcome.INDIFFERENT
-    if axiom is AxiomId.MIRROR_CONSISTENT:
-        return compare(w[1], w[0]) is not compare(w[0], w[1]).mirrored()
-    if axiom is AxiomId.CONNECTED:
-        return False
-    if axiom is AxiomId.TRANSITIVE:
-        a, b, c = w
-        return geq(a, b) and geq(b, c) and not geq(a, c)
-    if axiom is AxiomId.WEAK_DOMINANCE:
-        a, b = w
-        return strictly_dominates(a, b) and compare(a, b) is not ComparisonOutcome.FIRST_PREFERRED
-    if axiom is AxiomId.STRONG_MONOTONICITY:
-        a, b = w
-        return (
-            single_coordinate_increase(a, b) is not None
-            and compare(a, b) is not ComparisonOutcome.FIRST_PREFERRED
-        )
-    if axiom is AxiomId.STRONG_DOMINANCE:
-        a, b = w
-        return (
-            qualifies_strong_dominance(a, b)
-            and compare(a, b) is not ComparisonOutcome.FIRST_PREFERRED
-        )
-    a, b, c, d = w
-    mismatch = geq(a, b) != geq(c, d)
-    if axiom is AxiomId.NON_COMPENSATION:
-        return qualifies_non_compensation(a, b, c, d) and mismatch
-    if axiom is AxiomId.AXIOM2_MS:
-        return qualifies_axiom2(a, b, c, d) is not None and mismatch
-    if axiom is AxiomId.IWA:
-        return bool(iwa_indices(a, b, c, d)) and mismatch
-    if axiom is AxiomId.WEAK_IWA:
-        return qualifies_weak_iwa(a, b, c, d) is not None and mismatch
-    raise RafprefError(f"cannot replay axiom {axiom}")
+    replay = _REPLAYS.get(violation.axiom)
+    if replay is None:
+        raise RafprefError(f"cannot replay axiom {violation.axiom}")
+    return replay(rel, *violation.witness)

@@ -161,8 +161,7 @@ def _require_str_list(obj: dict, field: str) -> list[str]:
 def _label_value(value, kind: str):
     if kind == "rational" and isinstance(value, str):
         return parse_rational(value)
-    # a zero weight is refused here, not only by WeightVector, so that its label is named
-    if kind == "integer" and type(value) is int and value >= 1:
+    if kind == "integer" and type(value) is int:  # WeightVector checks the range
         return value
     raise RafprefError("expected a rational string" if kind == "rational"
                        else "must be a positive integer")

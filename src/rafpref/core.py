@@ -79,10 +79,10 @@ class InvalidArityError(InvalidGridError):
     """Grid arity below two."""
 
 
-_FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
+_FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$", re.ASCII)
 # A digit run matches in one way only: with "\d+\.?\d*" a failed match
 # would retry every split of the run, quadratic in its length.
-_DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
+_DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -175,11 +175,11 @@ class WeightVector:
             raise WeightArityMismatchError(
                 f"expected {self.context.arity} weights, got {len(self.weights)}"
             )
-        for w in self.weights:
+        for alt, w in zip(self.context.alternatives, self.weights):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise InvalidWeightError(f"weight {w!r} is not a positive integer")
+                raise InvalidWeightError(f"weight for {alt!r} must be a positive integer")
             if w > MAX_WEIGHT:
-                raise InvalidWeightError(f"a weight above {MAX_WEIGHT} is refused")
+                raise InvalidWeightError(f"weight for {alt!r} above {MAX_WEIGHT} is refused")
 
 
 def _weighted_product(a: Raf, weights: WeightVector) -> Fraction:

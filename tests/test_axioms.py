@@ -38,6 +38,7 @@ from rafpref import (
     table_relation,
 )
 from rafpref.axioms import (
+    ALL_AXIOMS,
     PAIR_AXIOMS,
     QUAD_AXIOMS,
     AxiomViolation,
@@ -678,6 +679,42 @@ class TestTableScansMatchBruteForce:
         assert len(failing) >= 4
 
 
+def failing_cases():
+    """Relations that break the axioms on small grids, every axiom but the
+    structural Connected broken by at least one of them."""
+    nine = grid_points(GridSpec.of(["0", "1/2", "1"], 2))
+    wlog = WeightedLogProductRelation(WeightVector(default_context(2), (1, 1)))
+    cases = [mep_40_10_grid(["0", "1/2", "1"]), (wlog, nine), (ReversedLex(), nine),
+             (AlwaysFirst(), nine)]
+    for seed in (1, 2):
+        sample = list(nine)
+        random.Random(seed).shuffle(sample)
+        cases.append((RandomMirror(nine, seed), sample))
+    return cases
+
+
+class TestEveryWitnessReplays:
+    """replay_violation re-derives every recorded witness through the
+    raf-level predicates, and refuses each one for lex, which passes all."""
+
+    @pytest.mark.parametrize("rel,sample", failing_cases())
+    def test_every_witness_replays_and_not_for_lex(self, rel, sample):
+        report = run_checks(rel, sample, config=CheckConfig(all_violations=True))
+        for result in report.results:
+            assert len(result.violations) == result.violation_count
+            for violation in result.violations:
+                assert replay_violation(rel, violation)
+                assert not replay_violation(LEX, violation)
+
+    def test_cases_break_every_axiom_but_connected(self):
+        broken = {
+            result.axiom
+            for rel, sample in failing_cases()
+            for result in run_checks(rel, sample).results if not result.passed
+        }
+        assert broken == set(ALL_AXIOMS) - {AxiomId.CONNECTED}
+
+
 class TestConfigModes:
     def test_exhaustive_cap_override(self):
         # the default config covers every quadruple, even above 12 points
@@ -731,6 +768,21 @@ class TestRunChecks:
             AxiomId.TRANSITIVE,
             AxiomId.WEAK_IWA,
         ]
+        # every single axiom, and mixed subsets given out of order or repeated,
+        # come back exactly as requested, in ALL_AXIOMS order
+        subsets = [[axiom] for axiom in ALL_AXIOMS] + [
+            [AxiomId.WEAK_IWA, AxiomId.REFLEXIVE, AxiomId.STRONG_DOMINANCE],
+            [AxiomId.IWA, AxiomId.CONNECTED, AxiomId.IWA, AxiomId.TRANSITIVE],
+            [AxiomId.AXIOM2_MS, AxiomId.MIRROR_CONSISTENT, AxiomId.WEAK_DOMINANCE],
+            [AxiomId.CONNECTED, AxiomId.MIRROR_CONSISTENT],
+        ]
+        for subset in subsets:
+            rel = CountingLex()
+            report = run_checks(rel, nine_grid, subset)
+            assert [r.axiom for r in report.results] == [a for a in ALL_AXIOMS if a in subset]
+            assert report.passed
+        # Mirror and Connected share the memo: each ordered pair is drawn once
+        assert rel.calls == len(rel.drawn) == 9 * 8
 
     def test_empty_sample_rejected(self):
         with pytest.raises(RafprefError):

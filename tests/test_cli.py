@@ -72,7 +72,7 @@ class TestDocument:
 
     def test_weights_positive_integers(self):
         obj = dict(MONEY_DOC, weights={"$40": 0, "$10": 1})
-        with pytest.raises(DocumentError, match=r"weights\.\$40"):
+        with pytest.raises(DocumentError, match=r"^weights: .*'\$40'"):
             InputDocument.from_json_dict(obj)
 
 
@@ -477,6 +477,8 @@ class TestInputBoundary:
     """Every bad input value exits 2 with one line naming its field or flag."""
 
     ONES = "1" * 5000  # past int()'s 4,300-digit conversion limit
+    RANK_WLOG = ["rank", "-i", "DOC", "-r", "wlog"]
+    GRID_WLOG = ["check", "-r", "wlog", "--grid", "0,1", "--arity", "2"]
 
     def test_document_holds_core_objects(self):
         doc = InputDocument.from_json_dict(MONEY_DOC)
@@ -490,6 +492,22 @@ class TestInputBoundary:
         obj = dict(MONEY_DOC, payoffs={"$40": "-1", "$10": "10"})
         with pytest.raises(DocumentError, match=r"^payoffs: .*'\$40'.*nonnegative"):
             InputDocument.from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "argv,weights,message",
+        [
+            (RANK_WLOG, {"$40": 0, "$10": 1}, "weights: weight for '$40' must be a positive integer"),
+            (RANK_WLOG, {"$40": 1, "$10": 101}, "weights: weight for '$10' above 100 is refused"),
+            (GRID_WLOG + ["--weights", "0,1"], None,
+             "--weights: weight for 'x1' must be a positive integer"),
+            (GRID_WLOG + ["--weights", "1,101"], None,
+             "--weights: weight for 'x2' above 100 is refused"),
+        ],
+    )
+    def test_weight_range_names_alternative(self, argv, weights, message, tmp_path, capsys):
+        path = write_doc(tmp_path, dict(MONEY_DOC, weights=weights or MONEY_DOC["weights"]))
+        argv = [path if a == "DOC" else a for a in argv]
+        assert self.error_line(argv, capsys) == f"error: {message}\n"
 
     def error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -506,6 +524,11 @@ class TestInputBoundary:
             (["verify", "--levels", "0,1", "--arity", "-3"], "--arity"),
             (["check", "-r", "lex", "--grid", "0,1", "--arity", "1"], "--arity"),
             (["check", "-r", "mep", "--grid", "0,1", "--arity", "2", "--payoffs=1/" + ONES + ",1"],
+             "--payoffs"),
+            # a rational in non-ASCII digits, here Arabic-Indic one and four
+            (["verify", "--levels", "0,\u0661", "--arity", "2"], "--levels"),
+            (["check", "-r", "lex", "--grid", "0,\u0661", "--arity", "2"], "--grid"),
+            (["check", "-r", "mep", "--grid", "0,1", "--arity", "2", "--payoffs", "\u0664,1"],
              "--payoffs"),
         ],
     )
@@ -543,6 +566,8 @@ class TestInputBoundary:
             (GRID + ["--weights", "1_0,1"], MONEY_DOC, "--weights"),
             (GRID + ["--weights", "\u0661,1"], MONEY_DOC, "--weights"),
             (GRID + ["--weights", "+1,1"], MONEY_DOC, "--weights"),
+            # a document rational in non-ASCII digits
+            (RANK, dict(MONEY_DOC, rafs={"A": {"$40": "\u0661/5", "$10": "4/5"}}), "rafs.A.$40"),
         ],
     )
     def test_refusal_named(self, argv, document, field, tmp_path, capsys):

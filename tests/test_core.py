@@ -50,7 +50,10 @@ class TestParseRational:
         assert parse_rational(text) == expected
 
     @pytest.mark.parametrize(
-        "text", ["1/0", "1e-3", "nan", "inf", "", "1/-2", "a/b", "1.5e2", "0x3"]
+        "text",
+        # the last three in Arabic-Indic digits, which int() and Fraction() would read
+        ["1/0", "1e-3", "nan", "inf", "", "1/-2", "a/b", "1.5e2", "0x3",
+         "\u0661/\u0662", "\u0660.\u0665", "\u0661"],
     )
     def test_rejects(self, text):
         with pytest.raises(RationalParseError):
