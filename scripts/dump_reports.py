@@ -95,6 +95,8 @@ VERIFY_SELECTIONS = [
     "SM,WeakIWA",
     "SM,IWA",
     "SM,IWA,WeakIWA",
+    "IWA,WeakIWA",
+    "NonCompensation,IWA,WeakIWA",
     "WeakIWA",
     "SM,WeakDominance,StrongDominance,NonCompensation,IWA,WeakIWA",
     "StrongDominance,WeakIWA",

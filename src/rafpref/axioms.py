@@ -8,7 +8,9 @@ deterministically.
 
 Every audit reads two tables over the n^2 ordered pairs of the sample:
 the (up-set, down-set, first difference) signature of each pair, and the
-relation's verdicts, drawn once per pair and memoized.
+relation's verdicts, drawn once per pair and memoized. The signature
+table and the hypothesis tables read from it belong to one _Sample, which
+each run_checks call, and each verify run, builds once and reuses.
 
 - Reflexivity visits every point; mirror consistency and connectedness
   every ordered pair.
@@ -268,6 +270,7 @@ def iwa_indices(a: Raf, b: Raf, c: Raf, d: Raf) -> tuple[int, ...]:
 def qualifies_weak_iwa(a: Raf, b: Raf, c: Raf, d: Raf) -> Optional[int]:
     """Shared first-difference hypothesis: both pairs first differ at the
     same 1-based k with the same strict direction there; returns k."""
+    require_same_context(a, c)
     ka = first_difference(a, b)
     kc = first_difference(c, d)
     if ka is None or ka != kc:
@@ -344,16 +347,16 @@ _PAIR_HYPOTHESES = {
 
 def _qualifying_pairs(
     axiom: AxiomId, arity: int, sigs: list[list[tuple[int, int, int]]]
-) -> Iterator[tuple[int, int, int]]:
+) -> list[tuple[int, int, int]]:
     """(i, j, fd) for each ordered pair meeting a pair axiom's hypothesis,
     in row-major order."""
     full = (1 << arity) - 1
     meets = _PAIR_HYPOTHESES[axiom].meets
-    return (
+    return [
         (i, j, fd)
         for i, row in enumerate(sigs) for j, (up, down, fd) in enumerate(row)
         if not down and meets(up, full)
-    )
+    ]
 
 
 def _hypothesis_classes(
@@ -404,38 +407,74 @@ def _class_key(axiom: AxiomId) -> AxiomId:
     return AxiomId.WEAK_IWA if axiom is AxiomId.IWA else axiom
 
 
-class _Audit:
-    """Validated sample plus a memo of relation verdicts by index pair.
+class _Sample:
+    """A validated sample and its per-sample tables, each built on first
+    use and kept: the pair signatures, each pair axiom's qualifying pairs
+    and each quadruple axiom's hypothesis classes. The tables depend on
+    the points alone, so one _Sample serves any number of audits."""
 
-    signatures, when given, must be _pair_signatures of the sample's
-    values in sample order; it is then read instead of being rebuilt.
-    """
-
-    def __init__(
-        self,
-        rel: PreferenceRelation,
-        sample: Sequence[Raf],
-        signatures: Optional[list[list[tuple[int, int, int]]]] = None,
-    ) -> None:
-        if not sample:
+    def __init__(self, points: Sequence[Raf]) -> None:
+        if not points:
             raise RafprefError("sample must be nonempty")
-        ctx = sample[0].context
-        for raf in sample:
+        ctx = points[0].context
+        for raf in points:
             if raf.context != ctx:
                 raise ContextMismatchError("sample mixes profiles from different contexts")
-        self.rel = rel
-        self.sample = list(sample)
-        self.n = len(sample)
-        self.values = [raf.values for raf in self.sample]
-        self._memo: dict[tuple[int, int], ComparisonOutcome] = {}
-        self._tallies: dict[AxiomId, tuple[int, int, dict]] = {}
-        if signatures is not None:
-            # takes the place of the cached property's first computation
-            self.signatures = signatures
+        self.points = tuple(points)
+        self.n = len(self.points)
+        self.values = [raf.values for raf in self.points]
+        self._qualifying: dict[AxiomId, list[tuple[int, int, int]]] = {}
+        self._classes: dict[AxiomId, dict[tuple, list[tuple[int, int]]]] = {}
 
     @cached_property
     def signatures(self) -> list[list[tuple[int, int, int]]]:
         return _pair_signatures(self.values)
+
+    def qualifying(self, axiom: AxiomId) -> list[tuple[int, int, int]]:
+        """(i, j, fd) of every pair meeting a pair axiom's hypothesis."""
+        if axiom not in self._qualifying:
+            arity = len(self.values[0])
+            self._qualifying[axiom] = _qualifying_pairs(axiom, arity, self.signatures)
+        return self._qualifying[axiom]
+
+    def classes(self, axiom: AxiomId) -> dict[tuple, list[tuple[int, int]]]:
+        """A quadruple axiom's hypothesis classes; IWA is handed
+        WeakIWA's, the same object."""
+        key = _class_key(axiom)
+        if key not in self._classes:
+            self._classes[key] = _hypothesis_classes(key, self.values, self.signatures)
+        return self._classes[key]
+
+    def audit(
+        self, rel: PreferenceRelation, axioms: Iterable[AxiomId], config: CheckConfig = DEFAULT_CONFIG
+    ) -> AxiomReport:
+        """One pass over ALL_AXIOMS, running each requested axiom's scan
+        on rel and drawing only the recorded witnesses."""
+        requested = set(axioms)
+        unknown = requested - set(ALL_AXIOMS)
+        if unknown:
+            raise RafprefError(f"unknown axioms: {sorted(str(a) for a in unknown)}")
+        audit = _Audit(rel, self)
+        recorded = None if config.all_violations else 1
+        results = []
+        for axiom in (a for a in ALL_AXIOMS if a in requested):
+            examined, qualifying, count, witnesses = _SCANS[axiom](audit, axiom)
+            results.append(AxiomResult(
+                axiom, count == 0, examined, qualifying, count, tuple(islice(witnesses, recorded))
+            ))
+        return AxiomReport(tuple(results), self.n)
+
+
+class _Audit:
+    """One relation on a _Sample: a memo of its verdicts by index pair
+    and its quadruple axioms' class tallies."""
+
+    def __init__(self, rel: PreferenceRelation, sample: _Sample) -> None:
+        self.rel = rel
+        self.sample = sample
+        self.points, self.n = sample.points, sample.n
+        self._memo: dict[tuple[int, int], ComparisonOutcome] = {}
+        self._tallies: dict[AxiomId, tuple[int, int, dict]] = {}
 
     def tally(self, axiom: AxiomId) -> tuple[int, int, dict]:
         """A quadruple axiom's class tally, counted once per audit and
@@ -454,7 +493,7 @@ class _Audit:
         geq = self.geq
         qualifying = violation_count = 0
         mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
-        for key, members in _hypothesis_classes(axiom, self.values, self.signatures).items():
+        for key, members in self.sample.classes(axiom).items():
             t = sum(1 for i, j in members if geq(i, j))
             f = len(members) - t
             qualifying += len(members) ** 2
@@ -468,7 +507,7 @@ class _Audit:
         key = (i, j)
         out = self._memo.get(key)
         if out is None:
-            out = self.rel.compare(self.sample[i], self.sample[j])
+            out = self.rel.compare(self.points[i], self.points[j])
             if not isinstance(out, ComparisonOutcome):
                 raise RafprefError(
                     f"relation {self.rel.name!r} returned {out!r}, not a ComparisonOutcome"
@@ -504,10 +543,10 @@ _Scan = tuple[int, int, int, Iterator[AxiomViolation]]
 
 def _reflexive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Each point compared with itself must be Indifferent."""
-    sample, outcome = audit.sample, audit.outcome
+    points, outcome = audit.points, audit.outcome
     failed = [i for i in range(audit.n) if outcome(i, i) is not ComparisonOutcome.INDIFFERENT]
     witnesses = (
-        AxiomViolation(axiom, (sample[i],), (outcome(i, i),),
+        AxiomViolation(axiom, (points[i],), (outcome(i, i),),
                        detail="comparing a profile with itself must be Indifferent")
         for i in failed
     )
@@ -516,11 +555,11 @@ def _reflexive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
 
 def _mirror_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Each ordered pair's verdict must be the mirror of its swap's."""
-    sample, rows = audit.sample, audit.verdicts
+    points, rows = audit.points, audit.verdicts
     failed = [(i, j) for i, row in enumerate(rows) for j, out in enumerate(row)
               if i != j and out.mirrored() is not rows[j][i]]
     witnesses = (
-        AxiomViolation(axiom, (sample[i], sample[j]), (rows[i][j], rows[j][i]),
+        AxiomViolation(axiom, (points[i], points[j]), (rows[i][j], rows[j][i]),
                        detail="swapped arguments must mirror the verdict")
         for i, j in failed
     )
@@ -547,7 +586,7 @@ def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     violations. Witnesses come in row-major (i, j, k) order.
     """
     n = audit.n
-    sample, outcome, geq = audit.sample, audit.outcome, audit.geq
+    points, outcome, geq = audit.points, audit.outcome, audit.geq
     rows = [sum(1 << j for j in range(n) if geq(i, j)) for i in range(n)]
     sizes = [row.bit_count() for row in rows]
     qualifying = violation_count = 0
@@ -558,7 +597,7 @@ def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     witnesses = (
         AxiomViolation(
             axiom,
-            (sample[i], sample[j], sample[k]),
+            (points[i], points[j], points[k]),
             (outcome(i, j), outcome(j, k), outcome(i, k)),
             detail="weak preference must chain through the middle profile",
         )
@@ -570,13 +609,13 @@ def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
 def _pair_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Pair audit over the signature table: only pairs that meet the
     hypothesis are put to the comparator."""
-    sample, outcome = audit.sample, audit.outcome
+    points, outcome = audit.points, audit.outcome
     entry = _PAIR_HYPOTHESES[axiom]
-    qualifying = list(_qualifying_pairs(axiom, len(audit.values[0]), audit.signatures))
+    qualifying = audit.sample.qualifying(axiom)
     failed = [(i, j, fd) for i, j, fd in qualifying
               if outcome(i, j) is not ComparisonOutcome.FIRST_PREFERRED]
     witnesses = (
-        AxiomViolation(axiom, (sample[i], sample[j]), (outcome(i, j),),
+        AxiomViolation(axiom, (points[i], points[j]), (outcome(i, j),),
                        index=fd + 1 if entry.indexed else None,
                        detail=f"{entry.requirement}; observed {outcome(i, j)}")
         for i, j, fd in failed
@@ -590,7 +629,7 @@ def _quad_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     Witnesses come in row-major order: for each pair, the members of its
     class with the opposite verdict.
     """
-    sample, outcome, geq = audit.sample, audit.outcome, audit.geq
+    points, outcome, geq = audit.points, audit.outcome, audit.geq
     qualifying, violation_count, mixed = audit.tally(axiom)
 
     def witnesses() -> Iterator[AxiomViolation]:
@@ -601,7 +640,7 @@ def _quad_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
                 if geq(k, l) != g:
                     yield AxiomViolation(
                         axiom,
-                        (sample[i], sample[j], sample[k], sample[l]),
+                        (points[i], points[j], points[k], points[l]),
                         (outcome(i, j), outcome(k, l)),
                         index=index,
                         detail="matching hypothesis but opposite weak verdicts",
@@ -731,31 +770,11 @@ def run_checks(
 ) -> AxiomReport:
     """Run the requested axioms in canonical order, merged into one report.
 
-    All scans share one memo of relation verdicts and one pair-signature
-    table, built here from the sample. verify's survivor re-audit runs the
-    same scans through _run_audit on the table its search was compiled
-    from.
+    Each call builds one _Sample, so all scans share one memo of relation
+    verdicts and one copy of each per-sample table. verify builds one
+    _Sample per run and audits every listed survivor on it.
     """
-    return _run_audit(_Audit(rel, sample), axioms, config)
-
-
-def _run_audit(
-    audit: _Audit, axioms: Iterable[AxiomId], config: CheckConfig = DEFAULT_CONFIG
-) -> AxiomReport:
-    """run_checks on a prepared audit: one pass over ALL_AXIOMS, running
-    each requested axiom's scan and drawing only the recorded witnesses."""
-    requested = set(axioms)
-    unknown = requested - set(ALL_AXIOMS)
-    if unknown:
-        raise RafprefError(f"unknown axioms: {sorted(str(a) for a in unknown)}")
-    recorded = None if config.all_violations else 1
-    results = []
-    for axiom in (a for a in ALL_AXIOMS if a in requested):
-        examined, qualifying, count, witnesses = _SCANS[axiom](audit, axiom)
-        results.append(AxiomResult(
-            axiom, count == 0, examined, qualifying, count, tuple(islice(witnesses, recorded))
-        ))
-    return AxiomReport(tuple(results), audit.n)
+    return _Sample(sample).audit(rel, axioms, config)
 
 
 def _pair_replay(hypothesis: Callable) -> Callable[..., bool]:

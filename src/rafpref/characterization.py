@@ -52,17 +52,7 @@ from .relations import (
     lex_compare,
     at_least_as_good,
 )
-from .axioms import (
-    PAIR_AXIOMS,
-    AxiomId,
-    _Audit,
-    _class_key,
-    _hypothesis_classes,
-    _members,
-    _pair_signatures,
-    _qualifying_pairs,
-    _run_audit,
-)
+from .axioms import PAIR_AXIOMS, AxiomId, _members, _Sample
 
 __all__ = [
     "EqualInputsError",
@@ -485,20 +475,18 @@ def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
 # The forced form captures the dominance axioms. The group form captures
 # the biconditional axioms: the hypothesis of each depends only on the
 # points, so pairs sharing a hypothesis key must share their weak verdict.
-# The groups are the key classes the quadruple checkers count over, taken
-# from the same pair-signature table; the test suite checks those classes
-# against the raf-level hypothesis predicates, and every listed survivor
-# is re-audited through the checkers.
+# Both are read from the run's _Sample: the forced pairs are a pair
+# axiom's qualifying pairs and the groups a quadruple axiom's classes, the
+# very tables the checkers scan when they re-audit each listed survivor
+# on the same _Sample. The test suite checks those tables against the
+# raf-level hypothesis predicates.
 
 
-def _compile_constraint(
-    axiom: AxiomId, values: list[tuple], arity: int, sigs: list[list[tuple[int, int, int]]]
-):
+def _compile_constraint(axiom: AxiomId, sample: _Sample):
     if axiom in PAIR_AXIOMS:
-        return ("forced", [(i, j) for i, j, _ in _qualifying_pairs(axiom, arity, sigs)])
-    classes = _hypothesis_classes(axiom, values, sigs)
+        return ("forced", [(i, j) for i, j, _ in sample.qualifying(axiom)])
     # singleton groups constrain nothing; drop them to keep the hot loop lean
-    return ("groups", [g for g in classes.values() if len(g) > 1])
+    return ("groups", [g for g in sample.classes(axiom).values() if len(g) > 1])
 
 
 def _passes(rv, kind: str, data) -> bool:
@@ -555,23 +543,19 @@ class CharacterizationReport:
 
 
 def _audit_survivor(
-    ranking: RankedRelation,
-    axiom_set: Iterable[AxiomId],
-    points: tuple[Raf, ...],
-    sigs: list[list[tuple[int, int, int]]],
+    ranking: RankedRelation, axiom_set: Iterable[AxiomId], sample: _Sample
 ) -> None:
     """Re-check a survivor through the literal checkers, asking a
     TableRelation for every verdict; disagreement with the compiled
     filters is an internal error, never a report.
 
-    The scans read sigs, the pair-signature table the search was
-    compiled from, which must have been built on points, in that order;
-    one table serves every survivor of a run.
+    The scans read the per-sample tables of sample, the _Sample the
+    search was compiled from, so the survivor must rank its points in
+    that order; one _Sample serves every survivor of a run.
     """
-    if ranking.domain != points:
+    if ranking.domain != sample.points:
         raise RafprefError("internal error: survivor domain is not the audited point set")
-    audit = _Audit(TableRelation(ranking), points, sigs)
-    report = _run_audit(audit, axiom_set)
+    report = sample.audit(TableRelation(ranking), axiom_set)
     for result in report.results:
         if not result.passed:
             raise RafprefError(
@@ -596,8 +580,9 @@ def verify_characterization(
     refused candidates are counted per reason, not lost. prune=False
     walks every weak order and runs each filter on it, the brute-force
     reference. Either way the listed survivors are re-audited through
-    the run_checks scans, which read the pair-signature table built here
-    for the compile instead of building their own.
+    the run_checks scans on the one _Sample built here, so each
+    per-sample table is built once per run, for the compile and every
+    re-audit alike.
 
     workers is accepted and ignored: the search runs in one process.
     """
@@ -617,16 +602,9 @@ def verify_characterization(
             f"the enumeration bound of {max_points} caps both"
         )
     n = grid.size
-    points = grid_points(grid)
+    sample = _Sample(grid_points(grid))
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
-    values = [p.values for p in points]
-    sigs = _pair_signatures(values)
-    # IWA and WeakIWA share their classes, so they share one compiled list
-    compiled: dict[AxiomId, tuple] = {}
-    for a in order:
-        if _class_key(a) not in compiled:
-            compiled[_class_key(a)] = _compile_constraint(a, values, grid.arity, sigs)
-    constraints = [compiled[_class_key(a)] for a in order]
+    constraints = [_compile_constraint(a, sample) for a in order]
     if prune:
         # every requested axiom prunes, so every leaf the walk reaches
         # satisfies them all
@@ -637,13 +615,13 @@ def verify_characterization(
             for pairs in forced:
                 for i, j in pairs:
                     dom[j] |= 1 << i
-        # a list an earlier reason already checks can refuse nothing more:
-        # its reason keeps its place in pruned_by with a count of 0
+        # a list an earlier reason already checks (IWA's is WeakIWA's) can
+        # refuse nothing more: its reason keeps its place in pruned_by with
+        # a count of 0
         groups: dict[str, list] = {}
         for a, (kind, data) in zip(order, constraints):
             if kind == "groups":
-                shared = any(data is other for other in groups.values())
-                groups[str(a)] = [] if shared else data
+                groups[str(a)] = [] if data in groups.values() else data
         walk = _Walk(n, dom, groups)
         stream = iter(walk)
         listed = list(islice(stream, SURVIVOR_LISTING_CAP))
@@ -672,10 +650,10 @@ def verify_characterization(
             f"but the Fubini recurrence demands {fubini(n)}"
         )
 
-    pts = tuple(points)
+    pts = sample.points
     survivors = tuple(RankedRelation(pts, rv) for rv in listed)
     for ranking in survivors:
-        _audit_survivor(ranking, order, pts, sigs)
+        _audit_survivor(ranking, order, sample)
     # grid points are distinct, so lex is a linear order and a survivor
     # agrees with it on every pair exactly when their rank tuples are equal
     lex_ranks = lex_ranking(pts).ranks

@@ -46,6 +46,7 @@ from rafpref.axioms import (
     _updown,
     iwa_indices,
     qualifies_axiom2,
+    qualifies_iwa_at,
     qualifies_non_compensation,
     qualifies_strong_dominance,
     qualifies_weak_iwa,
@@ -422,6 +423,41 @@ class TestWeakIwa:
         report = check_weak_iwa(rel, unit_square)
         assert not report.passed
         assert replay_violation(rel, report.results[0].violations[0])
+
+
+class TestMixedContextQuadruples:
+    """(a, b) on one context and (c, d) on another: every raf-level
+    quadruple predicate refuses the quadruple instead of judging it."""
+
+    @pytest.fixture
+    def quadruple(self):
+        first = PriorityContext.of(("a", "b"), {"a": 7, "b": 3})
+        second = PriorityContext.of(("x", "y"), {"x": 7, "y": 3})
+        return (
+            make_raf((1, 0), first),
+            make_raf((0, 0), first),
+            make_raf((1, 0), second),
+            make_raf((0, 1), second),
+        )
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            qualifies_non_compensation,
+            qualifies_axiom2,
+            lambda a, b, c, d: qualifies_iwa_at(a, b, c, d, 1),
+            iwa_indices,
+            qualifies_weak_iwa,
+        ],
+    )
+    def test_every_predicate_raises(self, quadruple, predicate):
+        with pytest.raises(ContextMismatchError):
+            predicate(*quadruple)
+
+    def test_weak_iwa_replay_raises(self, quadruple):
+        violation = AxiomViolation(AxiomId.WEAK_IWA, quadruple, (FIRST, SECOND), index=1)
+        with pytest.raises(ContextMismatchError):
+            replay_violation(ReversedLex(), violation)
 
 
 class TestQualificationImplications:

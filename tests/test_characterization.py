@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -32,7 +32,7 @@ from rafpref import (
 )
 from rafpref.axioms import (
     PAIR_AXIOMS,
-    _pair_signatures,
+    _Sample,
     check_iwa,
     check_non_compensation,
     check_strong_dominance,
@@ -228,11 +228,8 @@ class TestCompiledFiltersMatchCheckers:
     }
 
     def test_all_candidates_unit_square(self, unit_square):
-        values = [p.values for p in unit_square]
-        sigs = _pair_signatures(values)
-        compiled = {
-            axiom: _compile_constraint(axiom, values, 2, sigs) for axiom in VERIFY_AXIOMS
-        }
+        sample = _Sample(unit_square)
+        compiled = {axiom: _compile_constraint(axiom, sample) for axiom in VERIFY_AXIOMS}
         for ranking in enumerate_weak_orders(unit_square):
             rel = table_relation(ranking)
             for axiom, checker in self.CHECKERS.items():
@@ -242,11 +239,8 @@ class TestCompiledFiltersMatchCheckers:
                 assert fast == literal, (axiom, ranking.ranks)
 
     def test_sampled_candidates_nine_grid(self, nine_grid):
-        values = [p.values for p in nine_grid]
-        sigs = _pair_signatures(values)
-        compiled = {
-            axiom: _compile_constraint(axiom, values, 2, sigs) for axiom in VERIFY_AXIOMS
-        }
+        sample = _Sample(nine_grid)
+        compiled = {axiom: _compile_constraint(axiom, sample) for axiom in VERIFY_AXIOMS}
         rng = random.Random(23)
         pts = tuple(nine_grid)
         for _ in range(40):
@@ -268,9 +262,8 @@ class TestPrunedStreamEquivalence:
     @pytest.mark.parametrize("levels,arity", [(["0", "1"], 2), (["0", "1"], 3)])
     def test_pruned_is_filtered_plain_stream(self, levels, arity):
         points = grid_points(GridSpec.of(levels, arity))
-        values = [p.values for p in points]
         n = len(points)
-        _, forced = _compile_constraint(SM, values, arity, _pair_signatures(values))
+        _, forced = _compile_constraint(SM, _Sample(points))
         plain_survivors = [
             rv
             for rv in _Walk(n)
@@ -495,18 +488,18 @@ class TestVerify:
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
 
     def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch):
-        real_compile, real_walk = characterization._compile_constraint, _Walk
-        compiled, walked = [], []
+        real_classes, real_walk = axioms._hypothesis_classes, _Walk
+        classed, walked = [], []
 
-        def counting_compile(axiom, *args):
-            compiled.append(axiom)
-            return real_compile(axiom, *args)
+        def counting_classes(axiom, *args):
+            classed.append(axiom)
+            return real_classes(axiom, *args)
 
         def capturing_walk(n, dom=None, groups=None):
             walked.append(groups)
             return real_walk(n, dom, groups)
 
-        monkeypatch.setattr(characterization, "_compile_constraint", counting_compile)
+        monkeypatch.setattr(axioms, "_hypothesis_classes", counting_classes)
         monkeypatch.setattr(characterization, "_Walk", capturing_walk)
         report = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, IWA, WEAK_IWA])
         # the same report as when both reasons were forward-checked: IWA,
@@ -515,8 +508,8 @@ class TestVerify:
         assert [s.ranks for s in report.survivors] == [(7, 6, 5, 4, 3, 2, 1, 0)]
         assert report.pruned_by == (("dominators", 534062), ("IWA", 11772), ("WeakIWA", 0))
         assert report.pass_counts == ((SM, 1), (IWA, 1), (WEAK_IWA, 1))
-        # one compile for the shared classes, and the walk checks them once
-        assert compiled == [SM, IWA]
+        # one class table for the shared classes, and the walk checks them once
+        assert classed == [WEAK_IWA]
         (groups,) = walked
         assert list(groups) == ["IWA", "WeakIWA"]
         assert groups["IWA"] and groups["WeakIWA"] == []
@@ -524,37 +517,59 @@ class TestVerify:
         assert report.survivors == pair.survivors
         assert report.pruned_by[:2] == pair.pruned_by
 
-    def test_one_signature_table_per_verify(self, monkeypatch):
-        built = []
-        real = axioms._pair_signatures
+    def test_one_signature_table_per_verify(self, monkeypatch, unit_square):
+        builds = []
 
-        def counting(values):
-            built.append(len(values))
-            return real(values)
+        def counting(name, key):
+            real = getattr(axioms, name)
 
-        monkeypatch.setattr(axioms, "_pair_signatures", counting)
-        monkeypatch.setattr(characterization, "_pair_signatures", counting)
-        for prune in (True, False):
-            built.clear()
-            # the SM-only control lists ten survivors, each re-audited
-            report = verify_characterization(
-                GridSpec.of(["0", "1"], 3), [SM], prune=prune
-            )
-            assert len(report.survivors) == 10 and report.survivors_truncated
-            assert built == [8]
+            def wrapper(*args):
+                builds.append((name, key(*args)))
+                return real(*args)
+
+            monkeypatch.setattr(axioms, name, wrapper)
+
+        counting("_pair_signatures", lambda values: len(values))
+        counting("_qualifying_pairs", lambda axiom, *_: axiom)
+        counting("_hypothesis_classes", lambda axiom, *_: axiom)
+        cases = [
+            ([SM], [("_qualifying_pairs", SM)]),
+            ([SM, IWA, WEAK_IWA], [("_qualifying_pairs", SM), ("_hypothesis_classes", WEAK_IWA)]),
+        ]
+        for (axiom_set, tables), prune in product(cases, (True, False)):
+            builds.clear()
+            report = verify_characterization(GridSpec.of(["0", "1"], 3), axiom_set, prune=prune)
+            # every listed survivor is re-audited on the tables of the
+            # compile: the SM-only control lists ten of them
+            if axiom_set == [SM]:
+                assert len(report.survivors) == 10 and report.survivors_truncated
+            assert builds == [("_pair_signatures", 8)] + tables, (axiom_set, prune)
+        # run_checks builds each table once too: IWA reads WeakIWA's
+        # classes, and its tally
+        builds.clear()
+        assert axioms.run_checks(LEX, unit_square).passed
+        assert builds == [
+            ("_pair_signatures", 4),
+            ("_qualifying_pairs", WD),
+            ("_qualifying_pairs", SM),
+            ("_qualifying_pairs", SD),
+            ("_hypothesis_classes", AxiomId.NON_COMPENSATION),
+            ("_hypothesis_classes", AxiomId.AXIOM2_MS),
+            ("_hypothesis_classes", WEAK_IWA),
+        ]
 
     def test_audit_survivor_needs_the_table_points(self):
         spec = GridSpec.of(["0", "1"], 2)
         points = tuple(grid_points(spec))
-        sigs = _pair_signatures([p.values for p in points])
+        sample = _Sample(points)
         lex = lex_ranking(points)
-        _audit_survivor(lex, [SM, WEAK_IWA], points, sigs)
+        _audit_survivor(lex, [SM, WEAK_IWA], sample)
         reordered = RankedRelation(points[::-1], lex.ranks[::-1])
         with pytest.raises(RafprefError, match="survivor domain"):
-            _audit_survivor(reordered, [SM, WEAK_IWA], points, sigs)
+            _audit_survivor(reordered, [SM, WEAK_IWA], sample)
         other = tuple(grid_points(GridSpec.of(["1/4", "3/4"], 2)))
         with pytest.raises(RafprefError, match="survivor domain"):
-            _audit_survivor(lex_ranking(other), [SM, WEAK_IWA], points, sigs)
+            _audit_survivor(lex_ranking(other), [SM, WEAK_IWA], sample)
 
     def test_sm_alone_controls(self):
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM])
