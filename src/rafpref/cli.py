@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cmp_to_key
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core import (
@@ -283,10 +285,17 @@ def _raf_json(raf: Raf) -> dict:
     return {"values": [format_rational(v) for v in raf.values]}
 
 
-def _violation_json(v: AxiomViolation) -> dict:
+def _violation_json(v: AxiomViolation, points: dict[Raf, dict]) -> dict:
+    """points memoizes _raf_json across one report: its witnesses reuse few points."""
+    witness = []
+    for w in v.witness:
+        out = points.get(w)
+        if out is None:
+            out = points[w] = _raf_json(w)
+        witness.append(out)
     return {
         "axiom": str(v.axiom),
-        "witness": [_raf_json(w) for w in v.witness],
+        "witness": witness,
         "index": v.index,
         "observed": [str(o) for o in v.observed],
         "detail": v.detail,
@@ -294,6 +303,7 @@ def _violation_json(v: AxiomViolation) -> dict:
 
 
 def _check_json(report: AxiomReport, relation: str) -> dict:
+    points: dict[Raf, dict] = {}
     return {
         "command": "check",
         "relation": relation,
@@ -307,7 +317,7 @@ def _check_json(report: AxiomReport, relation: str) -> dict:
                 "tuples_examined": r.tuples_examined,
                 "qualifying": r.qualifying,
                 "violation_count": r.violation_count,
-                "violations": [_violation_json(v) for v in r.violations],
+                "violations": [_violation_json(v, points) for v in r.violations],
             }
             for r in report.results
         ],
@@ -386,10 +396,76 @@ def _render_verify_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _finite_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise TypeError(f"{x!r} has no JSON form")
+    return float.__repr__(x)
+
+
+# the JSON text of each scalar type a payload holds, keyed by exact type:
+# bool is not printed as an int, and a subclass of any of these is refused
+_JSON_SCALARS: dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _finite_float,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, indent: int = 2) -> str:
+    """The text json.dumps(obj, indent=indent) prints, for dicts with str
+    keys, lists, str, int, finite float, bool and None; any other value,
+    key or a NaN raises TypeError.
+
+    The stdlib's C encoder ignores indent, so json.dumps falls back to a
+    chain of pure-Python generators. Here each container is one join, and
+    a short container met again at the same depth (a check report's
+    witness points are shared, see _check_json) reuses its text.
+    """
+    return _json_write(obj, indent, 0, {})
+
+
+# _json_write keeps a container's text only up to this length: enough for a
+# witness point of 8 alternatives at 1/2 or 1/10. A long text contains the
+# texts of its whole subtree; keeping every one held each level of the
+# benchmark's 810 KB check report at once, 3.4 MB more peak memory.
+_JSON_KEPT_TEXT = 256
+
+
+def _json_write(obj, indent: int, depth: int, texts: dict[tuple[int, int], str]) -> str:
+    """obj's text at depth; texts holds short containers' by (id, depth), and
+    the whole value _json_text was given keeps every such id in use."""
+    kind = type(obj)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(obj)
+    key = (id(obj), depth)
+    if key in texts:
+        return texts[key]
+    if kind is list:
+        items = [_json_write(v, indent, depth + 1, texts) for v in obj]
+    elif kind is dict:  # encode_basestring_ascii raises TypeError on a non-str key
+        items = [encode_basestring_ascii(k) + ": " + _json_write(v, indent, depth + 1, texts)
+                 for k, v in obj.items()]
+    else:
+        raise TypeError(f"a {kind.__name__} has no JSON form")
+    opening, closing = "[]" if kind is list else "{}"
+    if items:
+        inner = "\n" + " " * (indent * (depth + 1))
+        out = (opening + inner + ("," + inner).join(items)
+               + "\n" + " " * (indent * depth) + closing)
+    else:
+        out = opening + closing
+    if len(out) <= _JSON_KEPT_TEXT:
+        texts[key] = out
+    return out
+
+
 def _emit(args, payload: dict, render_text: Callable[[dict], str]) -> None:
     """Print the payload as JSON or as render_text(payload), building only that one."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(render_text(payload))
 

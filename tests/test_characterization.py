@@ -426,12 +426,24 @@ class TestVerify:
         assert report.survivors[0].ranks == lex_ranking(report.points).ranks
         sm = verify_characterization(spec, [SM, WEAK_IWA])
         assert report.pruned_by == sm.pruned_by
-        # the orders SD's forced pairs leave: a pruned run reaches exactly
-        # them, where an unpruned one would walk all 7,087,261
-        sd_alone = verify_characterization(spec, [SD])
-        assert sd_alone.checked == sd_alone.survivor_count == 197
+
+    @pytest.mark.parametrize(
+        "levels,arity,count",
+        [(["0", "1"], 2, 3), (["0", "1/2", "1"], 2, 197), (["0", "1"], 3, 223)],
+    )
+    def test_sm_alone_equals_sd_alone_on_product_grids(self, levels, arity, count):
+        # the abstract's "SM is equivalent to strong dominance", over weak
+        # orders on a product grid: every dominance pair there is a chain of
+        # single-coordinate increases through grid points. A pruned run
+        # reaches exactly the orders the forced pairs leave, where an
+        # unpruned one on 9 points would walk all 7,087,261.
+        spec = GridSpec.of(levels, arity)
         sm_alone = verify_characterization(spec, [SM])
+        sd_alone = verify_characterization(spec, [SD])
+        assert sd_alone.checked == sd_alone.survivor_count == sm_alone.survivor_count == count
         assert sd_alone.survivors == sm_alone.survivors
+        truncated = count > characterization.SURVIVOR_LISTING_CAP
+        assert sd_alone.survivors_truncated == sm_alone.survivors_truncated == truncated
         assert sd_alone.pruned_away == sm_alone.pruned_away
 
     @pytest.mark.parametrize("axiom", [SM, WEAK_IWA])

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rafpref import (
-    PriorityContext, Raf, RafprefError, WeightVector, characterization, cli, relations,
+    CheckConfig, PriorityContext, Raf, RafprefError, WeightVector, characterization, cli,
+    format_rational, relations, run_checks,
 )
 from rafpref.cli import InputDocument, DocumentError, main
 
@@ -457,6 +458,104 @@ class TestEmit:
             assert text[-1].startswith("elapsed: ")
             text, expected = text[:-1], expected[:-1]
         assert text == expected
+
+
+_JSON_STRING = st.text(
+    st.characters(exclude_categories=())  # every code point, lone surrogates too
+    | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀')
+)
+_JSON_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _JSON_STRING,
+)
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STRING, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUE)
+    def test_matches_stdlib_indent_2(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("indent", [0, 1, 4])
+    def test_matches_stdlib_other_indents(self, indent):
+        value = {"a": [1, [], {}, {"b": None}], "c": [[True, 1.5]]}
+        assert cli._json_text(value, indent) == json.dumps(value, indent=indent)
+
+    def test_shared_containers(self):
+        # a check report shares each witness point between its witnesses;
+        # the writer reuses short texts by identity and depth, never by value
+        point = {"values": ["1/2", "0"]}
+        long = ["x" * 300]
+        value = [point, point, {"p": point, "q": [point]}, [long, long], long, [1], [1]]
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [(1, 2), {"a": (1,)}, {1: "x"}, {None: 1}, float("nan"), [float("inf")],
+         {"a": float("-inf")}, b"x", {1, 2}, type("Text", (str,), {})("x")],
+    )
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+
+class TestCanonicalJson:
+    """Every --format json report is exactly what json.dumps(indent=2) prints."""
+
+    def assert_canonical(self, text):
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        return json.loads(text)
+
+    def test_check_all_violations(self, capsys):
+        argv = ["check", "--relation", "wlog", "--grid", "0,1/2,1", "--arity", "2",
+                "--weights", "1,1", "--axioms", "all", "--all-violations", "--format", "json"]
+        assert main(argv) == 1
+        payload = self.assert_canonical(capsys.readouterr().out)
+        # witness points are formatted once per report: each witness still
+        # carries the values of its own point
+        _, sample, weights = cli._grid_sample(cli.build_parser().parse_args(argv))
+        rel = relations.WeightedLogProductRelation(weights)
+        report = run_checks(rel, sample, config=CheckConfig(all_violations=True))
+        listed = [
+            [w["values"] for w in v["witness"]]
+            for r in payload["results"] for v in r["violations"]
+        ]
+        expected = [
+            [[format_rational(x) for x in raf.values] for raf in v.witness]
+            for r in report.results for v in r.violations
+        ]
+        assert len(listed) > 1000
+        assert listed == expected
+
+    def test_verify(self, capsys):
+        assert main(["verify", "--levels", "0,1/2,1", "--arity", "2", "--format", "json"]) == 0
+        assert type(self.assert_canonical(capsys.readouterr().out)["elapsed_ms"]) is float
+
+    def test_rank_non_ascii_labels(self, tmp_path, capsys):
+        labels = ["€40", "café \"10\"", "日本\\5"]
+        doc = {
+            "alternatives": labels,
+            "priority": labels,
+            "payoffs": dict(zip(labels, ["40", "10", "5"])),
+            "rafs": {"Ä": dict(zip(labels, ["1/5", "4/5", "0"])),
+                     "😀": dict(zip(labels, ["1/10", "9/10", "1"]))},
+        }
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert main(["rank", "--input", str(path), "--relation", "mep", "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        assert text.isascii()
+        assert self.assert_canonical(text)["document"]["alternatives"] == labels
 
 
 class ClosedPipe(io.StringIO):
