@@ -76,6 +76,7 @@ from .characterization import (
     ProofStep,
     ProofTrace,
     TooManyPointsError,
+    UnprunedWalkError,
     VERIFY_AXIOMS,
     construct_proof_witness,
     enumerate_weak_orders,

@@ -20,13 +20,15 @@ space: emitted plus skipped must equal the n-th Fubini number or the run
 aborts.
 
 Without pruning the walk emits every weak order and each requested
-filter runs on it in turn: the brute-force reference. One walk class
-produces both streams, deterministic (depth-first, blocks by decreasing
-bitmask): enumerate_weak_orders drains it plain. Pruning only refuses
-block choices, so the pruned stream is the plain one filtered, and the
-two runs give the same survivors and verdict; they differ in checked,
-pruned_away, pruned_by, pass_counts and elapsed_ms (see
-CharacterizationReport). The search runs in one process.
+filter runs on it in turn: the brute-force reference. _plain_walk makes
+that stream and enumerate_weak_orders's, _pruned_walk the pruned one in
+a loop of its own (_plain_walk gives the measured reason); both are
+deterministic (depth-first, blocks by decreasing bitmask), and verify
+drains either through one loop. Pruning only refuses block choices, so
+the pruned stream is the plain one filtered, and the two runs give the
+same survivors and verdict; they differ in checked, pruned_away,
+pruned_by, pass_counts and elapsed_ms (see CharacterizationReport). The
+search runs in one process.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -52,11 +53,12 @@ from .relations import (
     lex_compare,
     at_least_as_good,
 )
-from .axioms import PAIR_AXIOMS, AxiomId, _members, _Sample
+from .axioms import CHECK_MAX_POINTS, PAIR_AXIOMS, AxiomId, _members, _Sample
 
 __all__ = [
     "EqualInputsError",
     "TooManyPointsError",
+    "UnprunedWalkError",
     "DEFAULT_MAX_POINTS",
     "SURVIVOR_LISTING_CAP",
     "VERIFY_AXIOMS",
@@ -78,6 +80,10 @@ class EqualInputsError(RafprefError):
 
 class TooManyPointsError(RafprefError):
     """Point set exceeds the enumeration bound."""
+
+
+class UnprunedWalkError(TooManyPointsError):
+    """An unpruned verify asked for a walk of more points than it can finish."""
 
 
 DEFAULT_MAX_POINTS = 9
@@ -288,147 +294,128 @@ def _fix(
     return True
 
 
-class _Walk:
-    """Rank tuple of every ordered set partition of range(n), exactly once.
+def _plain_walk(n: int) -> Iterator[tuple[int, ...]]:
+    """Rank tuple of every ordered set partition of range(n), exactly once,
+    for enumerate_weak_orders and the unpruned verify.
 
     Canonical order: depth-first over blocks (best block first), candidate
-    blocks visited by decreasing bitmask value. With dom set, bit i of
-    dom[j] demands rank[i] < rank[j]: a point may join the next block only
-    once its dominators are placed. groups maps a reason to a list of
-    groups of pairs (i, j) whose weak verdict rank[i] <= rank[j] must be
-    constant per group: a block is refused as soon as placing it decides
-    two pairs of one group differently. pruned_by counts, per reason, the
-    completions the refused choices would have led to (dominators first,
-    then the group reasons in order). The stream is then the plain one
-    with the violating tuples left out, and its length plus skipped is
-    fubini(n) once it is exhausted.
-
-    Without constraints the walk reads the bits of each block from an
-    O(2^n) table, which the fubini(n) leaves of a plain walk already
-    bound to about ten points; a constrained walk reaches further and
-    reads them inline. The plain stream keeps its own loop because it is
-    about half of an unpruned verify: with no constraints the checked loop
-    drained the 545,835 orders of 8 points in 0.96 s against 0.30 s for
-    the plain one (2-core machine), and single-loop versions of the two
-    measured 1.4 to 1.9 times slower.
+    blocks visited by decreasing bitmask value. Each block's bits come from
+    an O(2^n) table, which the fubini(n) leaves already bound to about ten
+    points. This loop is kept apart from _pruned_walk because it is about
+    half of an unpruned verify: _pruned_walk with no constraints drained
+    the 545,835 orders of 8 points in 0.96 s against 0.30 s for this one
+    (2-core machine), and single-loop versions of the two measured 1.4 to
+    1.9 times slower (0.53 s with the table).
     """
+    bits = _bit_lists(n)
+    ranks = [0] * n
+    # the stack, by depth: points left, next block
+    rems = [0] * (n + 1)
+    subs = [0] * (n + 1)
+    depth = 0
+    rest = (1 << n) - 1
+    while True:
+        # a new node: the points of rest go into blocks depth, depth+1, ...
+        rems[depth] = rest
+        # the first block tried takes every point left: a leaf
+        for b in bits[rest]:
+            ranks[b] = depth
+        yield tuple(ranks)
+        sub = (rest - 1) & rest
+        while not sub:
+            depth -= 1
+            if depth < 0:
+                return
+            sub = subs[depth]
+        subs[depth] = (sub - 1) & rems[depth]
+        for b in bits[sub]:
+            ranks[b] = depth
+        rest = rems[depth] ^ sub
+        depth += 1
 
-    def __init__(
-        self,
-        n: int,
-        dom: Optional[list[int]] = None,
-        groups: Optional[dict[str, list[list[tuple[int, int]]]]] = None,
-    ) -> None:
-        self.n = n
-        self.dom = dom
-        self.groups = groups or {}
-        reasons = ([] if dom is None else ["dominators"]) + list(self.groups)
-        self.pruned_by = dict.fromkeys(reasons, 0)
 
-    @property
-    def skipped(self) -> int:
-        return sum(self.pruned_by.values())
+def _pruned_walk(
+    n: int,
+    dom: Optional[list[int]],
+    groups: dict[str, list[list[tuple[int, int]]]],
+    pruned_by: dict[str, int],
+) -> Iterator[tuple[int, ...]]:
+    """_plain_walk's stream without the tuples that break a constraint, for
+    the pruned verify. Each block's bits are read inline, with no table.
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        # no points leave no block to place and nothing to refuse
-        if not self.n or (self.dom is None and not self.groups):
-            return self._plain()
-        return self._checked()
-
-    def _plain(self) -> Iterator[tuple[int, ...]]:
-        n = self.n
-        bits = _bit_lists(n)
-        ranks = [0] * n
-        # the stack, by depth: points left, next block
-        rems = [0] * (n + 1)
-        subs = [0] * (n + 1)
-        depth = 0
-        rest = (1 << n) - 1
+    With dom given, bit i of dom[j] demands rank[i] < rank[j]: a point may
+    join the next block only once its dominators are placed. groups maps a
+    reason to a list of groups of pairs (i, j) whose weak verdict
+    rank[i] <= rank[j] must be constant per group: a block is refused as
+    soon as placing it decides two pairs of one group differently. The
+    completions a refused choice would have led to are added to the
+    caller's pruned_by["dominators"] or pruned_by[reason], so the stream's
+    length plus their sum is fubini(n) once it is exhausted.
+    """
+    if not n:  # no points leave one empty order and nothing to refuse
+        yield ()
+        return
+    skip = _skip_table(n)
+    fub = [fubini(r) for r in range(n + 1)]
+    # per reason, per point: (group, partner mask) of the pairs it
+    # starts and of the pairs it ends
+    index = []
+    verdict: list[Optional[bool]] = []
+    for reason, data in groups.items():
+        heads: list[dict[int, int]] = [{} for _ in range(n)]
+        tails: list[dict[int, int]] = [{} for _ in range(n)]
+        for grp in data:
+            g = len(verdict)
+            verdict.append(None)
+            for i, j in grp:
+                heads[i][g] = heads[i].get(g, 0) | 1 << j
+                tails[j][g] = tails[j].get(g, 0) | 1 << i
+        index.append(
+            (reason, [list(h.items()) for h in heads], [list(t.items()) for t in tails])
+        )
+    ranks = [0] * n
+    # the stack, by depth: points left, eligible points, next block,
+    # groups whose verdict the placed block fixed
+    rems = [0] * (n + 1)
+    eligs = [0] * (n + 1)
+    subs = [0] * (n + 1)
+    fixed: list[list[int]] = [[] for _ in range(n + 1)]
+    depth = 0
+    rest = (1 << n) - 1
+    while True:
+        # a new node: the points of rest go into blocks depth, depth+1, ...
+        if dom is None:
+            eligible = rest
+        else:
+            eligible = _eligible(rest, dom)
+            pruned_by["dominators"] += skip[rest.bit_count()][eligible.bit_count()]
+        rems[depth] = rest
+        eligs[depth] = subs[depth] = eligible
         while True:
-            # a new node: the points of rest go into blocks depth, depth+1, ...
-            rems[depth] = rest
-            # the first block tried takes every point left: a leaf
-            for b in bits[rest]:
-                ranks[b] = depth
-            yield tuple(ranks)
-            sub = (rest - 1) & rest
-            while not sub:
+            sub = subs[depth]
+            undo = fixed[depth]
+            for g in undo:
+                verdict[g] = None
+            undo.clear()
+            if not sub:
                 depth -= 1
                 if depth < 0:
                     return
-                sub = subs[depth]
-            subs[depth] = (sub - 1) & rems[depth]
-            for b in bits[sub]:
-                ranks[b] = depth
-            rest = rems[depth] ^ sub
-            depth += 1
-
-    def _checked(self) -> Iterator[tuple[int, ...]]:
-        n, dom, pruned_by = self.n, self.dom, self.pruned_by
-        skip = _skip_table(n)
-        fub = [fubini(r) for r in range(n + 1)]
-        # per reason, per point: (group, partner mask) of the pairs it
-        # starts and of the pairs it ends
-        index = []
-        verdict: list[Optional[bool]] = []
-        for reason, data in self.groups.items():
-            if not data:
-                # no group to fix: the reason refuses nothing
                 continue
-            heads: list[dict[int, int]] = [{} for _ in range(n)]
-            tails: list[dict[int, int]] = [{} for _ in range(n)]
-            for grp in data:
-                g = len(verdict)
-                verdict.append(None)
-                for i, j in grp:
-                    heads[i][g] = heads[i].get(g, 0) | 1 << j
-                    tails[j][g] = tails[j].get(g, 0) | 1 << i
-            index.append(
-                (reason, [list(h.items()) for h in heads], [list(t.items()) for t in tails])
-            )
-        ranks = [0] * n
-        # the stack, by depth: points left, eligible points, next block,
-        # groups whose verdict the placed block fixed
-        rems = [0] * (n + 1)
-        eligs = [0] * (n + 1)
-        subs = [0] * (n + 1)
-        fixed: list[list[int]] = [[] for _ in range(n + 1)]
-        depth = 0
-        rest = (1 << n) - 1
-        while True:
-            # a new node: the points of rest go into blocks depth, depth+1, ...
-            if dom is None:
-                eligible = rest
+            subs[depth] = (sub - 1) & eligs[depth]
+            rest = rems[depth]
+            for reason, heads, tails in index:
+                if not _fix(sub, rest, heads, tails, verdict, undo):
+                    pruned_by[reason] += fub[rest.bit_count() - sub.bit_count()]
+                    break
             else:
-                eligible = _eligible(rest, dom)
-                pruned_by["dominators"] += skip[rest.bit_count()][eligible.bit_count()]
-            rems[depth] = rest
-            eligs[depth] = subs[depth] = eligible
-            while True:
-                sub = subs[depth]
-                undo = fixed[depth]
-                for g in undo:
-                    verdict[g] = None
-                undo.clear()
-                if not sub:
-                    depth -= 1
-                    if depth < 0:
-                        return
-                    continue
-                subs[depth] = (sub - 1) & eligs[depth]
-                rest = rems[depth]
-                for reason, heads, tails in index:
-                    if not _fix(sub, rest, heads, tails, verdict, undo):
-                        pruned_by[reason] += fub[rest.bit_count() - sub.bit_count()]
-                        break
-                else:
-                    for b in _members(sub):
-                        ranks[b] = depth
-                    rest ^= sub
-                    if rest:
-                        break
-                    yield tuple(ranks)
-            depth += 1
+                for b in _members(sub):
+                    ranks[b] = depth
+                rest ^= sub
+                if rest:
+                    break
+                yield tuple(ranks)
+        depth += 1
 
 
 def enumerate_weak_orders(
@@ -450,7 +437,7 @@ def enumerate_weak_orders(
         )
     if len(set(pts)) != n:
         raise RafprefError("points must be pairwise distinct")
-    for rv in _Walk(n):
+    for rv in _plain_walk(n):
         yield RankedRelation(pts, rv)
 
 
@@ -584,6 +571,10 @@ def verify_characterization(
     per-sample table is built once per run, for the compile and every
     re-audit alike.
 
+    Before any point is built, TooManyPointsError refuses more points or
+    a higher arity than max_points or CHECK_MAX_POINTS, and its subclass
+    UnprunedWalkError more than DEFAULT_MAX_POINTS points with prune=False.
+
     workers is accepted and ignored: the search runs in one process.
     """
     started = time.perf_counter()
@@ -596,54 +587,60 @@ def verify_characterization(
             f"axiom {bad[0]} cannot drive the verification; "
             f"choose from {[str(a) for a in VERIFY_AXIOMS]}"
         )
-    if not grid.within(max_points):
+    bound = min(max_points, CHECK_MAX_POINTS)
+    if not grid.within(bound):
         raise TooManyPointsError(
-            f"grid has {grid.size_text()} points at arity {grid.arity}; "
-            f"the enumeration bound of {max_points} caps both"
+            f"grid has {grid.size_text()} points at arity {grid.arity}; the "
+            f"{'enumeration' if bound == max_points else 'check'} bound of {bound} caps both"
         )
     n = grid.size
+    if not prune and n > DEFAULT_MAX_POINTS:
+        raise UnprunedWalkError(
+            f"grid has {n} points; the unpruned walk visits all fubini({n}) "
+            f"weak orders and is refused above {DEFAULT_MAX_POINTS} points"
+        )
     sample = _Sample(grid_points(grid))
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
     constraints = [_compile_constraint(a, sample) for a in order]
-    if prune:
-        # every requested axiom prunes, so every leaf the walk reaches
-        # satisfies them all
-        forced = [data for kind, data in constraints if kind == "forced"]
-        dom = None
-        if forced:
-            dom = [0] * n
-            for pairs in forced:
-                for i, j in pairs:
-                    dom[j] |= 1 << i
-        # a list an earlier reason already checks (IWA's is WeakIWA's) can
-        # refuse nothing more: its reason keeps its place in pruned_by with
-        # a count of 0
-        groups: dict[str, list] = {}
-        for a, (kind, data) in zip(order, constraints):
-            if kind == "groups":
-                groups[str(a)] = [] if data in groups.values() else data
-        walk = _Walk(n, dom, groups)
-        stream = iter(walk)
-        listed = list(islice(stream, SURVIVOR_LISTING_CAP))
-        checked = survivor_count = len(listed) + sum(1 for _ in stream)
-        passed = [checked] * len(constraints)
+    # the pruned walk's constraints; the pair axioms come first, and so does
+    # "dominators" in pruned_by. A group list that is empty, or that an earlier
+    # reason checks (IWA's is WeakIWA's), refuses nothing but keeps its 0
+    dom: Optional[list[int]] = None
+    groups: dict[str, list] = {}
+    pruned_by: dict[str, int] = {}
+    for a, (kind, data) in zip(order, constraints):
+        if kind == "forced":
+            if dom is None:
+                dom = [0] * n
+                pruned_by["dominators"] = 0
+            for i, j in data:
+                dom[j] |= 1 << i
+        else:
+            pruned_by[str(a)] = 0
+            if data and data not in groups.values():
+                groups[str(a)] = data
+    if prune:  # every leaf the pruned walk reaches satisfies every axiom
+        stream, filters = _pruned_walk(n, dom, groups, pruned_by), []
     else:
-        walk = _Walk(n)
-        checked = survivor_count = 0
-        passed = [0] * len(constraints)
-        listed = []
-        for rv in walk:
-            checked += 1
-            for idx, (kind, data) in enumerate(constraints):
-                if not _passes(rv, kind, data):
-                    break
-                passed[idx] += 1
-            else:
-                survivor_count += 1
-                if len(listed) < SURVIVOR_LISTING_CAP:
-                    listed.append(rv)
+        stream, filters, pruned_by = _plain_walk(n), constraints, {}
+    checked = survivor_count = 0
+    passed = [0] * len(constraints)
+    listed = []
+    for rv in stream:
+        checked += 1
+        for idx, (kind, data) in enumerate(filters):
+            if not _passes(rv, kind, data):
+                break
+            passed[idx] += 1
+        else:
+            survivor_count += 1
+            if len(listed) < SURVIVOR_LISTING_CAP:
+                listed.append(rv)
+    if prune:
+        passed = [checked] * len(constraints)
 
-    enumerated = checked + walk.skipped
+    pruned_away = sum(pruned_by.values())
+    enumerated = checked + pruned_away
     if enumerated != fubini(n):
         raise RafprefError(
             f"internal error: enumeration covered {enumerated} candidates "
@@ -667,8 +664,8 @@ def verify_characterization(
         pruned=prune,
         enumerated=enumerated,
         checked=checked,
-        pruned_away=walk.skipped,
-        pruned_by=tuple(walk.pruned_by.items()),
+        pruned_away=pruned_away,
+        pruned_by=tuple(pruned_by.items()),
         pass_counts=tuple(zip(order, passed)),
         survivor_count=survivor_count,
         survivors=survivors,

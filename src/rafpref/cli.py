@@ -48,6 +48,7 @@ from .relations import (
 )
 from .axioms import (
     ALL_AXIOMS,
+    CHECK_MAX_POINTS,
     AxiomId,
     AxiomReport,
     AxiomViolation,
@@ -58,6 +59,7 @@ from .characterization import (
     DEFAULT_MAX_POINTS,
     CharacterizationReport,
     TooManyPointsError,
+    UnprunedWalkError,
     VERIFY_AXIOMS,
     construct_proof_witness,
     verify_characterization,
@@ -70,10 +72,6 @@ EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 RELATION_NAMES = ("lex", "mep", "wlog")
 T = TypeVar("T")
-
-# check --grid refuses more points or a higher arity before building a
-# point: an all-axiom lex audit of 1,024 points takes about 17 s and 350 MB
-CHECK_MAX_POINTS = 1024
 
 
 class DocumentError(RafprefError):
@@ -132,8 +130,8 @@ class InputDocument:
         if not isinstance(raw_rafs, dict) or not raw_rafs:
             raise DocumentError("rafs: expected a nonempty object of named profiles")
         rafs = tuple(
-            (name, _by_label(entry, f"rafs.{name}", priority, "rational",
-                             lambda values: Raf(ctx, values)))
+            (_utf8(name, "rafs"),
+             _by_label(entry, f"rafs.{name}", priority, "rational", lambda values: Raf(ctx, values)))
             for name, entry in raw_rafs.items()
         )
         return cls(alternatives, ctx, weights, rafs)
@@ -157,7 +155,17 @@ def _require_str_list(obj: dict, field: str) -> list[str]:
     raw = obj.get(field)
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise DocumentError(f"{field}: expected a list of strings")
-    return raw
+    return [_utf8(x, field) for x in raw]
+
+
+def _utf8(text: str, field: str) -> str:
+    """text, refused if it holds a lone surrogate: JSON can spell one as
+    "\\ud800", but no UTF-8 output can print it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DocumentError(f"{field}: {text!r} holds a lone surrogate") from None
+    return text
 
 
 def _label_value(value, kind: str):
@@ -547,6 +555,9 @@ def cmd_check(args) -> int:
         if args.arity is not None or args.payoffs or args.weights:
             raise DocumentError("--arity/--payoffs/--weights: only meaningful with --grid")
         doc = load_document(args.input)
+        if len(doc.rafs) > CHECK_MAX_POINTS:
+            raise DocumentError(f"rafs: the document has {len(doc.rafs)} profiles; "
+                                f"the check bound of {CHECK_MAX_POINTS} caps the sample")
         ctx, weights = doc.context, doc.weights
         sample = [raf for _, raf in doc.rafs]
     elif args.arity is None:
@@ -565,7 +576,8 @@ def cmd_verify(args) -> int:
     spec = _comma_list(args.levels, "--levels", parse_rational,
                        lambda levels: GridSpec.of(levels, args.arity))
     axioms = _parse_axioms(args.axioms, VERIFY_AXIOMS)
-    with _field("--max-points", TooManyPointsError):  # an internal error names no flag
+    # the inner _field names the subclass's flag, and an internal error names none
+    with _field("--max-points", TooManyPointsError), _field("--no-prune", UnprunedWalkError):
         rep = verify_characterization(spec, axioms, prune=args.prune, max_points=args.max_points)
     _emit(args, _verify_json(rep), _render_verify_text)
     return EXIT_OK if rep.matches_lex else EXIT_VIOLATION
@@ -632,7 +644,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except RafprefError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, whatever the labels and names that the message quotes
+        text = "".join(c if c.isprintable() else ascii(c)[1:-1] for c in str(exc))
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # Point standard output at devnull, so that the interpreter's

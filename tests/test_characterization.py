@@ -45,9 +45,10 @@ from rafpref.characterization import (
     VERIFY_AXIOMS,
     _audit_survivor,
     _compile_constraint,
-    _skip_table,
-    _Walk,
     _passes,
+    _plain_walk,
+    _pruned_walk,
+    _skip_table,
 )
 
 LEX = LexicographicRelation()
@@ -71,6 +72,14 @@ def independent_fubini(n: int) -> int:
     for m in range(1, n + 1):
         table[m] = sum(comb(m, k) * table[m - k] for k in range(1, m + 1))
     return table[n]
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for the first step of the work a bound guards."""
+
+
+def _reach(*args):
+    raise _Reached
 
 
 class TestFubini:
@@ -266,7 +275,7 @@ class TestPrunedStreamEquivalence:
         _, forced = _compile_constraint(SM, _Sample(points))
         plain_survivors = [
             rv
-            for rv in _Walk(n)
+            for rv in _plain_walk(n)
             if all(rv[i] < rv[j] for i, j in forced)
         ]
         report = verify_characterization(
@@ -304,7 +313,7 @@ def forward_checks(draw):
 
 
 class TestWalk:
-    PLAIN = {n: list(_Walk(n)) for n in range(7)}
+    PLAIN = {n: list(_plain_walk(n)) for n in range(7)}
 
     def test_plain_counts(self):
         assert [len(self.PLAIN[n]) for n in range(7)] == [fubini(n) for n in range(7)]
@@ -315,30 +324,30 @@ class TestWalk:
         # masks may be cyclic or name the point itself; those prune everything
         n = len(dom)
         forced = [(i, j) for j in range(n) for i in range(n) if dom[j] >> i & 1]
-        walk = _Walk(n, dom)
-        pruned = list(walk)
+        pruned_by = {"dominators": 0}
+        pruned = list(_pruned_walk(n, dom, {}, pruned_by))
         assert pruned == [
             rv for rv in self.PLAIN[n] if all(rv[i] < rv[j] for i, j in forced)
         ]
-        assert len(pruned) + walk.skipped == fubini(n)
+        assert len(pruned) + sum(pruned_by.values()) == fubini(n)
 
     @settings(max_examples=150, deadline=None)
     @given(forward_checks())
     def test_forward_checked_is_filtered_plain_stream(self, case):
         n, dom, groups = case
         forced = [(i, j) for j in range(n) for i in range(n) if dom and dom[j] >> i & 1]
-        walk = _Walk(n, dom, groups)
-        checked = list(walk)
+        reasons = (["dominators"] if dom is not None else []) + list(groups)
+        pruned_by = dict.fromkeys(reasons, 0)
+        checked = list(_pruned_walk(n, dom, groups, pruned_by))
         assert checked == [
             rv
             for rv in self.PLAIN[n]
             if all(rv[i] < rv[j] for i, j in forced)
             and all(_passes(rv, "groups", data) for data in groups.values())
         ]
-        reasons = (["dominators"] if dom is not None else []) + list(groups)
-        assert list(walk.pruned_by) == reasons
-        assert len(checked) + sum(walk.pruned_by.values()) == fubini(n)
-        assert walk.skipped == sum(walk.pruned_by.values())
+        # the walk counts into the caller's reasons and adds none
+        assert list(pruned_by) == reasons
+        assert len(checked) + sum(pruned_by.values()) == fubini(n)
 
 
 class TestSkipTable:
@@ -498,21 +507,32 @@ class TestVerify:
         monkeypatch.setattr(characterization, "_skip_table", undercount)
         with pytest.raises(RafprefError, match="Fubini recurrence"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
+        # the unpruned stream goes through the same check: one leaf lost
+        real_plain = _plain_walk
+
+        def dropping(n):
+            stream = real_plain(n)
+            next(stream)
+            yield from stream
+
+        monkeypatch.setattr(characterization, "_plain_walk", dropping)
+        with pytest.raises(RafprefError, match="covered 74 candidates"):
+            verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
 
     def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch):
-        real_classes, real_walk = axioms._hypothesis_classes, _Walk
+        real_classes, real_walk = axioms._hypothesis_classes, _pruned_walk
         classed, walked = [], []
 
         def counting_classes(axiom, *args):
             classed.append(axiom)
             return real_classes(axiom, *args)
 
-        def capturing_walk(n, dom=None, groups=None):
+        def capturing_walk(n, dom, groups, pruned_by):
             walked.append(groups)
-            return real_walk(n, dom, groups)
+            return real_walk(n, dom, groups, pruned_by)
 
         monkeypatch.setattr(axioms, "_hypothesis_classes", counting_classes)
-        monkeypatch.setattr(characterization, "_Walk", capturing_walk)
+        monkeypatch.setattr(characterization, "_pruned_walk", capturing_walk)
         report = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, IWA, WEAK_IWA])
         # the same report as when both reasons were forward-checked: IWA,
         # first in canonical order, refused every block either would
@@ -523,8 +543,7 @@ class TestVerify:
         # one class table for the shared classes, and the walk checks them once
         assert classed == [WEAK_IWA]
         (groups,) = walked
-        assert list(groups) == ["IWA", "WeakIWA"]
-        assert groups["IWA"] and groups["WeakIWA"] == []
+        assert list(groups) == ["IWA"] and groups["IWA"]
         pair = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, IWA])
         assert report.survivors == pair.survivors
         assert report.pruned_by[:2] == pair.pruned_by
@@ -658,6 +677,29 @@ class TestVerify:
         monkeypatch.setattr(characterization, "grid_points", refuse)
         with pytest.raises(TooManyPointsError, match="1073741824 points"):
             verify_characterization(GridSpec.of(["0", "1"], 30), [SM, WEAK_IWA])
+
+    def test_check_bound_holds_at_any_max_points(self, monkeypatch):
+        # every table of the sample holds n^2 pairs, so max_points cannot
+        # raise the bound past CHECK_MAX_POINTS
+        monkeypatch.setattr(characterization, "grid_points", _reach)
+        for max_points in (2187, 10**6):
+            with pytest.raises(TooManyPointsError, match="2187 points at arity 7; the check bound of 1024"):
+                verify_characterization(GridSpec.of(["0", "1/2", "1"], 7), [SM], max_points=max_points)
+        assert axioms.CHECK_MAX_POINTS == 1024
+        with pytest.raises(_Reached):  # 1,024 points are admitted
+            verify_characterization(GridSpec.of(["0", "1"], 10), [SM], max_points=10**6)
+
+    def test_unpruned_walk_refused_above_default_bound(self, monkeypatch):
+        # fubini(16) = 5,315,654,681,981,355 leaves would never be walked
+        for name in ("grid_points", "_Sample", "_plain_walk"):
+            monkeypatch.setattr(characterization, name, _reach)
+        with pytest.raises(characterization.UnprunedWalkError, match="16 points; .* above 9 points"):
+            verify_characterization(GridSpec.of(["0", "1"], 4), [SM], prune=False, max_points=16)
+        assert issubclass(characterization.UnprunedWalkError, TooManyPointsError)
+        monkeypatch.setattr(characterization, "grid_points", grid_points)
+        monkeypatch.setattr(characterization, "_Sample", _Sample)
+        with pytest.raises(_Reached):  # 9 points, fubini(9) = 7,087,261 leaves, are admitted
+            verify_characterization(GridSpec.of(["0", "1/2", "1"], 2), [SM], prune=False)
 
     def test_bad_axiom_set(self):
         with pytest.raises(RafprefError):

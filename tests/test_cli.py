@@ -5,13 +5,14 @@ import os
 import re
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rafpref import (
-    CheckConfig, PriorityContext, Raf, RafprefError, WeightVector, characterization, cli,
-    format_rational, relations, run_checks,
+    CheckConfig, PriorityContext, Raf, RafprefError, WeightVector, axioms, characterization,
+    cli, format_rational, relations, run_checks,
 )
 from rafpref.cli import InputDocument, DocumentError, main
 
@@ -38,6 +39,14 @@ def write_doc(tmp_path, obj, name="bad.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for the first step of the work a bound guards."""
+
+
+def _reach(*args):
+    raise _Reached
 
 
 class TestDocument:
@@ -256,6 +265,19 @@ class TestCheck:
         assert main(argv + ["--arity", "11"]) == 2
         assert "bound of 1024" in capsys.readouterr().err
 
+    def test_oversized_document_refused_before_any_table(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(axioms, "_Sample", _reach)
+        rafs = {f"p{i}": {"$40": "0", "$10": "0"} for i in range(1025)}
+        argv = ["check", "-r", "lex", "-i", write_doc(tmp_path, dict(MONEY_DOC, rafs=rafs))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: rafs: the document has 1025 profiles; the check bound of 1024 caps the sample\n"
+        )
+        del rafs["p0"]
+        argv[-1] = write_doc(tmp_path, dict(MONEY_DOC, rafs=rafs))
+        with pytest.raises(_Reached):  # 1,024 profiles are admitted
+            main(argv)
+
     def test_wlog_with_grid_weights(self, capsys):
         argv = ["check", "--relation", "wlog", "--grid", "0,1/2,1", "--arity", "2"]
         assert main(argv + ["--weights", "1,1"]) == 1
@@ -383,6 +405,31 @@ class TestVerify:
         monkeypatch.setattr(characterization, "grid_points", refuse)
         assert main(["verify", "--levels", "0,1", *extra]) == 2
         assert capsys.readouterr().err == f"error: --max-points: grid has {message} caps both\n"
+
+    @pytest.mark.parametrize("max_points", ["1025", "2187", "100000", str(10**30)])
+    def test_check_bound_names_max_points_at_any_value(self, monkeypatch, capsys, max_points):
+        # 729 points at arity 6 took 5.6 s and 267 MB, most of it the n^2
+        # tables, and they grow about ninefold per arity step
+        monkeypatch.setattr(characterization, "grid_points", _reach)
+        monkeypatch.setattr(characterization, "_Sample", _reach)
+        argv = ["verify", "--levels", "0,1/2,1", "--arity", "7", "--max-points", max_points]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --max-points: grid has 2187 points at arity 7; the check bound of 1024 caps both\n"
+        )
+
+    def test_no_prune_refused_above_nine_points(self, monkeypatch, capsys):
+        for name in ("grid_points", "_Sample", "_plain_walk"):
+            monkeypatch.setattr(characterization, name, _reach)
+        argv = ["verify", "--levels", "0,1", "--arity", "4", "--no-prune", "--max-points", "16"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --no-prune: grid has 16 points; the unpruned walk visits all fubini(16) "
+            "weak orders and is refused above 9 points\n"
+        )
+        # pruned, the same grid is refused only by --max-points
+        assert main(argv[:5] + argv[6:-1] + ["15"]) == 2
+        assert capsys.readouterr().err.startswith("error: --max-points: grid has 16 points")
 
     def test_internal_error_names_no_flag(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -683,6 +730,29 @@ class TestInputBoundary:
         long_name = self.error_line(argv + ["--axioms", "x" * 100_000], capsys)
         assert long_name.startswith("error: --axioms: unknown axiom 'xxx") and len(long_name) < 100
 
+    @pytest.mark.parametrize(
+        "document,field",
+        [
+            (dict(MONEY_DOC, alternatives=["$40", "\ud800$10"], priority=["$40", "\ud800$10"]),
+             "alternatives"),
+            (dict(MONEY_DOC, rafs={"A": MONEY_DOC["rafs"]["A"], "\ud800x": MONEY_DOC["rafs"]["B"]}),
+             "rafs"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lone_surrogate_named(self, document, field, fmt, tmp_path, capsys):
+        # a UTF-8 standard output cannot print a lone surrogate, so text and
+        # JSON refuse the document alike
+        path = write_doc(tmp_path, document)
+        for argv in (["rank", "-i", path, "-r", "lex"], ["check", "-i", path, "-r", "lex"]):
+            err = self.error_line(argv + ["--format", fmt], capsys)
+            assert err.startswith(f"error: {field}: ") and "'\\ud800" in err
+
+    def test_name_with_line_break_stays_one_line(self, tmp_path, capsys):
+        obj = dict(MONEY_DOC, rafs={"A\nB\u2028": {"$40": "x", "$10": "0"}})
+        err = self.error_line(["rank", "-i", write_doc(tmp_path, obj), "-r", "lex"], capsys)
+        assert err.startswith("error: rafs.A\\nB\\u2028.$40: ")
+
     def test_document_rational_past_digit_limit_named(self, tmp_path, capsys):
         obj = dict(MONEY_DOC, rafs={"A": {"$40": "1/" + self.ONES, "$10": "0"}})
         err = self.error_line(["rank", "-i", write_doc(tmp_path, obj), "-r", "lex"], capsys)
@@ -710,18 +780,19 @@ _WEIGHT = st.one_of(st.from_regex(r"-?[0-9]{1,3}", fullmatch=True), st.just("1" 
 
 
 def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
+    # standard output encodes as a UTF-8 terminal's does, refusing what it cannot
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
 
 
-def _document_text(payoffs, values, weight):
+def _document_text(payoffs, values, weight, name):
     doc = dict(
         MONEY_DOC,
         payoffs=dict(zip(("$40", "$10"), payoffs)),
         weights={"$40": 123456789, "$10": 1},
-        rafs={"A": dict(zip(("$40", "$10"), values))},
+        rafs={name: dict(zip(("$40", "$10"), values))},
     )
     return json.dumps(doc).replace("123456789", weight)
 
@@ -735,13 +806,20 @@ def _document_text(payoffs, values, weight):
     doc_payoffs=st.tuples(_RATIONAL_LIKE, _RATIONAL_LIKE),
     doc_values=st.tuples(_RATIONAL_LIKE, _RATIONAL_LIKE),
     doc_weight=_WEIGHT,
+    # a profile name of any code points; the second branch makes lone
+    # surrogates, which no UTF-8 output can print, common
+    name=st.text(st.characters(exclude_categories=())
+                 | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), max_size=4),
 )
 def test_fuzzed_inputs_exit_cleanly(levels, grid, payoffs, weights, doc_payoffs,
-                                    doc_values, doc_weight):
+                                    doc_values, doc_weight, name):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_document_text(doc_payoffs, doc_values, doc_weight))
+            fh.write(_document_text(doc_payoffs, doc_values, doc_weight, name))
+        # the name in a valid document, so that rank prints it
+        rafs = {**MONEY_DOC["rafs"], name: {"$40": "1", "$10": "0"}}
+        valid = write_doc(Path(tmp), dict(MONEY_DOC, rafs=rafs))
         grid_flags = [f"--grid={grid}", "--arity", "2", "--axioms", "SM,WeakIWA"]
         runs = [
             ["verify", f"--levels={levels}", "--arity", "2"],
@@ -749,6 +827,8 @@ def test_fuzzed_inputs_exit_cleanly(levels, grid, payoffs, weights, doc_payoffs,
             ["check", "-r", "wlog", *grid_flags, f"--weights={weights}"],
             ["rank", "-i", path, "-r", "mep"],
             ["rank", "-i", path, "-r", "wlog"],
+            ["rank", "-i", valid, "-r", "lex"],
+            ["rank", "-i", valid, "-r", "lex", "--format", "json"],
         ]
         named = re.compile(
             r"error: (--levels|--grid|--arity|--payoffs|--weights|input|payoffs|weights|rafs"
