@@ -8,9 +8,9 @@ deterministically.
 
 Every audit reads two tables over the n^2 ordered pairs of the sample:
 the (up-set, down-set, first difference) signature of each pair, and the
-relation's verdicts, drawn once per pair and memoized. The signature
-table and the hypothesis tables read from it belong to one _Sample, which
-each run_checks call, and each verify run, builds once and reuses.
+relation's verdicts, drawn once per pair into one table per audit. The
+signature table and the hypothesis tables read from it belong to one
+_Sample, built once per run_checks call and once per verify run.
 
 - Reflexivity visits every point; mirror consistency and connectedness
   every ordered pair.
@@ -143,8 +143,9 @@ DEFAULT_CONFIG = CheckConfig()
 
 # The most points in a sample that the command line checks and that verify
 # audits, refused before any table is built: each _Sample table holds the
-# n^2 pairs, and an all-axiom lex audit of 1,024 points takes about 17 s
-# and 350 MB. run_checks itself takes a sample of any size.
+# n^2 pairs. On {0,1}^10, 1,024 points, one process on a 2-core Xeon took
+# 4-5 s to build the tables and 7-10 s more for an all-axiom lex audit, at
+# a peak RSS of 327 MB. run_checks itself takes a sample of any size.
 CHECK_MAX_POINTS = 1024
 
 
@@ -473,14 +474,14 @@ class _Sample:
 
 
 class _Audit:
-    """One relation on a _Sample: a memo of its verdicts by index pair
-    and its quadruple axioms' class tallies."""
+    """One relation on a _Sample: its n x n verdict table, [i][j] None until
+    outcome draws i against j, and its quadruple axioms' class tallies."""
 
     def __init__(self, rel: PreferenceRelation, sample: _Sample) -> None:
         self.rel = rel
         self.sample = sample
         self.points, self.n = sample.points, sample.n
-        self._memo: dict[tuple[int, int], ComparisonOutcome] = {}
+        self.table: list[list[Optional[ComparisonOutcome]]] = [[None] * self.n for _ in range(self.n)]
         self._tallies: dict[AxiomId, tuple[int, int, dict]] = {}
 
     def tally(self, axiom: AxiomId) -> tuple[int, int, dict]:
@@ -511,25 +512,19 @@ class _Audit:
         return qualifying, violation_count, mixed
 
     def outcome(self, i: int, j: int) -> ComparisonOutcome:
-        key = (i, j)
-        out = self._memo.get(key)
+        row = self.table[i]
+        out = row[j]
         if out is None:
             out = self.rel.compare(self.points[i], self.points[j])
             if not isinstance(out, ComparisonOutcome):
                 raise RafprefError(
                     f"relation {self.rel.name!r} returned {out!r}, not a ComparisonOutcome"
                 )
-            self._memo[key] = out
+            row[j] = out
         return out
 
     def geq(self, i: int, j: int) -> bool:
         return at_least_as_good(self.outcome(i, j))
-
-    @cached_property
-    def verdicts(self) -> list[list[Optional[ComparisonOutcome]]]:
-        """[i][j] is the verdict on i against j, drawn on first use; None if i == j."""
-        n = self.n
-        return [[self.outcome(i, j) if i != j else None for j in range(n)] for i in range(n)]
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -562,24 +557,28 @@ def _reflexive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
 
 def _mirror_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Each ordered pair's verdict must be the mirror of its swap's."""
-    points, rows = audit.points, audit.verdicts
-    failed = [(i, j) for i, row in enumerate(rows) for j, out in enumerate(row)
-              if i != j and out.mirrored() is not rows[j][i]]
+    points, outcome, n = audit.points, audit.outcome, audit.n
+    failed = [(i, j) for i in range(n) for j in range(n)
+              if i != j and outcome(i, j).mirrored() is not outcome(j, i)]
     witnesses = (
-        AxiomViolation(axiom, (points[i], points[j]), (rows[i][j], rows[j][i]),
+        AxiomViolation(axiom, (points[i], points[j]), (outcome(i, j), outcome(j, i)),
                        detail="swapped arguments must mirror the verdict")
         for i, j in failed
     )
-    pairs = audit.n * (audit.n - 1)
+    pairs = n * (n - 1)
     return pairs, pairs, len(failed), witnesses
 
 
 def _connected_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Connectedness is structural: the outcome type has no "incomparable"
     value, so drawing a verdict for every ordered pair is the whole check.
-    A comparator that cannot is rejected at memo time."""
-    audit.verdicts  # drawn here unless the Mirror scan already has
-    pairs = audit.n * (audit.n - 1)
+    A comparator that cannot is rejected when outcome first draws it."""
+    outcome, n = audit.outcome, audit.n
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                outcome(i, j)
+    pairs = n * (n - 1)
     return pairs, pairs, 0, iter(())
 
 
@@ -777,7 +776,7 @@ def run_checks(
 ) -> AxiomReport:
     """Run the requested axioms in canonical order, merged into one report.
 
-    Each call builds one _Sample, so all scans share one memo of relation
+    Each call builds one _Sample, so all scans share one table of relation
     verdicts and one copy of each per-sample table. verify builds one
     _Sample per run and audits every listed survivor on it.
     """

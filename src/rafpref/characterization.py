@@ -83,10 +83,14 @@ class TooManyPointsError(RafprefError):
 
 
 class UnprunedWalkError(TooManyPointsError):
-    """An unpruned verify asked for a walk of more points than it can finish."""
+    """An unpruned walk, enumerate_weak_orders or verify with prune=False,
+    was asked for more points than it can start or finish."""
 
 
 DEFAULT_MAX_POINTS = 9
+# The most points enumerate_weak_orders takes whatever its max_points says:
+# _plain_walk's bit table holds 2^n lists, 8 MiB at 16 points.
+_WALK_MAX_POINTS = 16
 SURVIVOR_LISTING_CAP = 10
 
 # Canonical filter order: cheap pairwise constraints first, quadruple
@@ -300,12 +304,13 @@ def _plain_walk(n: int) -> Iterator[tuple[int, ...]]:
 
     Canonical order: depth-first over blocks (best block first), candidate
     blocks visited by decreasing bitmask value. Each block's bits come from
-    an O(2^n) table, which the fubini(n) leaves already bound to about ten
-    points. This loop is kept apart from _pruned_walk because it is about
-    half of an unpruned verify: _pruned_walk with no constraints drained
-    the 545,835 orders of 8 points in 0.96 s against 0.30 s for this one
-    (2-core machine), and single-loop versions of the two measured 1.4 to
-    1.9 times slower (0.53 s with the table).
+    a table of 2^n lists, built before the first leaf: 8 MiB at 16 points,
+    where enumerate_weak_orders stops, and over 200 GiB at 32. This loop
+    is kept apart from _pruned_walk because it is about half of an
+    unpruned verify: _pruned_walk with no constraints drained the 545,835
+    orders of 8 points in 0.96 s against 0.30 s for this one (2-core
+    machine), and single-loop versions of the two measured 1.4 to 1.9
+    times slower (0.53 s with the table).
     """
     bits = _bit_lists(n)
     ranks = [0] * n
@@ -425,7 +430,9 @@ def enumerate_weak_orders(
 
     The stream is deterministic, its length is the n-th Fubini number, and
     it comes from the same walk as verify's search, which leaves tuples
-    out of it but never reorders them.
+    out of it but never reorders them. TooManyPointsError refuses more
+    than max_points points, and its subclass UnprunedWalkError more than
+    16 whatever max_points says, before the walk builds its table.
     """
     pts = tuple(points)
     n = len(pts)
@@ -434,6 +441,11 @@ def enumerate_weak_orders(
     if n > max_points:
         raise TooManyPointsError(
             f"{n} points exceeds the enumeration bound of {max_points}"
+        )
+    if n > _WALK_MAX_POINTS:
+        raise UnprunedWalkError(
+            f"{n} points: the walk's table of 2^n bit lists is refused above "
+            f"{_WALK_MAX_POINTS} points, whatever max_points says"
         )
     if len(set(pts)) != n:
         raise RafprefError("points must be pairwise distinct")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from rafpref.axioms import (
     PAIR_AXIOMS,
     QUAD_AXIOMS,
     AxiomViolation,
+    _Sample,
     _pair_signatures,
     _updown,
     iwa_indices,
@@ -817,7 +819,7 @@ class TestRunChecks:
             report = run_checks(rel, nine_grid, subset)
             assert [r.axiom for r in report.results] == [a for a in ALL_AXIOMS if a in subset]
             assert report.passed
-        # Mirror and Connected share the memo: each ordered pair is drawn once
+        # Mirror and Connected share the verdict table: each ordered pair is drawn once
         assert rel.calls == len(rel.drawn) == 9 * 8
 
     def test_empty_sample_rejected(self):
@@ -845,6 +847,39 @@ class TestRunChecks:
         assert result.passed
         assert rel.calls == len(rel.drawn) == result.qualifying == 81
         assert all(single_coordinate_increase(a, b) for a, b in rel.drawn)
+
+    def test_axiom2_ms_alone_draws_only_single_coordinate_pairs(self):
+        # the quadruple path is as lazy as the pair path: only the pairs of
+        # a hypothesis class are put to the relation
+        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
+        rel = CountingLex()
+        assert run_checks(rel, sample, [AxiomId.AXIOM2_MS]).passed
+        assert rel.calls == len(rel.drawn) == 27 * 3 * 2
+        assert all(sum(x != y for x, y in zip(a.values, b.values)) == 1 for a, b in rel.drawn)
+
+    def test_all_axioms_draw_each_pair_once(self):
+        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
+        rel = CountingLex()
+        assert run_checks(rel, sample).passed
+        assert rel.calls == len(rel.drawn) == 27 ** 2
+
+    def test_audit_keeps_one_verdict_table(self):
+        # with the sample's tables built first, what an all-axiom lex audit
+        # holds is its n x n verdict table: n^2 words, here under twice that
+        n = 128
+        sample = _Sample(grid_points(GridSpec.of([0, 1], 7)))
+        for axiom in PAIR_AXIOMS:
+            sample.qualifying(axiom)
+        for axiom in QUAD_AXIOMS:
+            sample.classes(axiom)
+        tracemalloc.start()
+        try:
+            report = sample.audit(LEX, ALL_AXIOMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.sample_size == n
+        assert peak < 2 * n * n * 8, f"peak {peak / 1024:.0f} KiB"
 
     def test_connected_draws_every_pair(self, nine_grid):
         rel = CountingLex()

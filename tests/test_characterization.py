@@ -136,6 +136,17 @@ class TestEnumeration:
         stream = enumerate_weak_orders(points, max_points=10)
         assert next(stream).domain == tuple(points)
 
+    def test_walk_bound_holds_at_any_max_points(self, monkeypatch):
+        # the walk's bit table holds 2^n lists and is built before the first
+        # order, so no max_points may take it past 16 points (8 MiB)
+        monkeypatch.setattr(characterization, "_bit_lists", _reach)
+        points = grid_points(GridSpec.of(["0", "1"], 5))
+        for n, max_points in ((17, 17), (20, 20), (32, 32), (17, 10**6)):
+            with pytest.raises(characterization.UnprunedWalkError, match=f"^{n} points: .* above 16 points"):
+                next(enumerate_weak_orders(points[:n], max_points=max_points))
+        with pytest.raises(_Reached):  # 16 points are admitted
+            next(enumerate_weak_orders(points[:16], max_points=16))
+
     def test_duplicates_rejected(self, unit_square):
         with pytest.raises(RafprefError):
             next(enumerate_weak_orders(unit_square + unit_square[:1]))

@@ -1,0 +1,98 @@
+"""The abstract's claims, as checked statements on finite samples.
+
+Each test quotes the sentence of the abstract it checks. The headline
+claim, that strong monotonicity (SM) and weak independence of worse
+alternatives (WeakIWA) leave only the lexicographic order, is pinned
+elsewhere: acceptance criteria C9 and C10 in test_acceptance.py and the
+verify tests in test_characterization.py. So is SM's equivalence with
+strong dominance (SD) on product grids:
+test_characterization.py::TestVerify::test_sm_alone_equals_sd_alone_on_product_grids.
+This module adds what those leave out: that each axiom is needed, and
+that the equivalence is a property of product grids.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from rafpref import (
+    AxiomId,
+    GridSpec,
+    RankedRelation,
+    UtilityRelation,
+    default_context,
+    enumerate_weak_orders,
+    grid_points,
+    lex_ranking,
+    make_raf,
+    replay_violation,
+    run_checks,
+    table_relation,
+)
+
+SM = AxiomId.STRONG_MONOTONICITY
+SD = AxiomId.STRONG_DOMINANCE
+WEAK_IWA = AxiomId.WEAK_IWA
+IWA = AxiomId.IWA
+NON_COMPENSATION = AxiomId.NON_COMPENSATION
+TRANSITIVE = AxiomId.TRANSITIVE
+
+CUBE = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
+
+
+def lex_reversed_at(k, points):
+    """Lex with 1-based coordinate k read downwards, as a rank table."""
+    key = {p: tuple(-v if i == k - 1 else v for i, v in enumerate(p.values)) for p in points}
+    order = sorted(set(key.values()), reverse=True)
+    return table_relation(RankedRelation.from_rank_map({p: order.index(key[p]) for p in points}))
+
+
+class TestBothAxiomsAreNeeded:
+    """"We provide an axiomatic characterization of lexicographic
+    preferences over the set of all random availability functions using
+    two assumptions." Neither assumption alone pins lex down: each test
+    gives a transitive relation that meets one and breaks the other."""
+
+    def test_additive_utility_meets_sm_and_breaks_independence(self):
+        rel = UtilityRelation(lambda r: sum(r.values))
+        report = run_checks(rel, CUBE)
+        for axiom in (TRANSITIVE, SM, SD):
+            assert report.result_for(axiom).passed, axiom
+        counts = {axiom: report.result_for(axiom).violation_count
+                  for axiom in (NON_COMPENSATION, IWA, WEAK_IWA)}
+        assert counts == {NON_COMPENSATION: 2064, IWA: 43544, WEAK_IWA: 43544}
+        for axiom in counts:
+            (witness,) = report.result_for(axiom).violations
+            assert replay_violation(rel, witness)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lex_reversed_at_one_coordinate_meets_independence_and_breaks_sm(self, k):
+        rel = lex_reversed_at(k, CUBE)
+        report = run_checks(rel, CUBE, [TRANSITIVE, SM, NON_COMPENSATION, IWA, WEAK_IWA])
+        for axiom in (TRANSITIVE, NON_COMPENSATION, IWA, WEAK_IWA):
+            assert report.result_for(axiom).passed, axiom
+        sm = report.result_for(SM)
+        assert sm.violation_count == 27
+        assert replay_violation(rel, sm.violations[0])
+
+
+class TestSmIsStrongDominanceOnGridsOnly:
+    """"The first assumption is strong monotonicity, which in our framework
+    is equivalent to the strong dominance property in microeconomics." On
+    a product grid every dominance pair is a chain of single-coordinate
+    increases through grid points, and the two leave the same weak orders
+    (pinned in test_characterization.py). Off a grid the chain can be
+    missing, and SM says less than SD."""
+
+    def test_off_grid_sm_leaves_an_order_sd_refuses(self):
+        ctx = default_context(2)
+        sample = [make_raf(values, ctx) for values in (("0", "1/2"), ("0", "0"), ("1", "1"))]
+        orders = list(enumerate_weak_orders(sample))
+        assert len(orders) == 13
+
+        def survivors(pair_axiom):
+            return [order.chain() for order in orders
+                    if run_checks(table_relation(order), sample, [pair_axiom, WEAK_IWA]).passed]
+
+        assert survivors(SM) == ["(1, 1) ≻ (0, 1/2) ≻ (0, 0)", "(0, 1/2) ≻ (0, 0) ≻ (1, 1)"]
+        assert survivors(SD) == [lex_ranking(sample).chain()] == ["(1, 1) ≻ (0, 1/2) ≻ (0, 0)"]
