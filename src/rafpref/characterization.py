@@ -242,25 +242,16 @@ def _eligible(remaining: int, dom: list[int]) -> int:
     return eligible
 
 
-def _skip_table(n: int) -> list[list[int]]:
-    """skip[r][e]: the completions refused at a node with r points left and
-    e of them eligible, 0 when e = r. A first block S leads to
-    fubini(r - |S|) of them; only the nonempty subsets of the eligible
-    points are taken, so the taken ones number
-    A(r, e) = sum over s = 1..e of comb(e, s) * fubini(r - s).
-    Pascal's rule on comb(e, s) gives
-    A(r, e) = A(r, e-1) + A(r-1, e-1) + fubini(r-1), with A(r, 0) = 0:
-    O(n^2) additions in all."""
-    fub = [fubini(i) for i in range(n + 1)]
-    skip = []
-    above: list[int] = []  # A(r-1, .)
-    for r in range(n + 1):
-        taken = [0]
-        for e in range(1, r + 1):
-            taken.append(taken[-1] + above[e - 1] + fub[r - 1])
-        skip.append([fub[r] - a for a in taken[:-1]] + [0])
-        above = taken
-    return skip
+@lru_cache(maxsize=None)
+def _refused(r: int, e: int) -> int:
+    """The completions refused at a node with r >= 1 points left and e of
+    them eligible, 0 when e = r. A first block S leads to fubini(r - |S|)
+    of them; only the nonempty subsets of the eligible points are taken,
+    so the refused ones number fubini(r) minus
+    sum over s = 1..e of comb(e, s) * fubini(r - s). The count depends on
+    r and e alone, never on the blocks the walk goes on to try, so a walk
+    that skipped an eligible block would still fail verify's Fubini check."""
+    return fubini(r) - sum(comb(e, s) * fubini(r - s) for s in range(1, e + 1))
 
 
 def _fix(
@@ -360,7 +351,6 @@ def _pruned_walk(
     if not n:  # no points leave one empty order and nothing to refuse
         yield ()
         return
-    skip = _skip_table(n)
     fub = [fubini(r) for r in range(n + 1)]
     # per reason, per point: (group, partner mask) of the pairs it
     # starts and of the pairs it ends
@@ -393,7 +383,7 @@ def _pruned_walk(
             eligible = rest
         else:
             eligible = _eligible(rest, dom)
-            pruned_by["dominators"] += skip[rest.bit_count()][eligible.bit_count()]
+            pruned_by["dominators"] += _refused(rest.bit_count(), eligible.bit_count())
         rems[depth] = rest
         eligs[depth] = subs[depth] = eligible
         while True:

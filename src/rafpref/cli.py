@@ -648,14 +648,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = "".join(c if c.isprintable() else ascii(c)[1:-1] for c in str(exc))
         print(f"error: {text}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
+    except OSError as exc:  # a write to standard output failed
         # Point standard output at devnull, so that the interpreter's
-        # flush at exit does not fail on the closed pipe again.
+        # flush at exit does not fail on the same output again.
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (AttributeError, OSError, ValueError):
             pass  # not backed by a file descriptor: nothing is left to flush
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):  # the reader went away
+            return EXIT_BROKEN_PIPE
+        print(f"error: standard output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

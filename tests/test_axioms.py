@@ -826,6 +826,20 @@ class TestRunChecks:
         with pytest.raises(RafprefError):
             run_checks(LEX, [])
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda sample: run_checks(LEX, sample, ["NoSuchAxiom"]), "unknown axioms"),
+            (lambda sample: run_checks(LEX, sample, [AxiomId.REFLEXIVE]).result_for(
+                AxiomId.TRANSITIVE), "no result for axiom Transitive"),
+            (lambda sample: replay_violation(LEX, AxiomViolation("NoSuchAxiom", tuple(sample), ())),
+             "cannot replay axiom NoSuchAxiom"),
+        ],
+    )
+    def test_unknown_axiom_refused(self, nine_grid, call, message):
+        with pytest.raises(RafprefError, match=message):
+            call(nine_grid)
+
     def test_reflexive_alone_compares_each_point_once(self):
         sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
         rel = CountingLex()

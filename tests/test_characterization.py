@@ -48,7 +48,7 @@ from rafpref.characterization import (
     _passes,
     _plain_walk,
     _pruned_walk,
-    _skip_table,
+    _refused,
 )
 
 LEX = LexicographicRelation()
@@ -96,6 +96,10 @@ class TestFubini:
         fubini.cache_clear()
         assert fubini(400) == independent_fubini(400)
 
+    def test_negative_refused(self):
+        with pytest.raises(RafprefError, match="nonnegative"):
+            fubini(-1)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 13), (4, 75), (5, 541)])
@@ -106,6 +110,10 @@ class TestEnumeration:
         orders = list(enumerate_weak_orders(points))
         assert len(orders) == count
         assert len(set(orders)) == count
+
+    def test_no_points_refused(self):
+        with pytest.raises(RafprefError, match="at least one point"):
+            next(enumerate_weak_orders([]))
 
     def test_each_is_valid_preorder(self, unit_square):
         for ranking in enumerate_weak_orders(unit_square):
@@ -361,17 +369,20 @@ class TestWalk:
         assert len(checked) + sum(pruned_by.values()) == fubini(n)
 
 
-class TestSkipTable:
-    def test_matches_direct_sum(self):
-        # skip[r][e] = fubini(r) - sum_{s=1..e} C(e,s) fubini(r-s), e < r
-        for n in range(31):
-            skip = _skip_table(n)
-            assert [len(row) for row in skip] == list(range(1, n + 2))
-            for r, row in enumerate(skip):
-                assert row[r] == 0
-                for e in range(r):
-                    taken = sum(comb(e, s) * fubini(r - s) for s in range(1, e + 1))
-                    assert row[e] == fubini(r) - taken, (n, r, e)
+class TestRefused:
+    def test_matches_block_count(self):
+        # the first blocks that a node with r points left and the first e
+        # of them eligible refuses: every nonempty S not inside the
+        # eligible points, each leading to fubini(r - |S|) completions
+        for r in range(1, 8):
+            for e in range(r + 1):
+                eligible = (1 << e) - 1
+                count = sum(
+                    fubini(r - block.bit_count())
+                    for block in range(1, 1 << r)
+                    if block & ~eligible
+                )
+                assert _refused(r, e) == count, (r, e)
 
 
 class TestVerify:
@@ -505,17 +516,15 @@ class TestVerify:
         assert solo.checked == team.checked == 75
 
     def test_fubini_mismatch_raises(self, monkeypatch):
-        real = characterization._skip_table
+        real = _refused
 
-        def undercount(n):
+        def undercount(r, e):
             # on {0,1}^2 under SM the root has four points left and one
             # eligible, (1, 1)
-            skip = real(n)
-            assert skip[4][1] > 0
-            skip[4][1] -= 1
-            return skip
+            return real(r, e) - 1 if (r, e) == (4, 1) else real(r, e)
 
-        monkeypatch.setattr(characterization, "_skip_table", undercount)
+        assert real(4, 1) > 0
+        monkeypatch.setattr(characterization, "_refused", undercount)
         with pytest.raises(RafprefError, match="Fubini recurrence"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
         # the unpruned stream goes through the same check: one leaf lost
@@ -529,6 +538,20 @@ class TestVerify:
         monkeypatch.setattr(characterization, "_plain_walk", dropping)
         with pytest.raises(RafprefError, match="covered 74 candidates"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
+
+    def test_one_refused_count_per_node(self, monkeypatch):
+        # SM+WeakIWA on {0,1/2,1}^3 walks one chain of 27 nodes down to lex
+        calls = []
+
+        def counting(r, e):
+            calls.append((r, e))
+            return _refused(r, e)
+
+        monkeypatch.setattr(characterization, "_refused", counting)
+        spec = GridSpec.of(["0", "1/2", "1"], 3)
+        report = verify_characterization(spec, [SM, WEAK_IWA], max_points=27)
+        assert report.matches_lex
+        assert [r for r, _ in calls] == list(range(27, 0, -1))  # once per node
 
     def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch):
         real_classes, real_walk = axioms._hypothesis_classes, _pruned_walk

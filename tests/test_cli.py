@@ -1,8 +1,10 @@
 import contextlib
+import errno
 import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -619,6 +621,36 @@ def test_closed_pipe_exits_quietly(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+class FullDevice(io.StringIO):
+    """A standard output whose device has no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    # exit 1 would claim a violation that was never found
+    assert main(["check", "--grid", "0,1/2,1", "--arity", "2", "-r", "lex"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: standard output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["demo"],
+    ["check", "--grid", "0,1/2,1", "--arity", "2", "-r", "lex", "--format", "json"],
+])
+def test_full_device_exits_2_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "rafpref.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert done.returncode == cli.EXIT_USAGE
+    assert done.stderr == "error: standard output: No space left on device\n"
+
+
 class TestInputBoundary:
     """Every bad input value exits 2 with one line naming its field or flag."""
 
@@ -648,6 +680,7 @@ class TestInputBoundary:
              "--weights: weight for 'x1' must be a positive integer"),
             (GRID_WLOG + ["--weights", "1,101"], None,
              "--weights: weight for 'x2' above 100 is refused"),
+            (RANK_WLOG, {"$40": "1", "$10": 1}, "weights.$40: must be a positive integer"),
         ],
     )
     def test_weight_range_names_alternative(self, argv, weights, message, tmp_path, capsys):

@@ -27,6 +27,7 @@ from rafpref import (
     strictly_dominates,
 )
 from rafpref.cli import main
+from rafpref.core import coerce_rational
 from conftest import rationals01
 
 
@@ -90,6 +91,11 @@ class TestParseRational:
         ctx = default_context(2)
         with pytest.raises(RationalParseError):
             make_raf([0.5, 0.5], ctx)
+
+    @pytest.mark.parametrize("value", [True, object()])
+    def test_non_rationals_refused(self, value):
+        with pytest.raises(RationalParseError, match="cannot interpret"):
+            coerce_rational(value)
 
 
 class TestPriorityContext:
@@ -283,6 +289,9 @@ class TestGrid:
             GridSpec.of([], 2)
         with pytest.raises(InvalidGridError):
             GridSpec.of(["0", "1"], 1)
+        # the bare constructor does not sort, so it checks the order
+        with pytest.raises(InvalidGridError, match="strictly increasing"):
+            GridSpec((Fraction(1), Fraction(0)), 2)
 
     @pytest.mark.parametrize("arity", [1, 0, -3])
     def test_low_arity_has_its_own_error(self, arity):

@@ -5,20 +5,24 @@ claim, that strong monotonicity (SM) and weak independence of worse
 alternatives (WeakIWA) leave only the lexicographic order, is pinned
 elsewhere: acceptance criteria C9 and C10 in test_acceptance.py and the
 verify tests in test_characterization.py. So is SM's equivalence with
-strong dominance (SD) on product grids:
+strong dominance (SD) on product grids, over every weak order of a few
+small grids:
 test_characterization.py::TestVerify::test_sm_alone_equals_sd_alone_on_product_grids.
-This module adds what those leave out: that each axiom is needed, and
-that the equivalence is a property of product grids.
+This module adds what those leave out: that each axiom is needed, that
+on larger grids every drawn weak order meeting SM meets SD, and that the
+equivalence is a property of product grids.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rafpref import (
     AxiomId,
     GridSpec,
     RankedRelation,
+    TableRelation,
     UtilityRelation,
     default_context,
     enumerate_weak_orders,
@@ -29,6 +33,7 @@ from rafpref import (
     run_checks,
     table_relation,
 )
+from rafpref.axioms import single_coordinate_increase
 
 SM = AxiomId.STRONG_MONOTONICITY
 SD = AxiomId.STRONG_DOMINANCE
@@ -83,6 +88,27 @@ class TestSmIsStrongDominanceOnGridsOnly:
     increases through grid points, and the two leave the same weak orders
     (pinned in test_characterization.py). Off a grid the chain can be
     missing, and SM says less than SD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                                  Fraction(2, 3), 1]), min_size=2, max_size=4, unique=True),
+        st.integers(2, 3),
+        st.data(),
+    )
+    def test_on_a_grid_an_order_meeting_sm_meets_sd(self, levels, arity, data):
+        points = grid_points(GridSpec.of(sorted(levels), arity))  # at most 4^3 = 64
+        above = {b: {a for a in points if single_coordinate_increase(a, b)} for b in points}
+        # best block first; a point may join a block once every point that
+        # increases it in one coordinate is placed, so the order meets SM
+        ranks, rank = {}, 0
+        while len(ranks) < len(points):
+            eligible = [p for p in points if p not in ranks and above[p] <= ranks.keys()]
+            block = data.draw(st.lists(st.sampled_from(eligible), min_size=1, unique=True))
+            ranks.update(dict.fromkeys(block, rank))
+            rank += 1
+        rel = TableRelation(RankedRelation.from_rank_map(ranks))
+        assert run_checks(rel, points, [TRANSITIVE, SM, SD]).passed
 
     def test_off_grid_sm_leaves_an_order_sd_refuses(self):
         ctx = default_context(2)

@@ -211,6 +211,19 @@ class TestRankedRelation:
         with pytest.raises(NonContiguousRanksError):
             RankedRelation.from_rank_map({p: 2 for p in unit_square})
 
+    @pytest.mark.parametrize(
+        "points,ranks,message",
+        [
+            ((), (), "empty ranking"),
+            (range(4), (0, 1, 2), "one rank per point"),
+            ((0, 1, 1), (0, 1, 2), "duplicate points"),
+        ],
+    )
+    def test_malformed_ranking_rejected(self, unit_square, points, ranks, message):
+        ranking = RankedRelation(tuple(unit_square[i] for i in points), ranks)
+        with pytest.raises(NonContiguousRanksError, match=message):
+            ranking.validate()
+
     def test_unknown_point(self, unit_square, raf_a):
         ranking = RankedRelation.from_rank_map({p: 0 for p in unit_square})
         with pytest.raises(UnknownPointError):
