@@ -22,22 +22,30 @@ aborts.
 Without pruning the walk emits every weak order and each requested
 filter runs on it in turn: the brute-force reference. _plain_walk makes
 that stream and enumerate_weak_orders's, _pruned_walk the pruned one in
-a loop of its own (_plain_walk gives the measured reason); both are
-deterministic (depth-first, blocks by decreasing bitmask), and verify
-drains either through one loop. Pruning only refuses block choices, so
-the pruned stream is the plain one filtered, and the two runs give the
-same survivors and verdict; they differ in checked, pruned_away,
-pruned_by, pass_counts and elapsed_ms (see CharacterizationReport). The
-search runs in one process.
+a loop of its own; both are deterministic (depth-first, blocks by
+decreasing bitmask). _plain_walk loops in Python only over the nodes
+with more than _TAIL_POINTS points left: the subtree of each smaller
+node is one run, whose rank tuples C iterators make from a per-walk
+table of the small walk's rank patterns, so bytecode runs once per run,
+not once per leaf (_plain_walk gives the measured times). verify drains either
+stream through one pipeline of C iterators: a filter per constraint,
+each stage counted by its own itertools.count. Pruning only refuses
+block choices, so the pruned stream is the plain one filtered, and the
+two runs give the same survivors and verdict; they differ in checked,
+pruned_away, pruned_by, pass_counts and elapsed_ms (see
+CharacterizationReport). The search runs in one process.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count, islice, repeat
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     GridSpec,
@@ -88,9 +96,14 @@ class UnprunedWalkError(TooManyPointsError):
 
 
 DEFAULT_MAX_POINTS = 9
-# The most points enumerate_weak_orders takes whatever its max_points says:
-# _plain_walk's bit table holds 2^n lists, 8 MiB at 16 points.
+# The most points enumerate_weak_orders takes whatever its max_points says.
+# It bounds the work, not a table: the fubini(17) = 1.3e17 weak orders of
+# 17 points could never be drained.
 _WALK_MAX_POINTS = 16
+# _plain_walk makes the subtree of a node with at most this many points
+# left from a table of rank patterns, 541 of them at 5 points (timings in
+# its docstring).
+_TAIL_POINTS = 5
 SURVIVOR_LISTING_CAP = 10
 
 # Canonical filter order: cheap pairwise constraints first, quadruple
@@ -105,17 +118,32 @@ VERIFY_AXIOMS = (
 )
 
 
-@lru_cache(maxsize=None)
-def fubini(n: int) -> int:
-    """Count of weak orders on n labeled points, by the binomial recurrence.
+# fubini's cache: _fubini_values[m] = fubini(m) for every m computed so
+# far, and _fubini_row[k] = T(m, k) for the largest of them, the row that
+# a later, larger call extends.
+_fubini_values = [1]
+_fubini_row = [1]
 
-    The cache is filled from the bottom up, so a first call with a large n
-    recurses at most two frames deep, not one frame per point."""
+
+def fubini(n: int) -> int:
+    """Count of weak orders on n labeled points, exact.
+
+    T(m, k) = k! S(m, k) counts the weak orders of m points with k blocks:
+    the last point either joins one of the k blocks of a weak order of the
+    others, or is a block of its own in one of k places among k - 1, so
+    T(m, k) = k (T(m - 1, k) + T(m - 1, k - 1)), and fubini(m) is the sum
+    of row m. The cache is filled row by row, with no recursion: a first
+    call costs about n^2 / 2 additions and small-by-big products."""
+    global _fubini_row
     if n < 0:
         raise RafprefError("fubini is defined for nonnegative n")
-    for m in range(1, n):
-        fubini(m)
-    return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1)) if n else 1
+    values, row = _fubini_values, _fubini_row
+    for m in range(len(values), n + 1):
+        prev = row + [0]  # T(m - 1, m) = 0
+        row = [0, *(k * (prev[k] + prev[k - 1]) for k in range(1, m + 1))]
+        _fubini_row = row
+        values.append(sum(row))
+    return values[n]
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +252,6 @@ def proof_trace_check(rel, a: Raf, b: Raf) -> ProofTrace:
 # ---------------------------------------------------------------------------
 
 
-def _bit_lists(n: int) -> list[list[int]]:
-    """bits[mask] = indices of the set bits, highest first."""
-    bits: list[list[int]] = [[] for _ in range(1 << n)]
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        bits[mask] = bits[mask ^ low] + [low.bit_length() - 1]
-    return bits
-
-
 def _eligible(remaining: int, dom: list[int]) -> int:
     """The points of remaining whose forced dominators are all placed."""
     eligible = remaining
@@ -294,16 +313,35 @@ def _plain_walk(n: int) -> Iterator[tuple[int, ...]]:
     for enumerate_weak_orders and the unpruned verify.
 
     Canonical order: depth-first over blocks (best block first), candidate
-    blocks visited by decreasing bitmask value. Each block's bits come from
-    a table of 2^n lists, built before the first leaf: 8 MiB at 16 points,
-    where enumerate_weak_orders stops, and over 200 GiB at 32. This loop
-    is kept apart from _pruned_walk because it is about half of an
-    unpruned verify: _pruned_walk with no constraints drained the 545,835
-    orders of 8 points in 0.96 s against 0.30 s for this one (2-core
-    machine), and single-loop versions of the two measured 1.4 to 1.9
-    times slower (0.53 s with the table).
+    blocks visited by decreasing bitmask value. The stream is a chain of
+    runs that _walk_runs yields: a node with more than _TAIL_POINTS points
+    left is one leaf, and a child with r <= _TAIL_POINTS points left is its
+    whole subtree, made in C from a table of the r-point walk's rank
+    tuples. It is kept apart from _pruned_walk because it is most of an
+    unpruned verify: drained, the 545,835 orders of 8 points took
+    133-152 ms (best of six, 2-core Xeon, CPython 3.11), against
+    183-197 ms for a loop that yields each leaf from Python and
+    0.69-1.0 s for _pruned_walk with no constraints. Tables of 4 points
+    took 172-255 ms, and of 6 points no less than of 5.
     """
-    bits = _bit_lists(n)
+    return chain.from_iterable(_walk_runs(n, {}))
+
+
+def _walk_runs(
+    n: int, tails: dict[tuple[int, int], list[tuple[int, ...]]]
+) -> Iterator[Iterable[tuple[int, ...]]]:
+    """_plain_walk's stream of n points, in runs.
+
+    tails[r, d], built on first use by _tail, is the r-point walk's rank
+    tuples, each rank plus d. A child at depth d whose points left, rest,
+    number r <= _TAIL_POINTS yields its subtree as one run: each pattern
+    is appended to the ranks placed so far, and gather[rest] takes the
+    n ranks, reading the points of rest from the pattern. Relabelling rest
+    onto 0..r-1 keeps the order of its bits, so it maps rest's subsets in
+    decreasing bitmask order onto the r-point walk's in the same order, and
+    the run is exactly the subtree the walk would visit.
+    """
+    gather: dict[int, itemgetter] = {}
     ranks = [0] * n
     # the stack, by depth: points left, next block
     rems = [0] * (n + 1)
@@ -311,23 +349,45 @@ def _plain_walk(n: int) -> Iterator[tuple[int, ...]]:
     depth = 0
     rest = (1 << n) - 1
     while True:
-        # a new node: the points of rest go into blocks depth, depth+1, ...
+        # a node with more than _TAIL_POINTS points left, or the root: the
+        # first block tried takes every point left, a leaf
         rems[depth] = rest
-        # the first block tried takes every point left: a leaf
-        for b in bits[rest]:
+        for b in _members(rest):
             ranks[b] = depth
-        yield tuple(ranks)
+        yield (tuple(ranks),)
         sub = (rest - 1) & rest
-        while not sub:
-            depth -= 1
-            if depth < 0:
-                return
+        while True:
+            while not sub:
+                depth -= 1
+                if depth < 0:
+                    return
+                sub = subs[depth]
+            subs[depth] = (sub - 1) & rems[depth]
+            for b in _members(sub):
+                ranks[b] = depth
+            rest = rems[depth] ^ sub
+            r = rest.bit_count()
+            if r > _TAIL_POINTS:
+                break
+            get = gather.get(rest)
+            if get is None:
+                at = dict(zip(_members(rest), range(n, n + r)))
+                get = gather[rest] = itemgetter(*(at.get(i, i) for i in range(n)))
+            yield map(get, map(add, repeat(tuple(ranks)), _tail(tails, r, depth + 1)))
             sub = subs[depth]
-        subs[depth] = (sub - 1) & rems[depth]
-        for b in bits[sub]:
-            ranks[b] = depth
-        rest = rems[depth] ^ sub
         depth += 1
+
+
+def _tail(
+    tails: dict[tuple[int, int], list[tuple[int, ...]]], r: int, d: int
+) -> list[tuple[int, ...]]:
+    """tails[r, d]: the r-point walk's rank tuples, each rank plus d,
+    built on first use from the smaller tails in tails."""
+    run = tails.get((r, d))
+    if run is None:
+        walk = chain.from_iterable(_walk_runs(r, tails))
+        run = tails[r, d] = [tuple(x + d for x in rv) for rv in walk]
+    return run
 
 
 def _pruned_walk(
@@ -422,7 +482,7 @@ def enumerate_weak_orders(
     it comes from the same walk as verify's search, which leaves tuples
     out of it but never reorders them. TooManyPointsError refuses more
     than max_points points, and its subclass UnprunedWalkError more than
-    16 whatever max_points says, before the walk builds its table.
+    16 whatever max_points says, before the walk starts.
     """
     pts = tuple(points)
     n = len(pts)
@@ -434,13 +494,15 @@ def enumerate_weak_orders(
         )
     if n > _WALK_MAX_POINTS:
         raise UnprunedWalkError(
-            f"{n} points: the walk's table of 2^n bit lists is refused above "
-            f"{_WALK_MAX_POINTS} points, whatever max_points says"
+            f"{n} points: the walk of all fubini({n}) weak orders is refused "
+            f"above {_WALK_MAX_POINTS} points, whatever max_points says"
         )
     if len(set(pts)) != n:
         raise RafprefError("points must be pairwise distinct")
-    for rv in _plain_walk(n):
-        yield RankedRelation(pts, rv)
+    # what RankedRelation(pts, rv) does, without a Python frame per order
+    yield from map(
+        tuple.__new__, repeat(RankedRelation), zip(repeat(pts), _plain_walk(n))
+    )
 
 
 def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
@@ -478,19 +540,28 @@ def _compile_constraint(axiom: AxiomId, sample: _Sample):
     return ("groups", [g for g in sample.classes(axiom).values() if len(g) > 1])
 
 
-def _passes(rv, kind: str, data) -> bool:
+def _predicate(kind: str, data) -> Callable[[tuple[int, ...]], bool]:
+    """The test a rank tuple must pass to meet one compiled constraint."""
     if kind == "forced":
-        for i, j in data:
-            if rv[i] >= rv[j]:
-                return False
+
+        def passes(rv):
+            for i, j in data:
+                if rv[i] >= rv[j]:
+                    return False
+            return True
+
+        return passes
+
+    def passes(rv):
+        for grp in data:
+            i0, j0 = grp[0]
+            b0 = rv[i0] <= rv[j0]
+            for i, j in grp[1:]:
+                if (rv[i] <= rv[j]) != b0:
+                    return False
         return True
-    for grp in data:
-        i0, j0 = grp[0]
-        b0 = rv[i0] <= rv[j0]
-        for i, j in grp[1:]:
-            if (rv[i] <= rv[j]) != b0:
-                return False
-    return True
+
+    return passes
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +696,17 @@ def verify_characterization(
         stream, filters = _pruned_walk(n, dom, groups, pruned_by), []
     else:
         stream, filters, pruned_by = _plain_walk(n), constraints, {}
-    checked = survivor_count = 0
-    passed = [0] * len(constraints)
-    listed = []
-    for rv in stream:
-        checked += 1
-        for idx, (kind, data) in enumerate(filters):
-            if not _passes(rv, kind, data):
-                break
-            passed[idx] += 1
-        else:
-            survivor_count += 1
-            if len(listed) < SURVIVOR_LISTING_CAP:
-                listed.append(rv)
+    # one filter per constraint, in canonical order; tallies[0] counts the
+    # stream and tallies[k] what passes the k-th filter, each one tick per
+    # tuple that zip draws through it
+    tallies = [count() for _ in range(len(filters) + 1)]
+    stream = map(itemgetter(0), zip(stream, tallies[0]))
+    for (kind, data), tally in zip(filters, tallies[1:]):
+        stream = map(itemgetter(0), zip(filter(_predicate(kind, data), stream), tally))
+    listed = list(islice(stream, SURVIVOR_LISTING_CAP))
+    deque(stream, maxlen=0)
+    checked, *passed = map(next, tallies)
+    survivor_count = passed[-1] if passed else checked
     if prune:
         passed = [checked] * len(constraints)
 

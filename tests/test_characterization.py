@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -42,13 +43,16 @@ from rafpref.axioms import (
 )
 from rafpref import axioms, characterization
 from rafpref.characterization import (
+    SURVIVOR_LISTING_CAP,
     VERIFY_AXIOMS,
+    _TAIL_POINTS,
     _audit_survivor,
     _compile_constraint,
-    _passes,
     _plain_walk,
+    _predicate,
     _pruned_walk,
     _refused,
+    _tail,
 )
 
 LEX = LexicographicRelation()
@@ -90,11 +94,14 @@ class TestFubini:
         for n in range(0, 12):
             assert fubini(n) == independent_fubini(n)
 
-    def test_large_first_call_does_not_recurse_per_point(self):
+    def test_large_first_call_does_not_recurse_per_point(self, monkeypatch):
         # from a cold cache, one stack frame per point would overflow the
         # interpreter's default limit at about 340 points
-        fubini.cache_clear()
+        monkeypatch.setattr(characterization, "_fubini_values", [1])
+        monkeypatch.setattr(characterization, "_fubini_row", [1])
         assert fubini(400) == independent_fubini(400)
+        # a later, larger call extends the kept row
+        assert fubini(420) == independent_fubini(420)
 
     def test_negative_refused(self):
         with pytest.raises(RafprefError, match="nonnegative"):
@@ -145,9 +152,9 @@ class TestEnumeration:
         assert next(stream).domain == tuple(points)
 
     def test_walk_bound_holds_at_any_max_points(self, monkeypatch):
-        # the walk's bit table holds 2^n lists and is built before the first
-        # order, so no max_points may take it past 16 points (8 MiB)
-        monkeypatch.setattr(characterization, "_bit_lists", _reach)
+        # the fubini(17) = 1.3e17 orders of 17 points could never be
+        # drained, so no max_points may start a walk past 16 points
+        monkeypatch.setattr(characterization, "_plain_walk", _reach)
         points = grid_points(GridSpec.of(["0", "1"], 5))
         for n, max_points in ((17, 17), (20, 20), (32, 32), (17, 10**6)):
             with pytest.raises(characterization.UnprunedWalkError, match=f"^{n} points: .* above 16 points"):
@@ -261,8 +268,7 @@ class TestCompiledFiltersMatchCheckers:
         for ranking in enumerate_weak_orders(unit_square):
             rel = table_relation(ranking)
             for axiom, checker in self.CHECKERS.items():
-                kind, data = compiled[axiom]
-                fast = _passes(ranking.ranks, kind, data)
+                fast = _predicate(*compiled[axiom])(ranking.ranks)
                 literal = checker(rel, list(unit_square)).passed
                 assert fast == literal, (axiom, ranking.ranks)
 
@@ -280,8 +286,7 @@ class TestCompiledFiltersMatchCheckers:
             ranking = RankedRelation(pts, ranks)
             rel = table_relation(ranking)
             for axiom, checker in self.CHECKERS.items():
-                kind, data = compiled[axiom]
-                fast = _passes(ranks, kind, data)
+                fast = _predicate(*compiled[axiom])(ranks)
                 literal = checker(rel, list(pts)).passed
                 assert fast == literal, (axiom, ranks)
 
@@ -331,11 +336,58 @@ def forward_checks(draw):
     return n, dom, groups
 
 
+def _reference_walk(r: int) -> list:
+    """The plain walk of r points, recursively: at each node the leaf
+    first, then every proper nonempty subset of the points left as the
+    next block, by decreasing bitmask."""
+
+    def node(ranks, rest, depth):
+        out = [ranks | dict.fromkeys(rest, depth)]
+        mask = sum(1 << i for i in rest)
+        for block in range(mask - 1, 0, -1):
+            if block & mask == block:
+                placed = {i for i in rest if block >> i & 1}
+                out += node(ranks | dict.fromkeys(placed, depth), rest - placed, depth + 1)
+        return out
+
+    return [tuple(ranks[i] for i in range(r)) for ranks in node({}, set(range(r)), 0)]
+
+
+# sha256 of the repr of every tuple of _plain_walk(n), in stream order, as
+# the walk with a Python loop per leaf made them; the tail tables begin at
+# n = 6
+PLAIN_STREAM_SHA256 = (
+    "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+    "b17c050eeb955454b2668d3396236bbe3862e8b3d9bcd3fbd61278d413fbb5ff",
+    "3556973bb0d2006bc564d18bcb76832d617885f3cf0ef44821d25e3fae9c8b72",
+    "cbbd54f4810fedad3526e0927c95384bd5073239499ed4ea8d6a3b09315cea68",
+    "bbee1a037145df7711b9c83244c1d291d28534018f21d8ac7ac4238e812c044e",
+    "d4106e701443e4830490191d2ffdced658609a43e8ec1334d69e978bc8f7fc23",
+    "859b2ceaaf854acb209c737c48d35f385d61b2719d77940a6f8221a0189b9a34",
+    "cbdef660129517e478e4f389eb2fbe2c62ee33230d36367f4e576a653fc10fc0",
+)
+
+
 class TestWalk:
     PLAIN = {n: list(_plain_walk(n)) for n in range(7)}
 
     def test_plain_counts(self):
         assert [len(self.PLAIN[n]) for n in range(7)] == [fubini(n) for n in range(7)]
+
+    @pytest.mark.parametrize("n", range(len(PLAIN_STREAM_SHA256)))
+    def test_plain_stream_pinned(self, n):
+        digest = hashlib.sha256()
+        for rv in _plain_walk(n):
+            digest.update(repr(rv).encode())
+        assert digest.hexdigest() == PLAIN_STREAM_SHA256[n]
+
+    @pytest.mark.parametrize("r", range(_TAIL_POINTS + 1))
+    def test_tail_table_is_the_small_walk(self, r):
+        tails = {}
+        reference = _reference_walk(r)
+        for d in (0, 1, 3):
+            assert _tail(tails, r, d) == [tuple(x + d for x in rv) for rv in reference]
 
     @settings(max_examples=200, deadline=None)
     @given(dominator_masks())
@@ -362,7 +414,7 @@ class TestWalk:
             rv
             for rv in self.PLAIN[n]
             if all(rv[i] < rv[j] for i, j in forced)
-            and all(_passes(rv, "groups", data) for data in groups.values())
+            and all(_predicate("groups", data)(rv) for data in groups.values())
         ]
         # the walk counts into the caller's reasons and adds none
         assert list(pruned_by) == reasons
@@ -395,6 +447,28 @@ class TestVerify:
         assert report.survivors[0].ranks == (3, 2, 1, 0)
         plain = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
         assert dict(plain.pass_counts) == {SM: 3, WEAK_IWA: 1}
+
+    @pytest.mark.parametrize("axioms", [a for a in _subsets(VERIFY_AXIOMS) if a])
+    def test_sequential_pass_counts_match_a_loop(self, axioms):
+        # each filter sees only what passed the filters before it, in
+        # canonical order, over every weak order of {0,1}^2
+        spec = GridSpec.of(["0", "1"], 2)
+        sample = _Sample(grid_points(spec))
+        tests = [_predicate(*_compile_constraint(a, sample)) for a in axioms]
+        passed = [0] * len(axioms)
+        survivors = []
+        for ranking in enumerate_weak_orders(sample.points):
+            for k, passes in enumerate(tests):
+                if not passes(ranking.ranks):
+                    break
+                passed[k] += 1
+            else:
+                survivors.append(ranking)
+        report = verify_characterization(spec, reversed(axioms), prune=False)
+        assert report.checked == 75
+        assert report.pass_counts == tuple(zip(axioms, passed))
+        assert report.survivor_count == len(survivors)
+        assert report.survivors == tuple(survivors[:SURVIVOR_LISTING_CAP])
 
     def test_pruned_equals_unpruned(self):
         spec = GridSpec.of(["0", "1"], 2)
