@@ -20,19 +20,19 @@ space: emitted plus skipped must equal the n-th Fubini number or the run
 aborts.
 
 Without pruning the walk emits every weak order and each requested
-filter runs on it in turn: the brute-force reference. _plain_walk makes
-that stream and enumerate_weak_orders's, _pruned_walk the pruned one in
-a loop of its own; both are deterministic (depth-first, blocks by
-decreasing bitmask). _plain_walk loops in Python only over the nodes
-with more than _TAIL_POINTS points left: the subtree of each smaller
-node is one run, whose rank tuples C iterators make from a per-walk
-table of the small walk's rank patterns, so bytecode runs once per run,
-not once per leaf (_plain_walk gives the measured times). verify drains either
-stream through one pipeline of C iterators: a filter per constraint,
-each stage counted by its own itertools.count. Pruning only refuses
-block choices, so the pruned stream is the plain one filtered, and the
-two runs give the same survivors and verdict; they differ in checked,
-pruned_away, pruned_by, pass_counts and elapsed_ms (see
+filter runs on it in turn: the brute-force reference. One walk, _walk,
+makes that stream, enumerate_weak_orders's and the pruned one; it is
+deterministic (depth-first, blocks by decreasing bitmask), and pruning
+only skips the blocks it refuses, so the pruned stream is the plain one
+filtered by construction. With nothing to refuse, the walk loops in
+Python only over the nodes with more than _TAIL_POINTS points left: the
+subtree of each smaller node is one run, whose rank tuples C iterators
+make from a per-walk table of the small walk's rank patterns, so
+bytecode runs once per run, not once per leaf (_runs gives the measured
+times). verify drains either stream through one pipeline of C
+iterators: a filter per constraint, each stage counted by its own
+itertools.count. The two runs give the same survivors and verdict; they
+differ in checked, pruned_away, pruned_by, pass_counts and elapsed_ms (see
 CharacterizationReport). The search runs in one process.
 """
 
@@ -100,9 +100,9 @@ DEFAULT_MAX_POINTS = 9
 # It bounds the work, not a table: the fubini(17) = 1.3e17 weak orders of
 # 17 points could never be drained.
 _WALK_MAX_POINTS = 16
-# _plain_walk makes the subtree of a node with at most this many points
-# left from a table of rank patterns, 541 of them at 5 points (timings in
-# its docstring).
+# With nothing to refuse, the walk makes the subtree of a node with at
+# most this many points left from a table of rank patterns, 541 of them at
+# 5 points (timings in _runs' docstring).
 _TAIL_POINTS = 5
 SURVIVOR_LISTING_CAP = 10
 
@@ -308,108 +308,54 @@ def _fix(
     return True
 
 
-def _plain_walk(n: int) -> Iterator[tuple[int, ...]]:
-    """Rank tuple of every ordered set partition of range(n), exactly once,
-    for enumerate_weak_orders and the unpruned verify.
+def _walk(
+    n: int,
+    dom: Optional[list[int]] = None,
+    groups: Optional[dict[str, list[list[tuple[int, int]]]]] = None,
+    pruned_by: Optional[dict[str, int]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Rank tuple of every ordered set partition of range(n) that the
+    constraints leave, exactly once: enumerate_weak_orders and both verify
+    searches drain it. Depth-first, best block first, candidate blocks by
+    decreasing bitmask.
 
-    Canonical order: depth-first over blocks (best block first), candidate
-    blocks visited by decreasing bitmask value. The stream is a chain of
-    runs that _walk_runs yields: a node with more than _TAIL_POINTS points
-    left is one leaf, and a child with r <= _TAIL_POINTS points left is its
-    whole subtree, made in C from a table of the r-point walk's rank
-    tuples. It is kept apart from _pruned_walk because it is most of an
-    unpruned verify: drained, the 545,835 orders of 8 points took
-    133-152 ms (best of six, 2-core Xeon, CPython 3.11), against
-    183-197 ms for a loop that yields each leaf from Python and
-    0.69-1.0 s for _pruned_walk with no constraints. Tables of 4 points
-    took 172-255 ms, and of 6 points no less than of 5.
+    Bit i of dom[j] demands rank[i] < rank[j]: a point may join a block
+    only once its dominators are placed. groups maps a reason to groups of
+    pairs (i, j) whose weak verdict rank[i] <= rank[j] must be constant per
+    group: a block that decides two pairs of one group differently is
+    refused. The completions a refusal skips are added to the caller's
+    pruned_by["dominators"] or pruned_by[reason], so that the stream's
+    length plus their sum is fubini(n). Refusing only skips blocks, so the
+    stream is the unconstrained one with the refused tuples left out.
     """
-    return chain.from_iterable(_walk_runs(n, {}))
+    return chain.from_iterable(_runs(n, dom, groups or {}, pruned_by, {}))
 
 
-def _walk_runs(
-    n: int, tails: dict[tuple[int, int], list[tuple[int, ...]]]
-) -> Iterator[Iterable[tuple[int, ...]]]:
-    """_plain_walk's stream of n points, in runs.
-
-    tails[r, d], built on first use by _tail, is the r-point walk's rank
-    tuples, each rank plus d. A child at depth d whose points left, rest,
-    number r <= _TAIL_POINTS yields its subtree as one run: each pattern
-    is appended to the ranks placed so far, and gather[rest] takes the
-    n ranks, reading the points of rest from the pattern. Relabelling rest
-    onto 0..r-1 keeps the order of its bits, so it maps rest's subsets in
-    decreasing bitmask order onto the r-point walk's in the same order, and
-    the run is exactly the subtree the walk would visit.
-    """
-    gather: dict[int, itemgetter] = {}
-    ranks = [0] * n
-    # the stack, by depth: points left, next block
-    rems = [0] * (n + 1)
-    subs = [0] * (n + 1)
-    depth = 0
-    rest = (1 << n) - 1
-    while True:
-        # a node with more than _TAIL_POINTS points left, or the root: the
-        # first block tried takes every point left, a leaf
-        rems[depth] = rest
-        for b in _members(rest):
-            ranks[b] = depth
-        yield (tuple(ranks),)
-        sub = (rest - 1) & rest
-        while True:
-            while not sub:
-                depth -= 1
-                if depth < 0:
-                    return
-                sub = subs[depth]
-            subs[depth] = (sub - 1) & rems[depth]
-            for b in _members(sub):
-                ranks[b] = depth
-            rest = rems[depth] ^ sub
-            r = rest.bit_count()
-            if r > _TAIL_POINTS:
-                break
-            get = gather.get(rest)
-            if get is None:
-                at = dict(zip(_members(rest), range(n, n + r)))
-                get = gather[rest] = itemgetter(*(at.get(i, i) for i in range(n)))
-            yield map(get, map(add, repeat(tuple(ranks)), _tail(tails, r, depth + 1)))
-            sub = subs[depth]
-        depth += 1
-
-
-def _tail(
-    tails: dict[tuple[int, int], list[tuple[int, ...]]], r: int, d: int
-) -> list[tuple[int, ...]]:
-    """tails[r, d]: the r-point walk's rank tuples, each rank plus d,
-    built on first use from the smaller tails in tails."""
-    run = tails.get((r, d))
-    if run is None:
-        walk = chain.from_iterable(_walk_runs(r, tails))
-        run = tails[r, d] = [tuple(x + d for x in rv) for rv in walk]
-    return run
-
-
-def _pruned_walk(
+def _runs(
     n: int,
     dom: Optional[list[int]],
     groups: dict[str, list[list[tuple[int, int]]]],
-    pruned_by: dict[str, int],
-) -> Iterator[tuple[int, ...]]:
-    """_plain_walk's stream without the tuples that break a constraint, for
-    the pruned verify. Each block's bits are read inline, with no table.
-
-    With dom given, bit i of dom[j] demands rank[i] < rank[j]: a point may
-    join the next block only once its dominators are placed. groups maps a
-    reason to a list of groups of pairs (i, j) whose weak verdict
-    rank[i] <= rank[j] must be constant per group: a block is refused as
-    soon as placing it decides two pairs of one group differently. The
-    completions a refused choice would have led to are added to the
-    caller's pruned_by["dominators"] or pruned_by[reason], so the stream's
-    length plus their sum is fubini(n) once it is exhausted.
+    pruned_by: Optional[dict[str, int]],
+    tables: dict[tuple[int, int], list[tuple[int, ...]]],
+) -> Iterator[Iterable[tuple[int, ...]]]:
+    """_walk's stream in runs: a leaf is a 1-tuple, and in a walk with
+    nothing to refuse, a child with r <= _TAIL_POINTS points left is its
+    whole subtree, made in C from tables[r, d], the r-point walk's rank
+    tuples plus d, which _tail builds. Each pattern is appended to the
+    ranks placed so far, and gather[rest] takes the n ranks, reading the
+    points of rest from the pattern. Relabelling rest onto 0..r-1 keeps the
+    order of its bits, so the run is exactly the subtree the walk would
+    visit. A table holds every weak order of r points, so a walk with
+    dominators or groups, which must look at each block, takes none and
+    reads each block's bits inline. Runs are most of an unpruned verify:
+    drained, the 545,835 orders of 8 points took 133-152 ms (best of six,
+    2-core Xeon, CPython 3.11), against 183-197 ms for a loop that yields
+    each leaf from Python and 0.69-1.0 s for the pruned walk with no
+    constraints. Tables of 4 points took 172-255 ms, and of 6 points no
+    less than of 5.
     """
     if not n:  # no points leave one empty order and nothing to refuse
-        yield ()
+        yield ((),)
         return
     fub = [fubini(r) for r in range(n + 1)]
     # per reason, per point: (group, partner mask) of the pairs it
@@ -428,6 +374,9 @@ def _pruned_walk(
         index.append(
             (reason, [list(h.items()) for h in heads], [list(t.items()) for t in tails])
         )
+    # the most points left at which a child's subtree is one run
+    tabled = _TAIL_POINTS if dom is None and not groups else 0
+    gather: dict[int, itemgetter] = {}
     ranks = [0] * n
     # the stack, by depth: points left, eligible points, next block,
     # groups whose verdict the placed block fixed
@@ -467,10 +416,30 @@ def _pruned_walk(
                 for b in _members(sub):
                     ranks[b] = depth
                 rest ^= sub
-                if rest:
+                r = rest.bit_count()
+                if r > tabled:
                     break
-                yield tuple(ranks)
+                if not r:
+                    yield (tuple(ranks),)
+                    continue
+                get = gather.get(rest)
+                if get is None:
+                    at = dict(zip(_members(rest), range(n, n + r)))
+                    get = gather[rest] = itemgetter(*(at.get(i, i) for i in range(n)))
+                yield map(get, map(add, repeat(tuple(ranks)), _tail(tables, r, depth + 1)))
         depth += 1
+
+
+def _tail(
+    tables: dict[tuple[int, int], list[tuple[int, ...]]], r: int, d: int
+) -> list[tuple[int, ...]]:
+    """tables[r, d]: the r-point walk's rank tuples, each rank plus d,
+    built on first use by the walk of r points, from the smaller tables."""
+    run = tables.get((r, d))
+    if run is None:
+        walk = chain.from_iterable(_runs(r, None, {}, None, tables))
+        run = tables[r, d] = [tuple(x + d for x in rv) for rv in walk]
+    return run
 
 
 def enumerate_weak_orders(
@@ -479,8 +448,8 @@ def enumerate_weak_orders(
     """Yield every total preorder on the points exactly once.
 
     The stream is deterministic, its length is the n-th Fubini number, and
-    it comes from the same walk as verify's search, which leaves tuples
-    out of it but never reorders them. TooManyPointsError refuses more
+    it is _walk's with nothing to refuse: verify's pruned search drains the
+    same walk, which then skips refused blocks but never reorders a tuple. TooManyPointsError refuses more
     than max_points points, and its subclass UnprunedWalkError more than
     16 whatever max_points says, before the walk starts.
     """
@@ -501,7 +470,7 @@ def enumerate_weak_orders(
         raise RafprefError("points must be pairwise distinct")
     # what RankedRelation(pts, rv) does, without a Python frame per order
     yield from map(
-        tuple.__new__, repeat(RankedRelation), zip(repeat(pts), _plain_walk(n))
+        tuple.__new__, repeat(RankedRelation), zip(repeat(pts), _walk(n))
     )
 
 
@@ -693,9 +662,9 @@ def verify_characterization(
             if data and data not in groups.values():
                 groups[str(a)] = data
     if prune:  # every leaf the pruned walk reaches satisfies every axiom
-        stream, filters = _pruned_walk(n, dom, groups, pruned_by), []
+        stream, filters = _walk(n, dom, groups, pruned_by), []
     else:
-        stream, filters, pruned_by = _plain_walk(n), constraints, {}
+        stream, filters, pruned_by = _walk(n), constraints, {}
     # one filter per constraint, in canonical order; tallies[0] counts the
     # stream and tallies[k] what passes the k-th filter, each one tick per
     # tuple that zip draws through it

@@ -218,17 +218,17 @@ def load_document(path: str) -> InputDocument:
 
 
 def _build_relation(
-    name: str, ctx: PriorityContext, weights: Optional[WeightVector]
+    name: str, ctx: PriorityContext, weights: Optional[WeightVector], prefix: str = ""
 ) -> PreferenceRelation:
     if name == "lex":
         return LexicographicRelation()
     if name == "mep":
         if ctx.payoffs is None:
-            raise DocumentError("payoffs: required by the mep relation")
+            raise DocumentError(f"{prefix}payoffs: required by the mep relation")
         return MaxExpectedPayoffRelation()
     if name == "wlog":
         if weights is None:
-            raise DocumentError("weights: required by the wlog relation")
+            raise DocumentError(f"{prefix}weights: required by the wlog relation")
         return WeightedLogProductRelation(weights)
     raise DocumentError(f"relation: unknown name {name!r}")
 
@@ -564,7 +564,8 @@ def cmd_check(args) -> int:
         raise DocumentError("--arity: required with --grid")
     else:
         ctx, sample, weights = _grid_sample(args)
-    rel = _build_relation(args.relation, ctx, weights)
+    # a grid's pay-offs and weights come from flags, a document's from fields
+    rel = _build_relation(args.relation, ctx, weights, "--" if args.grid else "")
     axioms = _parse_axioms(args.axioms, ALL_AXIOMS)
     config = CheckConfig(all_violations=args.all_violations)
     report = run_checks(rel, sample, axioms, config)

@@ -2,6 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -48,11 +49,10 @@ from rafpref.characterization import (
     _TAIL_POINTS,
     _audit_survivor,
     _compile_constraint,
-    _plain_walk,
     _predicate,
-    _pruned_walk,
     _refused,
     _tail,
+    _walk,
 )
 
 LEX = LexicographicRelation()
@@ -61,6 +61,7 @@ WD = AxiomId.WEAK_DOMINANCE
 SD = AxiomId.STRONG_DOMINANCE
 WEAK_IWA = AxiomId.WEAK_IWA
 IWA = AxiomId.IWA
+NC = AxiomId.NON_COMPENSATION
 
 # pinned from the binomial recurrence a(n) = sum C(n,k) a(n-k), a(0) = 1
 FUBINI_PINNED = (1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261)
@@ -154,7 +155,7 @@ class TestEnumeration:
     def test_walk_bound_holds_at_any_max_points(self, monkeypatch):
         # the fubini(17) = 1.3e17 orders of 17 points could never be
         # drained, so no max_points may start a walk past 16 points
-        monkeypatch.setattr(characterization, "_plain_walk", _reach)
+        monkeypatch.setattr(characterization, "_walk", _reach)
         points = grid_points(GridSpec.of(["0", "1"], 5))
         for n, max_points in ((17, 17), (20, 20), (32, 32), (17, 10**6)):
             with pytest.raises(characterization.UnprunedWalkError, match=f"^{n} points: .* above 16 points"):
@@ -291,20 +292,47 @@ class TestCompiledFiltersMatchCheckers:
                 assert fast == literal, (axiom, ranks)
 
 
+# the axiom sets whose pruned stream is compared in full with the plain one
+STREAM_AXIOM_SETS = ((SM,), (WEAK_IWA,), (NC,), (SM, WEAK_IWA), (SM, NC))
+
+
+@lru_cache(maxsize=None)
+def _plain_survivors(levels, arity):
+    """Per axiom set of STREAM_AXIOM_SETS, the grid's plain stream filtered
+    by the compiled predicates, from one pass over the stream."""
+    sample = _Sample(grid_points(GridSpec.of(levels, arity)))
+    tests = {a: _predicate(*_compile_constraint(a, sample)) for a in (SM, WEAK_IWA, NC)}
+    kept = {axioms: [] for axioms in STREAM_AXIOM_SETS}
+    for rv in _walk(len(sample.points)):
+        passed = {a for a, passes in tests.items() if passes(rv)}
+        for axioms, survivors in kept.items():
+            if passed.issuperset(axioms):
+                survivors.append(rv)
+    return kept
+
+
 class TestPrunedStreamEquivalence:
-    @pytest.mark.parametrize("levels,arity", [(["0", "1"], 2), (["0", "1"], 3)])
-    def test_pruned_is_filtered_plain_stream(self, levels, arity):
-        points = grid_points(GridSpec.of(levels, arity))
-        n = len(points)
-        _, forced = _compile_constraint(SM, _Sample(points))
-        plain_survivors = [
-            rv
-            for rv in _plain_walk(n)
-            if all(rv[i] < rv[j] for i, j in forced)
-        ]
-        report = verify_characterization(
-            GridSpec.of(levels, arity), [SM], prune=True
-        )
+    @pytest.mark.parametrize(
+        "levels,arity,axioms",
+        [(levels, arity, axioms) for levels, arity in ((("0", "1"), 2), (("0", "1"), 3))
+         for axioms in STREAM_AXIOM_SETS],
+    )
+    def test_pruned_is_filtered_plain_stream(self, monkeypatch, levels, arity, axioms):
+        # the whole stream that verify drains, group axioms included
+        real_walk, drained, counts = _walk, [], []
+
+        def capturing_walk(n, dom, groups, pruned_by):
+            counts.append(pruned_by)
+            for rv in real_walk(n, dom, groups, pruned_by):
+                drained.append(rv)
+                yield rv
+
+        monkeypatch.setattr(characterization, "_walk", capturing_walk)
+        report = verify_characterization(GridSpec.of(levels, arity), axioms, prune=True)
+        plain_survivors = _plain_survivors(levels, arity)[axioms]
+        assert drained == plain_survivors
+        (pruned_by,) = counts
+        assert len(drained) + sum(pruned_by.values()) == fubini(1 << arity)
         assert report.checked == len(plain_survivors)
         # survivor listing preserves the canonical stream order
         cap = min(10, len(plain_survivors))
@@ -353,7 +381,7 @@ def _reference_walk(r: int) -> list:
     return [tuple(ranks[i] for i in range(r)) for ranks in node({}, set(range(r)), 0)]
 
 
-# sha256 of the repr of every tuple of _plain_walk(n), in stream order, as
+# sha256 of the repr of every tuple of _walk(n), in stream order, as
 # the walk with a Python loop per leaf made them; the tail tables begin at
 # n = 6
 PLAIN_STREAM_SHA256 = (
@@ -370,7 +398,7 @@ PLAIN_STREAM_SHA256 = (
 
 
 class TestWalk:
-    PLAIN = {n: list(_plain_walk(n)) for n in range(7)}
+    PLAIN = {n: list(_walk(n)) for n in range(7)}
 
     def test_plain_counts(self):
         assert [len(self.PLAIN[n]) for n in range(7)] == [fubini(n) for n in range(7)]
@@ -378,7 +406,7 @@ class TestWalk:
     @pytest.mark.parametrize("n", range(len(PLAIN_STREAM_SHA256)))
     def test_plain_stream_pinned(self, n):
         digest = hashlib.sha256()
-        for rv in _plain_walk(n):
+        for rv in _walk(n):
             digest.update(repr(rv).encode())
         assert digest.hexdigest() == PLAIN_STREAM_SHA256[n]
 
@@ -396,7 +424,7 @@ class TestWalk:
         n = len(dom)
         forced = [(i, j) for j in range(n) for i in range(n) if dom[j] >> i & 1]
         pruned_by = {"dominators": 0}
-        pruned = list(_pruned_walk(n, dom, {}, pruned_by))
+        pruned = list(_walk(n, dom, {}, pruned_by))
         assert pruned == [
             rv for rv in self.PLAIN[n] if all(rv[i] < rv[j] for i, j in forced)
         ]
@@ -409,7 +437,7 @@ class TestWalk:
         forced = [(i, j) for j in range(n) for i in range(n) if dom and dom[j] >> i & 1]
         reasons = (["dominators"] if dom is not None else []) + list(groups)
         pruned_by = dict.fromkeys(reasons, 0)
-        checked = list(_pruned_walk(n, dom, groups, pruned_by))
+        checked = list(_walk(n, dom, groups, pruned_by))
         assert checked == [
             rv
             for rv in self.PLAIN[n]
@@ -602,14 +630,14 @@ class TestVerify:
         with pytest.raises(RafprefError, match="Fubini recurrence"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
         # the unpruned stream goes through the same check: one leaf lost
-        real_plain = _plain_walk
+        real_plain = _walk
 
         def dropping(n):
             stream = real_plain(n)
             next(stream)
             yield from stream
 
-        monkeypatch.setattr(characterization, "_plain_walk", dropping)
+        monkeypatch.setattr(characterization, "_walk", dropping)
         with pytest.raises(RafprefError, match="covered 74 candidates"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
 
@@ -628,7 +656,7 @@ class TestVerify:
         assert [r for r, _ in calls] == list(range(27, 0, -1))  # once per node
 
     def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch):
-        real_classes, real_walk = axioms._hypothesis_classes, _pruned_walk
+        real_classes, real_walk = axioms._hypothesis_classes, _walk
         classed, walked = [], []
 
         def counting_classes(axiom, *args):
@@ -640,7 +668,7 @@ class TestVerify:
             return real_walk(n, dom, groups, pruned_by)
 
         monkeypatch.setattr(axioms, "_hypothesis_classes", counting_classes)
-        monkeypatch.setattr(characterization, "_pruned_walk", capturing_walk)
+        monkeypatch.setattr(characterization, "_walk", capturing_walk)
         report = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, IWA, WEAK_IWA])
         # the same report as when both reasons were forward-checked: IWA,
         # first in canonical order, refused every block either would
@@ -799,7 +827,7 @@ class TestVerify:
 
     def test_unpruned_walk_refused_above_default_bound(self, monkeypatch):
         # fubini(16) = 5,315,654,681,981,355 leaves would never be walked
-        for name in ("grid_points", "_Sample", "_plain_walk"):
+        for name in ("grid_points", "_Sample", "_walk"):
             monkeypatch.setattr(characterization, name, _reach)
         with pytest.raises(characterization.UnprunedWalkError, match="16 points; .* above 9 points"):
             verify_characterization(GridSpec.of(["0", "1"], 4), [SM], prune=False, max_points=16)

@@ -231,6 +231,23 @@ class TestCheck:
         assert (
             main(["check", "--relation", "wlog", "--grid", "0,1", "--arity", "2"]) == 2
         )
+        assert capsys.readouterr().err == "error: --weights: required by the wlog relation\n"
+
+    @pytest.mark.parametrize(
+        "relation,left_out,error",
+        [("mep", None, "--payoffs"), ("mep", "payoffs", "payoffs"), ("wlog", "weights", "weights")],
+    )
+    def test_missing_relation_input_names_flag_or_field(
+        self, tmp_path, capsys, relation, left_out, error
+    ):
+        # a grid's pay-offs come from a flag, a document's from a field
+        if left_out is None:
+            source = ["--grid", "0,1", "--arity", "2"]
+        else:
+            obj = {k: v for k, v in MONEY_DOC.items() if k != left_out}
+            source = ["--input", write_doc(tmp_path, obj)]
+        assert main(["check", "--relation", relation, *source]) == 2
+        assert capsys.readouterr().err == f"error: {error}: required by the {relation} relation\n"
 
     def test_json_keys_stable(self, capsys):
         code = main(
@@ -421,7 +438,7 @@ class TestVerify:
         )
 
     def test_no_prune_refused_above_nine_points(self, monkeypatch, capsys):
-        for name in ("grid_points", "_Sample", "_plain_walk"):
+        for name in ("grid_points", "_Sample", "_walk"):
             monkeypatch.setattr(characterization, name, _reach)
         argv = ["verify", "--levels", "0,1", "--arity", "4", "--no-prune", "--max-points", "16"]
         assert main(argv) == 2

@@ -8,12 +8,14 @@ verify tests in test_characterization.py. So is SM's equivalence with
 strong dominance (SD) on product grids, over every weak order of a few
 small grids:
 test_characterization.py::TestVerify::test_sm_alone_equals_sd_alone_on_product_grids.
-This module adds what those leave out: that each axiom is needed, that
-on larger grids every drawn weak order meeting SM meets SD, and that the
-equivalence is a property of product grids.
+This module adds what those leave out: that each axiom is needed, and
+which weak orders WeakIWA alone leaves; that on larger grids every drawn
+weak order meeting SM meets SD; and that the equivalence is a property of
+product grids.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,14 +28,17 @@ from rafpref import (
     UtilityRelation,
     default_context,
     enumerate_weak_orders,
+    fubini,
     grid_points,
     lex_ranking,
     make_raf,
     replay_violation,
     run_checks,
     table_relation,
+    verify_characterization,
 )
-from rafpref.axioms import single_coordinate_increase
+from rafpref.axioms import _Sample, single_coordinate_increase
+from rafpref.characterization import _compile_constraint, _walk
 
 SM = AxiomId.STRONG_MONOTONICITY
 SD = AxiomId.STRONG_DOMINANCE
@@ -52,11 +57,27 @@ def lex_reversed_at(k, points):
     return table_relation(RankedRelation.from_rank_map({p: order.index(key[p]) for p in points}))
 
 
+def signed_cut_lex(points):
+    """The signed cut lex orders of the points, as rank tuples: pick a cut t
+    in 0..d and a direction for each of the first t coordinates, compare
+    points lexicographically on those, each read in its direction, and tie
+    every pair that agrees on them. There are 2^(d+1) - 1 of them."""
+    d = len(points[0].values)
+    orders = set()
+    for t in range(d + 1):
+        for signs in product((1, -1), repeat=t):
+            keys = [tuple(s * v for s, v in zip(signs, p.values)) for p in points]
+            levels = sorted(set(keys), reverse=True)
+            orders.add(tuple(levels.index(k) for k in keys))
+    return orders
+
+
 class TestBothAxiomsAreNeeded:
     """"We provide an axiomatic characterization of lexicographic
     preferences over the set of all random availability functions using
-    two assumptions." Neither assumption alone pins lex down: each test
-    gives a transitive relation that meets one and breaks the other."""
+    two assumptions." Neither assumption alone pins lex down: the first two
+    tests give a transitive relation that meets one and breaks the other,
+    and the third names every weak order that WeakIWA alone leaves."""
 
     def test_additive_utility_meets_sm_and_breaks_independence(self):
         rel = UtilityRelation(lambda r: sum(r.values))
@@ -79,6 +100,27 @@ class TestBothAxiomsAreNeeded:
         sm = report.result_for(SM)
         assert sm.violation_count == 27
         assert replay_violation(rel, sm.violations[0])
+
+    @pytest.mark.parametrize("levels,arity", [
+        (["0", "1"], 2), (["0", "1/2", "1"], 2), (["1/5", "1/2", "3/5"], 2),
+        (["0", "1"], 3), (["0", "1/3", "2/3", "1"], 2),
+    ])
+    def test_weak_iwa_alone_leaves_the_signed_cut_lex_orders(self, levels, arity):
+        # verify lists only ten survivors, so the set comes from the walk
+        # that verify's pruned search drains, fed its compiled WeakIWA groups
+        spec = GridSpec.of(levels, arity)
+        sample = _Sample(grid_points(spec))
+        n = len(sample.points)
+        _, groups = _compile_constraint(WEAK_IWA, sample)
+        pruned_by = {"WeakIWA": 0}
+        survivors = list(_walk(n, None, {"WeakIWA": groups}, pruned_by))
+        assert len(survivors) + pruned_by["WeakIWA"] == fubini(n)
+        family = signed_cut_lex(sample.points)
+        assert len(family) == 2 ** (arity + 1) - 1
+        assert len(survivors) == len(family) and set(survivors) == family
+        assert lex_ranking(sample.points).ranks in family
+        report = verify_characterization(spec, [WEAK_IWA], max_points=n)
+        assert report.survivor_count == len(family)
 
 
 class TestSmIsStrongDominanceOnGridsOnly:
