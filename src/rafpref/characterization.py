@@ -29,20 +29,24 @@ Python only over the nodes with more than _TAIL_POINTS points left: the
 subtree of each smaller node is one run, whose rank tuples C iterators
 make from a per-walk table of the small walk's rank patterns, so
 bytecode runs once per run, not once per leaf (_runs gives the measured
-times). verify drains either stream through one pipeline of C
-iterators: a filter per constraint, each stage counted by its own
-itertools.count. The two runs give the same survivors and verdict; they
-differ in checked, pruned_away, pruned_by, pass_counts and elapsed_ms (see
-CharacterizationReport). The search runs in one process.
+times). verify drains either stream run by run through one pipeline of
+C iterators: per constraint, a filter generated from the compiled
+indices keeps a whole run's passing tuples in one list comprehension,
+and compress draws each stage's tuples through its own itertools.count,
+so no Python call is made per tuple. The two runs give the same
+survivors and verdict; they differ in checked, pruned_away, pruned_by,
+pass_counts and elapsed_ms (see CharacterizationReport). The search
+runs in one process.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import comb
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -348,11 +352,12 @@ def _runs(
     visit. A table holds every weak order of r points, so a walk with
     dominators or groups, which must look at each block, takes none and
     reads each block's bits inline. Runs are most of an unpruned verify:
-    drained, the 545,835 orders of 8 points took 133-152 ms (best of six,
-    2-core Xeon, CPython 3.11), against 183-197 ms for a loop that yields
-    each leaf from Python and 0.69-1.0 s for the pruned walk with no
-    constraints. Tables of 4 points took 172-255 ms, and of 6 points no
-    less than of 5.
+    drained, the 545,835 orders of 8 points took 139-174 ms (best of six,
+    three rounds, 2-core Xeon, CPython 3.11), against 1.06-1.32 s with no
+    table. Tables of 4 points took 163-188 ms, and of 6 points 135-167 ms,
+    about the same as of 5. verify's filters read each run whole: its
+    unpruned SM+WeakIWA run on those orders took 206-292 ms, against
+    326-400 ms with one filter call per order.
     """
     if not n:  # no points leave one empty order and nothing to refuse
         yield ((),)
@@ -445,13 +450,15 @@ def _tail(
 def enumerate_weak_orders(
     points: Sequence[Raf], max_points: int = DEFAULT_MAX_POINTS
 ) -> Iterator[RankedRelation]:
-    """Yield every total preorder on the points exactly once.
+    """Every total preorder on the points exactly once, as an iterator.
 
     The stream is deterministic, its length is the n-th Fubini number, and
     it is _walk's with nothing to refuse: verify's pruned search drains the
-    same walk, which then skips refused blocks but never reorders a tuple. TooManyPointsError refuses more
-    than max_points points, and its subclass UnprunedWalkError more than
-    16 whatever max_points says, before the walk starts.
+    same walk, which then skips refused blocks but never reorders a tuple.
+    The call itself, before any walk exists, raises RafprefError for no
+    points or a repeated one, TooManyPointsError for more than max_points
+    points, and its subclass UnprunedWalkError for more than 16 whatever
+    max_points says.
     """
     pts = tuple(points)
     n = len(pts)
@@ -469,9 +476,7 @@ def enumerate_weak_orders(
     if len(set(pts)) != n:
         raise RafprefError("points must be pairwise distinct")
     # what RankedRelation(pts, rv) does, without a Python frame per order
-    yield from map(
-        tuple.__new__, repeat(RankedRelation), zip(repeat(pts), _walk(n))
-    )
+    return map(tuple.__new__, repeat(RankedRelation), zip(repeat(pts), _walk(n)))
 
 
 def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
@@ -509,28 +514,26 @@ def _compile_constraint(axiom: AxiomId, sample: _Sample):
     return ("groups", [g for g in sample.classes(axiom).values() if len(g) > 1])
 
 
-def _predicate(kind: str, data) -> Callable[[tuple[int, ...]], bool]:
-    """The test a rank tuple must pass to meet one compiled constraint."""
+def _keep(kind: str, data) -> Callable[[Iterable[tuple[int, ...]]], list[tuple[int, ...]]]:
+    """The filter of one compiled constraint over a run: the list of its
+    rank tuples that meet it, in run order. The test is generated source,
+    one and-chain of terms in data's order, so a tuple is tested against
+    each pair only until the first that fails, with no Python call per
+    tuple: forced pairs give rv[i] < rv[j], and a group of two or more
+    pairs the chained comparison (rv[i0] <= rv[j0]) == (rv[i1] <= rv[j1])
+    == ..., which holds when all are equal. Only operator.index of each
+    index is written into the source, so nothing but ints reaches eval,
+    as in collections.namedtuple."""
     if kind == "forced":
-
-        def passes(rv):
-            for i, j in data:
-                if rv[i] >= rv[j]:
-                    return False
-            return True
-
-        return passes
-
-    def passes(rv):
+        terms = [f"rv[{operator.index(i)}] < rv[{operator.index(j)}]" for i, j in data]
+    else:
+        terms = []
         for grp in data:
-            i0, j0 = grp[0]
-            b0 = rv[i0] <= rv[j0]
-            for i, j in grp[1:]:
-                if (rv[i] <= rv[j]) != b0:
-                    return False
-        return True
-
-    return passes
+            verdicts = [f"(rv[{operator.index(i)}] <= rv[{operator.index(j)}])" for i, j in grp]
+            if len(verdicts) > 1:  # one pair alone has nothing to agree with
+                terms.append(" == ".join(verdicts))
+    test = " and ".join(terms) or "True"
+    return eval(f"lambda run: [rv for rv in run if {test}]", {})
 
 
 # ---------------------------------------------------------------------------
@@ -662,19 +665,21 @@ def verify_characterization(
             if data and data not in groups.values():
                 groups[str(a)] = data
     if prune:  # every leaf the pruned walk reaches satisfies every axiom
-        stream, filters = _walk(n, dom, groups, pruned_by), []
+        filters = []
     else:
-        stream, filters, pruned_by = _walk(n), constraints, {}
-    # one filter per constraint, in canonical order; tallies[0] counts the
-    # stream and tallies[k] what passes the k-th filter, each one tick per
-    # tuple that zip draws through it
-    tallies = [count() for _ in range(len(filters) + 1)]
-    stream = map(itemgetter(0), zip(stream, tallies[0]))
+        dom, groups, pruned_by, filters = None, {}, {}, constraints
+    # the walk's runs through one filter per constraint, in canonical order;
+    # tallies[0] counts the leaves and tallies[k] what passes the k-th
+    # filter, one tick per tuple that compress draws through it; they start
+    # at 1, as compress would drop the tuple drawn with a 0
+    tallies = [count(1) for _ in range(len(filters) + 1)]
+    runs = map(compress, _runs(n, dom, groups, pruned_by, {}), repeat(tallies[0]))
     for (kind, data), tally in zip(filters, tallies[1:]):
-        stream = map(itemgetter(0), zip(filter(_predicate(kind, data), stream), tally))
+        runs = map(compress, map(_keep(kind, data), runs), repeat(tally))
+    stream = chain.from_iterable(runs)
     listed = list(islice(stream, SURVIVOR_LISTING_CAP))
     deque(stream, maxlen=0)
-    checked, *passed = map(next, tallies)
+    checked, *passed = (next(tally) - 1 for tally in tallies)
     survivor_count = passed[-1] if passed else checked
     if prune:
         passed = [checked] * len(constraints)

@@ -1,9 +1,10 @@
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -49,8 +50,9 @@ from rafpref.characterization import (
     _TAIL_POINTS,
     _audit_survivor,
     _compile_constraint,
-    _predicate,
+    _keep,
     _refused,
+    _runs,
     _tail,
     _walk,
 )
@@ -85,6 +87,32 @@ class _Reached(Exception):
 
 def _reach(*args):
     raise _Reached
+
+
+def _literal(kind, data):
+    """The per-pair loop that _keep's generated filter must match on each
+    rank tuple: forced pairs need rv[i] < rv[j], and each group one weak
+    verdict rv[i] <= rv[j] for all its pairs."""
+    if kind == "forced":
+
+        def passes(rv):
+            for i, j in data:
+                if rv[i] >= rv[j]:
+                    return False
+            return True
+
+        return passes
+
+    def passes(rv):
+        for grp in data:
+            i0, j0 = grp[0]
+            b0 = rv[i0] <= rv[j0]
+            for i, j in grp[1:]:
+                if (rv[i] <= rv[j]) != b0:
+                    return False
+        return True
+
+    return passes
 
 
 class TestFubini:
@@ -166,6 +194,14 @@ class TestEnumeration:
     def test_duplicates_rejected(self, unit_square):
         with pytest.raises(RafprefError):
             next(enumerate_weak_orders(unit_square + unit_square[:1]))
+
+    def test_refused_at_the_call(self, unit_square):
+        # no next(): the stream is refused before any walk exists
+        points = grid_points(GridSpec.of(["0", "1"], 5))
+        with pytest.raises(characterization.UnprunedWalkError, match="^17 points"):
+            enumerate_weak_orders(points[:17], max_points=17)
+        with pytest.raises(RafprefError, match="pairwise distinct"):
+            enumerate_weak_orders(unit_square + unit_square[:1])
 
 
 class TestProofWitness:
@@ -265,17 +301,17 @@ class TestCompiledFiltersMatchCheckers:
 
     def test_all_candidates_unit_square(self, unit_square):
         sample = _Sample(unit_square)
-        compiled = {axiom: _compile_constraint(axiom, sample) for axiom in VERIFY_AXIOMS}
+        compiled = {axiom: _keep(*_compile_constraint(axiom, sample)) for axiom in VERIFY_AXIOMS}
         for ranking in enumerate_weak_orders(unit_square):
             rel = table_relation(ranking)
             for axiom, checker in self.CHECKERS.items():
-                fast = _predicate(*compiled[axiom])(ranking.ranks)
+                fast = compiled[axiom]((ranking.ranks,)) == [ranking.ranks]
                 literal = checker(rel, list(unit_square)).passed
                 assert fast == literal, (axiom, ranking.ranks)
 
     def test_sampled_candidates_nine_grid(self, nine_grid):
         sample = _Sample(nine_grid)
-        compiled = {axiom: _compile_constraint(axiom, sample) for axiom in VERIFY_AXIOMS}
+        compiled = {axiom: _keep(*_compile_constraint(axiom, sample)) for axiom in VERIFY_AXIOMS}
         rng = random.Random(23)
         pts = tuple(nine_grid)
         for _ in range(40):
@@ -287,9 +323,48 @@ class TestCompiledFiltersMatchCheckers:
             ranking = RankedRelation(pts, ranks)
             rel = table_relation(ranking)
             for axiom, checker in self.CHECKERS.items():
-                fast = _predicate(*compiled[axiom])(ranks)
+                fast = compiled[axiom]((ranks,)) == [ranks]
                 literal = checker(rel, list(pts)).passed
                 assert fast == literal, (axiom, ranks)
+
+
+@st.composite
+def compiled_data(draw):
+    """A constraint in _compile_constraint's shape over n <= 9 points,
+    groups of one and two pairs included, and a run of rank tuples."""
+    n = draw(st.integers(1, 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["forced", "groups"]))
+    if kind == "forced":
+        data = draw(st.lists(pair, max_size=12))
+    else:
+        group = st.lists(pair, min_size=1, max_size=2) | st.lists(pair, min_size=3, max_size=6)
+        data = draw(st.lists(group, max_size=6))
+    ranks = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    return kind, data, draw(st.lists(ranks, max_size=20))
+
+
+class TestKeep:
+    @settings(max_examples=300, deadline=None)
+    @given(compiled_data())
+    def test_matches_the_per_pair_loop(self, case):
+        kind, data, run = case
+        passes = _literal(kind, data)
+        assert _keep(kind, data)(iter(run)) == [rv for rv in run if passes(rv)]
+
+    def test_only_ints_reach_the_source(self):
+        with pytest.raises(TypeError):
+            _keep("forced", [("0", 1)])
+        with pytest.raises(TypeError):
+            _keep("groups", [[(0, 1), (1.0, 2)]])
+        # an int subclass is written as the int it stands for, whatever
+        # its own formatting says
+        class Sly(int):
+            def __format__(self, spec):
+                return "0] or rv[1"
+
+        run = [(0, 1), (1, 0), (0, 0)]
+        assert _keep("forced", [(Sly(0), 1)])(run) == [(0, 1)]
 
 
 # the axiom sets whose pruned stream is compared in full with the plain one
@@ -298,17 +373,28 @@ STREAM_AXIOM_SETS = ((SM,), (WEAK_IWA,), (NC,), (SM, WEAK_IWA), (SM, NC))
 
 @lru_cache(maxsize=None)
 def _plain_survivors(levels, arity):
-    """Per axiom set of STREAM_AXIOM_SETS, the grid's plain stream filtered
-    by the compiled predicates, from one pass over the stream."""
+    """Per axiom set of STREAM_AXIOM_SETS, its sequential pass counts and
+    the grid's plain stream filtered by the per-pair loops, from one pass
+    over the stream."""
     sample = _Sample(grid_points(GridSpec.of(levels, arity)))
-    tests = {a: _predicate(*_compile_constraint(a, sample)) for a in (SM, WEAK_IWA, NC)}
+    tests = {a: _literal(*_compile_constraint(a, sample)) for a in (SM, WEAK_IWA, NC)}
     kept = {axioms: [] for axioms in STREAM_AXIOM_SETS}
+    verdicts = Counter()
     for rv in _walk(len(sample.points)):
-        passed = {a for a, passes in tests.items() if passes(rv)}
+        passed = frozenset(a for a, passes in tests.items() if passes(rv))
+        verdicts[passed] += 1
         for axioms, survivors in kept.items():
             if passed.issuperset(axioms):
                 survivors.append(rv)
-    return kept
+    # the k-th filter passes what meets the first k axioms of the set
+    return {
+        axioms: (
+            [sum(c for p, c in verdicts.items() if p.issuperset(axioms[: k + 1]))
+             for k in range(len(axioms))],
+            survivors,
+        )
+        for axioms, survivors in kept.items()
+    }
 
 
 class TestPrunedStreamEquivalence:
@@ -319,17 +405,18 @@ class TestPrunedStreamEquivalence:
     )
     def test_pruned_is_filtered_plain_stream(self, monkeypatch, levels, arity, axioms):
         # the whole stream that verify drains, group axioms included
-        real_walk, drained, counts = _walk, [], []
+        _, plain_survivors = _plain_survivors(levels, arity)[axioms]
+        real_runs, drained, counts = _runs, [], []
 
-        def capturing_walk(n, dom, groups, pruned_by):
+        def capturing_runs(n, dom, groups, pruned_by, tables):
             counts.append(pruned_by)
-            for rv in real_walk(n, dom, groups, pruned_by):
-                drained.append(rv)
-                yield rv
+            for run in real_runs(n, dom, groups, pruned_by, tables):
+                run = list(run)
+                drained.extend(run)
+                yield run
 
-        monkeypatch.setattr(characterization, "_walk", capturing_walk)
+        monkeypatch.setattr(characterization, "_runs", capturing_runs)
         report = verify_characterization(GridSpec.of(levels, arity), axioms, prune=True)
-        plain_survivors = _plain_survivors(levels, arity)[axioms]
         assert drained == plain_survivors
         (pruned_by,) = counts
         assert len(drained) + sum(pruned_by.values()) == fubini(1 << arity)
@@ -442,7 +529,7 @@ class TestWalk:
             rv
             for rv in self.PLAIN[n]
             if all(rv[i] < rv[j] for i, j in forced)
-            and all(_predicate("groups", data)(rv) for data in groups.values())
+            and all(_literal("groups", data)(rv) for data in groups.values())
         ]
         # the walk counts into the caller's reasons and adds none
         assert list(pruned_by) == reasons
@@ -482,7 +569,7 @@ class TestVerify:
         # canonical order, over every weak order of {0,1}^2
         spec = GridSpec.of(["0", "1"], 2)
         sample = _Sample(grid_points(spec))
-        tests = [_predicate(*_compile_constraint(a, sample)) for a in axioms]
+        tests = [_literal(*_compile_constraint(a, sample)) for a in axioms]
         passed = [0] * len(axioms)
         survivors = []
         for ranking in enumerate_weak_orders(sample.points):
@@ -497,6 +584,17 @@ class TestVerify:
         assert report.pass_counts == tuple(zip(axioms, passed))
         assert report.survivor_count == len(survivors)
         assert report.survivors == tuple(survivors[:SURVIVOR_LISTING_CAP])
+
+    @pytest.mark.parametrize("axioms", STREAM_AXIOM_SETS)
+    def test_sequential_pass_counts_match_a_loop_on_the_cube(self, axioms):
+        # on {0,1}^3 most runs are 5-point tables gathered onto arbitrary
+        # rest masks, and each filter reads them whole
+        passed, survivors = _plain_survivors(("0", "1"), 3)[axioms]
+        report = verify_characterization(GridSpec.of(["0", "1"], 3), reversed(axioms), prune=False)
+        assert report.checked == fubini(8)
+        assert report.pass_counts == tuple(zip(axioms, passed))
+        assert report.survivor_count == len(survivors)
+        assert [s.ranks for s in report.survivors] == survivors[:SURVIVOR_LISTING_CAP]
 
     def test_pruned_equals_unpruned(self):
         spec = GridSpec.of(["0", "1"], 2)
@@ -630,14 +728,15 @@ class TestVerify:
         with pytest.raises(RafprefError, match="Fubini recurrence"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA])
         # the unpruned stream goes through the same check: one leaf lost
-        real_plain = _walk
+        def dropping(n, *args):
+            runs = _runs(n, *args)
+            if n < 4:  # a tail table's walk, not verify's
+                return runs
+            leaves = chain.from_iterable(runs)
+            next(leaves)
+            return ((rv,) for rv in leaves)
 
-        def dropping(n):
-            stream = real_plain(n)
-            next(stream)
-            yield from stream
-
-        monkeypatch.setattr(characterization, "_walk", dropping)
+        monkeypatch.setattr(characterization, "_runs", dropping)
         with pytest.raises(RafprefError, match="covered 74 candidates"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
 
@@ -656,19 +755,19 @@ class TestVerify:
         assert [r for r, _ in calls] == list(range(27, 0, -1))  # once per node
 
     def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch):
-        real_classes, real_walk = axioms._hypothesis_classes, _walk
+        real_classes = axioms._hypothesis_classes
         classed, walked = [], []
 
         def counting_classes(axiom, *args):
             classed.append(axiom)
             return real_classes(axiom, *args)
 
-        def capturing_walk(n, dom, groups, pruned_by):
+        def capturing_runs(n, dom, groups, pruned_by, tables):
             walked.append(groups)
-            return real_walk(n, dom, groups, pruned_by)
+            return _runs(n, dom, groups, pruned_by, tables)
 
         monkeypatch.setattr(axioms, "_hypothesis_classes", counting_classes)
-        monkeypatch.setattr(characterization, "_walk", capturing_walk)
+        monkeypatch.setattr(characterization, "_runs", capturing_runs)
         report = verify_characterization(GridSpec.of(["0", "1"], 3), [SM, IWA, WEAK_IWA])
         # the same report as when both reasons were forward-checked: IWA,
         # first in canonical order, refused every block either would
@@ -827,7 +926,7 @@ class TestVerify:
 
     def test_unpruned_walk_refused_above_default_bound(self, monkeypatch):
         # fubini(16) = 5,315,654,681,981,355 leaves would never be walked
-        for name in ("grid_points", "_Sample", "_walk"):
+        for name in ("grid_points", "_Sample", "_runs"):
             monkeypatch.setattr(characterization, name, _reach)
         with pytest.raises(characterization.UnprunedWalkError, match="16 points; .* above 9 points"):
             verify_characterization(GridSpec.of(["0", "1"], 4), [SM], prune=False, max_points=16)

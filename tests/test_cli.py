@@ -438,7 +438,7 @@ class TestVerify:
         )
 
     def test_no_prune_refused_above_nine_points(self, monkeypatch, capsys):
-        for name in ("grid_points", "_Sample", "_walk"):
+        for name in ("grid_points", "_Sample", "_runs"):
             monkeypatch.setattr(characterization, name, _reach)
         argv = ["verify", "--levels", "0,1", "--arity", "4", "--no-prune", "--max-points", "16"]
         assert main(argv) == 2
