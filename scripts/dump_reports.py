@@ -184,8 +184,8 @@ ERROR_FLAGS = [
     CHECK_GRID + ["--payoffs", "40,10,5"],
     CHECK_GRID + ["--payoffs=-1,2"],
     ["verify", "--levels", "0,1", "--arity", "30"],
-    VERIFY_GRID + ["--max-points", "0"],
-    VERIFY_GRID + ["--max-points=-1"],
+    VERIFY_GRID + ["--max-points", "9"],
+    ["verify", "--levels", "1", "--arity", "2"],
     ["verify", "--levels", "0,2", "--arity", "2"],
     ["verify", "--levels", "0,1", "--arity", "1"],
     ["verify", "--levels", "0,1/0", "--arity", "2"],

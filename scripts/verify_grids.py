@@ -55,7 +55,7 @@ def run() -> None:
     for (levels, arity), axiom_set in rows:
         spec = GridSpec.of(levels, arity)
         started = time.perf_counter()
-        rep = verify_characterization(spec, axiom_set, max_points=spec.size)
+        rep = verify_characterization(spec, axiom_set)
         elapsed = (time.perf_counter() - started) * 1000
         grid_name = "{" + ",".join(levels) + "}^" + str(arity)
         axioms = "+".join(str(a) for a in rep.axiom_order)

@@ -78,6 +78,7 @@ from .characterization import (
     TooManyPointsError,
     UnprunedWalkError,
     VERIFY_AXIOMS,
+    WalkBudgetError,
     construct_proof_witness,
     enumerate_weak_orders,
     fubini,

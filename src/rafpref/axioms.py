@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     ContextMismatchError,
+    GridSpec,
     Raf,
     RafprefError,
     first_difference,
@@ -58,6 +59,8 @@ __all__ = [
     "CheckConfig",
     "DEFAULT_CONFIG",
     "CHECK_MAX_POINTS",
+    "TooManyPointsError",
+    "require_check_bound",
     "AxiomViolation",
     "AxiomResult",
     "AxiomReport",
@@ -147,6 +150,18 @@ DEFAULT_CONFIG = CheckConfig()
 # 4-5 s to build the tables and 7-10 s more for an all-axiom lex audit, at
 # a peak RSS of 327 MB. run_checks itself takes a sample of any size.
 CHECK_MAX_POINTS = 1024
+
+
+class TooManyPointsError(RafprefError):
+    """A point set exceeds a bound on the work it would take."""
+
+
+def require_check_bound(grid: GridSpec) -> None:
+    """Refuse, before any point is built, a grid with more points or a
+    higher arity than CHECK_MAX_POINTS: check --grid and verify alike."""
+    if not grid.within(CHECK_MAX_POINTS):
+        raise TooManyPointsError(f"the grid has {grid.size_text()} points at arity {grid.arity}; "
+                                 f"the check bound of {CHECK_MAX_POINTS} caps both")
 
 
 @dataclass(frozen=True)

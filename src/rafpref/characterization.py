@@ -17,23 +17,15 @@ is refused (forward checking, Haralick & Elliott 1980). The candidates a
 refused choice would have led to are counted exactly with Fubini-number
 arithmetic, per reason, so the reported total provably covers the whole
 space: emitted plus skipped must equal the n-th Fubini number or the run
-aborts.
+aborts. How much of the space the walk must visit is not known in
+advance, so it counts its steps and stops past WALK_BUDGET.
 
 Without pruning the walk emits every weak order and each requested
-filter runs on it in turn: the brute-force reference. One walk, _walk,
-makes that stream, enumerate_weak_orders's and the pruned one; it is
-deterministic (depth-first, blocks by decreasing bitmask), and pruning
-only skips the blocks it refuses, so the pruned stream is the plain one
-filtered by construction. With nothing to refuse, the walk loops in
-Python only over the nodes with more than _TAIL_POINTS points left: the
-subtree of each smaller node is one run, whose rank tuples C iterators
-make from a per-walk table of the small walk's rank patterns, so
-bytecode runs once per run, not once per leaf (_runs gives the measured
-times). verify drains either stream run by run through one pipeline of
-C iterators: per constraint, a filter generated from the compiled
-indices keeps a whole run's passing tuples in one list comprehension,
-and compress draws each stage's tuples through its own itertools.count,
-so no Python call is made per tuple. The two runs give the same
+filter runs on it in turn: the brute-force reference, refused above
+DEFAULT_MAX_POINTS points. One deterministic walk, _walk, makes that
+stream, enumerate_weak_orders's and the pruned one, which is the plain
+one filtered by construction. verify drains either stream run by run
+(_runs, _keep) with no Python call per tuple. The two give the same
 survivors and verdict; they differ in checked, pruned_away, pruned_by,
 pass_counts and elapsed_ms (see CharacterizationReport). The search
 runs in one process.
@@ -51,27 +43,17 @@ from math import comb
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import (
-    GridSpec,
-    Raf,
-    RafprefError,
-    first_difference,
-    grid_points,
-)
-from .relations import (
-    ComparisonOutcome,
-    RankedRelation,
-    TableRelation,
-    lex_compare,
-    at_least_as_good,
-)
-from .axioms import CHECK_MAX_POINTS, PAIR_AXIOMS, AxiomId, _members, _Sample
+from .core import GridSpec, InvalidGridError, Raf, RafprefError, first_difference, grid_points
+from .relations import ComparisonOutcome, RankedRelation, TableRelation, lex_compare, at_least_as_good
+from .axioms import PAIR_AXIOMS, AxiomId, TooManyPointsError, _members, _Sample, require_check_bound
 
 __all__ = [
     "EqualInputsError",
     "TooManyPointsError",
     "UnprunedWalkError",
+    "WalkBudgetError",
     "DEFAULT_MAX_POINTS",
+    "WALK_BUDGET",
     "SURVIVOR_LISTING_CAP",
     "VERIFY_AXIOMS",
     "fubini",
@@ -90,15 +72,17 @@ class EqualInputsError(RafprefError):
     """Witness construction needs two distinct profiles."""
 
 
-class TooManyPointsError(RafprefError):
-    """Point set exceeds the enumeration bound."""
-
-
 class UnprunedWalkError(TooManyPointsError):
     """An unpruned walk, enumerate_weak_orders or verify with prune=False,
     was asked for more points than it can start or finish."""
 
 
+class WalkBudgetError(RafprefError):
+    """verify's pruned walk took more than WALK_BUDGET steps."""
+
+
+# The most points enumerate_weak_orders takes by default, and that verify
+# walks with prune=False: fubini(9) = 7,087,261 leaves.
 DEFAULT_MAX_POINTS = 9
 # The most points enumerate_weak_orders takes whatever its max_points says.
 # It bounds the work, not a table: the fubini(17) = 1.3e17 weak orders of
@@ -108,6 +92,11 @@ _WALK_MAX_POINTS = 16
 # most this many points left from a table of rank patterns, 541 of them at
 # 5 points (timings in _runs' docstring).
 _TAIL_POINTS = 5
+# The most steps verify's pruned walk takes: a node with e eligible points
+# runs its block loop 2^e times and is charged them as it is entered. The
+# heaviest pruned walk of the tests and scripts, WeakIWA alone on
+# {0,1/3,2/3,1}^2, takes 336,408; a runaway walk stops within seconds (README).
+WALK_BUDGET = 4_000_000
 SURVIVOR_LISTING_CAP = 10
 
 # Canonical filter order: cheap pairwise constraints first, quadruple
@@ -256,12 +245,14 @@ def proof_trace_check(rel, a: Raf, b: Raf) -> ProofTrace:
 # ---------------------------------------------------------------------------
 
 
-def _eligible(remaining: int, dom: list[int]) -> int:
-    """The points of remaining whose forced dominators are all placed."""
+def _eligible(remaining: int, dom: list[int], pruned_by: dict[str, int]) -> int:
+    """The points of remaining whose forced dominators are all placed; the
+    completions that the others would lead to go on pruned_by["dominators"]."""
     eligible = remaining
     for b in _members(remaining):
         if dom[b] & remaining:
             eligible ^= 1 << b
+    pruned_by["dominators"] += _refused(remaining.bit_count(), eligible.bit_count())
     return eligible
 
 
@@ -327,10 +318,10 @@ def _walk(
     only once its dominators are placed. groups maps a reason to groups of
     pairs (i, j) whose weak verdict rank[i] <= rank[j] must be constant per
     group: a block that decides two pairs of one group differently is
-    refused. The completions a refusal skips are added to the caller's
-    pruned_by["dominators"] or pruned_by[reason], so that the stream's
-    length plus their sum is fubini(n). Refusing only skips blocks, so the
-    stream is the unconstrained one with the refused tuples left out.
+    refused. Either needs the caller's pruned_by: the completions a refusal
+    skips are added to pruned_by["dominators"] or pruned_by[reason], so that
+    the stream's length plus their sum is fubini(n). Refusing only skips
+    blocks, so the stream is the unconstrained one less the refused tuples.
     """
     return chain.from_iterable(_runs(n, dom, groups or {}, pruned_by, {}))
 
@@ -342,22 +333,23 @@ def _runs(
     pruned_by: Optional[dict[str, int]],
     tables: dict[tuple[int, int], list[tuple[int, ...]]],
 ) -> Iterator[Iterable[tuple[int, ...]]]:
-    """_walk's stream in runs: a leaf is a 1-tuple, and in a walk with
-    nothing to refuse, a child with r <= _TAIL_POINTS points left is its
-    whole subtree, made in C from tables[r, d], the r-point walk's rank
+    """_walk's stream in runs: a leaf is a 1-tuple, and in a plain walk,
+    one given no pruned_by, a child with r <= _TAIL_POINTS points left is
+    its whole subtree, made in C from tables[r, d], the r-point walk's rank
     tuples plus d, which _tail builds. Each pattern is appended to the
     ranks placed so far, and gather[rest] takes the n ranks, reading the
     points of rest from the pattern. Relabelling rest onto 0..r-1 keeps the
     order of its bits, so the run is exactly the subtree the walk would
-    visit. A table holds every weak order of r points, so a walk with
-    dominators or groups, which must look at each block, takes none and
-    reads each block's bits inline. Runs are most of an unpruned verify:
-    drained, the 545,835 orders of 8 points took 139-174 ms (best of six,
-    three rounds, 2-core Xeon, CPython 3.11), against 1.06-1.32 s with no
-    table. Tables of 4 points took 163-188 ms, and of 6 points 135-167 ms,
-    about the same as of 5. verify's filters read each run whole: its
-    unpruned SM+WeakIWA run on those orders took 206-292 ms, against
-    326-400 ms with one filter call per order.
+    visit. A table holds every weak order of r points, so a pruned walk,
+    even with nothing to refuse, takes none: it reads each block's bits
+    inline and counts its steps, raising WalkBudgetError past WALK_BUDGET.
+    Runs are most of an unpruned verify: drained, the 545,835 orders of 8
+    points took 139-174 ms (best of six, three rounds, 2-core Xeon,
+    CPython 3.11), against 1.06-1.32 s with no table. Tables of 4 points
+    took 163-188 ms, and of 6 points 135-167 ms, about the same as of 5.
+    verify's filters read each run whole: its unpruned SM+WeakIWA run on
+    those orders took 206-292 ms, against 326-400 ms with one filter call
+    per order.
     """
     if not n:  # no points leave one empty order and nothing to refuse
         yield ((),)
@@ -379,8 +371,10 @@ def _runs(
         index.append(
             (reason, [list(h.items()) for h in heads], [list(t.items()) for t in tails])
         )
+    plain = pruned_by is None  # enumerate_weak_orders, prune=False, _tail
     # the most points left at which a child's subtree is one run
-    tabled = _TAIL_POINTS if dom is None and not groups else 0
+    tabled = _TAIL_POINTS if plain else 0
+    left = WALK_BUDGET
     gather: dict[int, itemgetter] = {}
     ranks = [0] * n
     # the stack, by depth: points left, eligible points, next block,
@@ -393,11 +387,14 @@ def _runs(
     rest = (1 << n) - 1
     while True:
         # a new node: the points of rest go into blocks depth, depth+1, ...
-        if dom is None:
+        if plain:
             eligible = rest
         else:
-            eligible = _eligible(rest, dom)
-            pruned_by["dominators"] += _refused(rest.bit_count(), eligible.bit_count())
+            eligible = rest if dom is None else _eligible(rest, dom, pruned_by)
+            left -= 1 << eligible.bit_count()
+            if left < 0:
+                raise WalkBudgetError(f"the pruned walk of {n} points passed its budget of "
+                                      f"{WALK_BUDGET} steps: these axioms prune too little")
         rems[depth] = rest
         eligs[depth] = subs[depth] = eligible
         while True:
@@ -599,7 +596,6 @@ def verify_characterization(
     grid: GridSpec,
     axiom_set: Iterable[AxiomId],
     prune: bool = True,
-    max_points: int = DEFAULT_MAX_POINTS,
     workers: int = 1,
 ) -> CharacterizationReport:
     """Enumerate all weak orders on the grid, filter by the axioms, and
@@ -616,13 +612,17 @@ def verify_characterization(
     per-sample table is built once per run, for the compile and every
     re-audit alike.
 
-    Before any point is built, TooManyPointsError refuses more points or
-    a higher arity than max_points or CHECK_MAX_POINTS, and its subclass
-    UnprunedWalkError more than DEFAULT_MAX_POINTS points with prune=False.
+    Before any point is built, RafprefError refuses a non-bool prune,
+    TooManyPointsError a grid past require_check_bound, InvalidGridError
+    one of one level (a vacuous pass), and UnprunedWalkError more than
+    DEFAULT_MAX_POINTS points with prune=False. The pruned walk raises
+    WalkBudgetError past WALK_BUDGET steps.
 
     workers is accepted and ignored: the search runs in one process.
     """
     started = time.perf_counter()
+    if type(prune) is not bool:  # "no" would prune and be reported as pruned
+        raise RafprefError(f"prune must be True or False, not {prune!r:.40}")
     requested = list(dict.fromkeys(axiom_set))
     if not requested:
         raise RafprefError("axiom_set must not be empty")
@@ -632,12 +632,10 @@ def verify_characterization(
             f"axiom {bad[0]} cannot drive the verification; "
             f"choose from {[str(a) for a in VERIFY_AXIOMS]}"
         )
-    bound = min(max_points, CHECK_MAX_POINTS)
-    if not grid.within(bound):
-        raise TooManyPointsError(
-            f"grid has {grid.size_text()} points at arity {grid.arity}; the "
-            f"{'enumeration' if bound == max_points else 'check'} bound of {bound} caps both"
-        )
+    require_check_bound(grid)
+    if len(grid.levels) < 2:
+        raise InvalidGridError("one level gives one point, whose one weak order "
+                               "passes every axiom vacuously; give two or more")
     n = grid.size
     if not prune and n > DEFAULT_MAX_POINTS:
         raise UnprunedWalkError(
@@ -673,7 +671,8 @@ def verify_characterization(
     # filter, one tick per tuple that compress draws through it; they start
     # at 1, as compress would drop the tuple drawn with a 0
     tallies = [count(1) for _ in range(len(filters) + 1)]
-    runs = map(compress, _runs(n, dom, groups, pruned_by, {}), repeat(tallies[0]))
+    walk = _runs(n, dom, groups, pruned_by if prune else None, {})
+    runs = map(compress, walk, repeat(tallies[0]))
     for (kind, data), tally in zip(filters, tallies[1:]):
         runs = map(compress, map(_keep(kind, data), runs), repeat(tally))
     stream = chain.from_iterable(runs)

@@ -26,6 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 from .core import (
     GridSpec,
     InvalidArityError,
+    InvalidGridError,
     PriorityContext,
     Raf,
     RafprefError,
@@ -46,24 +47,10 @@ from .relations import (
     mep_utility,
     utility_compare,
 )
-from .axioms import (
-    ALL_AXIOMS,
-    CHECK_MAX_POINTS,
-    AxiomId,
-    AxiomReport,
-    AxiomViolation,
-    CheckConfig,
-    run_checks,
-)
-from .characterization import (
-    DEFAULT_MAX_POINTS,
-    CharacterizationReport,
-    TooManyPointsError,
-    UnprunedWalkError,
-    VERIFY_AXIOMS,
-    construct_proof_witness,
-    verify_characterization,
-)
+from .axioms import ALL_AXIOMS, CHECK_MAX_POINTS, AxiomId, AxiomReport, AxiomViolation, CheckConfig
+from .axioms import TooManyPointsError, require_check_bound, run_checks
+from .characterization import CharacterizationReport, UnprunedWalkError, VERIFY_AXIOMS
+from .characterization import WalkBudgetError, construct_proof_witness, verify_characterization
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -252,11 +239,8 @@ def _weight_part(text: str) -> int:
 def _grid_sample(args) -> tuple[PriorityContext, list[Raf], Optional[WeightVector]]:
     spec = _comma_list(args.grid, "--grid", parse_rational,
                        lambda levels: GridSpec.of(levels, args.arity))
-    if not spec.within(CHECK_MAX_POINTS):
-        raise DocumentError(
-            f"--arity: the grid has {spec.size_text()} points at arity {spec.arity}; "
-            f"the check bound of {CHECK_MAX_POINTS} caps both"
-        )
+    with _field("--arity", TooManyPointsError):
+        require_check_bound(spec)
     ctx = default_context(args.arity)
     if args.payoffs:
         ctx = _comma_list(args.payoffs, "--payoffs", parse_rational,
@@ -577,9 +561,10 @@ def cmd_verify(args) -> int:
     spec = _comma_list(args.levels, "--levels", parse_rational,
                        lambda levels: GridSpec.of(levels, args.arity))
     axioms = _parse_axioms(args.axioms, VERIFY_AXIOMS)
-    # the inner _field names the subclass's flag, and an internal error names none
-    with _field("--max-points", TooManyPointsError), _field("--no-prune", UnprunedWalkError):
-        rep = verify_characterization(spec, axioms, prune=args.prune, max_points=args.max_points)
+    # each refusal names its flag (the subclass's inside); internal errors none
+    with _field("--levels", InvalidGridError), _field("--arity", TooManyPointsError), \
+            _field("--no-prune", UnprunedWalkError), _field("--axioms", WalkBudgetError):
+        rep = verify_characterization(spec, axioms, prune=args.prune)
     _emit(args, _verify_json(rep), _render_verify_text)
     return EXIT_OK if rep.matches_lex else EXIT_VIOLATION
 
@@ -626,8 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="refuse every block that breaks a requested axiom, so "
                           "only survivors are reached (exact, counted); --no-prune "
                           "walks and filters every weak order")
-    p_verify.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
-                          help="refuse grids with more points, or a higher arity, than this")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

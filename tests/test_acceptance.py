@@ -342,7 +342,6 @@ def test_c10_forward_checked_search_on_81_points():
         report = verify_characterization(
             GridSpec.of(["0", "1/2", "1"], 4),
             [AxiomId.STRONG_MONOTONICITY, AxiomId.WEAK_IWA],
-            max_points=81,
         )
         elapsed = time.perf_counter() - started
         assert report.pruned

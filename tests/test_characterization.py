@@ -15,6 +15,7 @@ from rafpref import (
     ComparisonOutcome,
     EqualInputsError,
     GridSpec,
+    InvalidGridError,
     LexicographicRelation,
     RankedRelation,
     Raf,
@@ -750,7 +751,7 @@ class TestVerify:
 
         monkeypatch.setattr(characterization, "_refused", counting)
         spec = GridSpec.of(["0", "1/2", "1"], 3)
-        report = verify_characterization(spec, [SM, WEAK_IWA], max_points=27)
+        report = verify_characterization(spec, [SM, WEAK_IWA])
         assert report.matches_lex
         assert [r for r, _ in calls] == list(range(27, 0, -1))  # once per node
 
@@ -890,7 +891,7 @@ class TestVerify:
         tracemalloc.start()
         try:
             report = verify_characterization(
-                GridSpec.of(["0", "1/3", "2/3", "1"], 2), [SM, WEAK_IWA], max_points=16
+                GridSpec.of(["0", "1/3", "2/3", "1"], 2), [SM, WEAK_IWA]
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -899,11 +900,13 @@ class TestVerify:
         assert report.survivor_count == 1 and report.matches_lex
         assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
 
-    def test_grid_too_large(self):
-        with pytest.raises(TooManyPointsError):
-            verify_characterization(
-                GridSpec.of(["0", "1/4", "1/2", "3/4", "1"], 2), [SM, WEAK_IWA]
-            )
+    def test_grid_past_nine_points_runs(self):
+        # no point count bounds the pruned walk: 25 points take 82 steps
+        report = verify_characterization(
+            GridSpec.of(["0", "1/4", "1/2", "3/4", "1"], 2), [SM, WEAK_IWA]
+        )
+        assert report.enumerated == fubini(25)
+        assert report.survivor_count == 1 and report.matches_lex
 
     def test_point_bound_checked_before_building_points(self, monkeypatch):
         def refuse(*args):
@@ -913,23 +916,37 @@ class TestVerify:
         with pytest.raises(TooManyPointsError, match="1073741824 points"):
             verify_characterization(GridSpec.of(["0", "1"], 30), [SM, WEAK_IWA])
 
-    def test_check_bound_holds_at_any_max_points(self, monkeypatch):
-        # every table of the sample holds n^2 pairs, so max_points cannot
-        # raise the bound past CHECK_MAX_POINTS
+    def test_check_bound_refused_before_building_points(self, monkeypatch):
+        # every table of the sample holds n^2 pairs
         monkeypatch.setattr(characterization, "grid_points", _reach)
-        for max_points in (2187, 10**6):
-            with pytest.raises(TooManyPointsError, match="2187 points at arity 7; the check bound of 1024"):
-                verify_characterization(GridSpec.of(["0", "1/2", "1"], 7), [SM], max_points=max_points)
+        with pytest.raises(TooManyPointsError, match="2187 points at arity 7; the check bound of 1024"):
+            verify_characterization(GridSpec.of(["0", "1/2", "1"], 7), [SM])
         assert axioms.CHECK_MAX_POINTS == 1024
         with pytest.raises(_Reached):  # 1,024 points are admitted
-            verify_characterization(GridSpec.of(["0", "1"], 10), [SM], max_points=10**6)
+            verify_characterization(GridSpec.of(["0", "1"], 10), [SM])
+
+    def test_one_level_refused_before_building_points(self, monkeypatch):
+        # one point has one weak order, and it passes every axiom vacuously
+        monkeypatch.setattr(characterization, "grid_points", _reach)
+        for axiom_set in ([SM, WEAK_IWA], [NC]):
+            with pytest.raises(InvalidGridError, match="^one level gives one point"):
+                verify_characterization(GridSpec.of(["1"], 2), axiom_set)
+        with pytest.raises(_Reached):  # two levels are admitted
+            verify_characterization(GridSpec.of(["0", "1"], 2), [SM])
+
+    @pytest.mark.parametrize("prune", ["no", "", 0, 1, None])
+    def test_non_bool_prune_refused_before_any_work(self, monkeypatch, prune):
+        # "no" is truthy: it would prune and be reported as pruned="no"
+        monkeypatch.setattr(characterization, "grid_points", _reach)
+        with pytest.raises(RafprefError, match="^prune must be True or False"):
+            verify_characterization(GridSpec.of(["0", "1"], 2), [SM], prune=prune)
 
     def test_unpruned_walk_refused_above_default_bound(self, monkeypatch):
         # fubini(16) = 5,315,654,681,981,355 leaves would never be walked
         for name in ("grid_points", "_Sample", "_runs"):
             monkeypatch.setattr(characterization, name, _reach)
         with pytest.raises(characterization.UnprunedWalkError, match="16 points; .* above 9 points"):
-            verify_characterization(GridSpec.of(["0", "1"], 4), [SM], prune=False, max_points=16)
+            verify_characterization(GridSpec.of(["0", "1"], 4), [SM], prune=False)
         assert issubclass(characterization.UnprunedWalkError, TooManyPointsError)
         monkeypatch.setattr(characterization, "grid_points", grid_points)
         monkeypatch.setattr(characterization, "_Sample", _Sample)
@@ -964,3 +981,50 @@ class TestVerify:
             for b in report.points:
                 if a != b:
                     assert proof_trace_check(rel, a, b).passed
+
+
+class TestWalkBudget:
+    """The pruned walk's work is not known in advance: it charges each node
+    the 2^e runs of its block loop as it enters, and stops past WALK_BUDGET."""
+
+    def test_steps_are_counted_exactly(self, monkeypatch):
+        # SM+WeakIWA on {0,1}^3 walks 28 steps down to lex
+        spec = GridSpec.of(["0", "1"], 3)
+        monkeypatch.setattr(characterization, "WALK_BUDGET", 28)
+        assert verify_characterization(spec, [SM, WEAK_IWA]).matches_lex
+        monkeypatch.setattr(characterization, "WALK_BUDGET", 27)
+        with pytest.raises(characterization.WalkBudgetError, match="of 8 points .* budget of 27 steps"):
+            verify_characterization(spec, [SM, WEAK_IWA])
+
+    def test_heaviest_pruned_walk_finishes_under_a_tenth(self, monkeypatch):
+        # WeakIWA alone on {0,1/3,2/3,1}^2 takes 336,408 steps, the most of
+        # any pruned walk in the tests and scripts
+        budget = characterization.WALK_BUDGET // 10
+        assert budget > 336_408
+        monkeypatch.setattr(characterization, "WALK_BUDGET", budget)
+        report = verify_characterization(GridSpec.of(["0", "1/3", "2/3", "1"], 2), [WEAK_IWA])
+        assert report.enumerated == fubini(16) and report.survivor_count == 7
+
+    def test_runaway_walk_stops(self, monkeypatch):
+        # SM alone on {0,1}^4 leaves far too many weak orders to walk
+        monkeypatch.setattr(characterization, "WALK_BUDGET", 10_000)
+        with pytest.raises(characterization.WalkBudgetError, match="^the pruned walk of 16 points"):
+            verify_characterization(GridSpec.of(["0", "1"], 4), [SM])
+
+    def test_node_charged_before_its_blocks_are_tried(self, monkeypatch):
+        # WeakIWA alone leaves all 27 points eligible at the root: its
+        # 2^27 steps pass the budget before one block is forward-checked
+        monkeypatch.setattr(characterization, "_fix", _reach)
+        with pytest.raises(characterization.WalkBudgetError, match="of 27 points"):
+            verify_characterization(GridSpec.of(["0", "1/2", "1"], 3), [WEAK_IWA])
+
+    def test_only_the_pruned_walk_counts(self, monkeypatch):
+        # with no budget at all, every walk given no pruned_by still runs
+        monkeypatch.setattr(characterization, "WALK_BUDGET", -1)
+        assert sum(1 for _ in enumerate_weak_orders(grid_points(GridSpec.of(["0", "1"], 2)))) == 75
+        report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
+        assert report.matches_lex
+        assert len(_tail({}, _TAIL_POINTS, 0)) == fubini(_TAIL_POINTS)
+        # given a pruned_by, a walk counts even with nothing to refuse
+        with pytest.raises(characterization.WalkBudgetError):
+            next(_walk(3, None, {}, {}))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,10 +375,9 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "survivors: 3" in out
 
-    def test_grid_too_large_exits_2(self, capsys):
-        code = main(["verify", "--levels", "0,1/4,1/2,3/4,1", "--arity", "2"])
-        assert code == 2
-        assert "bound of 9" in capsys.readouterr().err
+    def test_grid_past_nine_points_runs(self, capsys):
+        assert main(["verify", "--levels", "0,1/4,1/2,3/4,1", "--arity", "2"]) == 0
+        assert "survivor set equals lex: yes" in capsys.readouterr().out
 
     def test_huge_grid_refused_before_building_points(self, monkeypatch, capsys):
         def refuse(*args):
@@ -385,7 +385,8 @@ class TestVerify:
 
         monkeypatch.setattr(characterization, "grid_points", refuse)
         assert main(["verify", "--levels", "0,1", "--arity", "30"]) == 2
-        assert "bound of 9" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --arity: ") and "bound of 1024" in err
 
     @pytest.mark.parametrize(
         "argv,size",
@@ -410,45 +411,69 @@ class TestVerify:
         assert f"has {size} points at arity {argv[-1]};" in err
 
     @pytest.mark.parametrize(
-        "extra,message",
-        [
-            (["--arity", "30"], "1073741824 points at arity 30; the enumeration bound of 9"),
-            (["--arity", "2", "--max-points", "0"], "4 points at arity 2; the enumeration bound of 0"),
-            (["--arity", "2", "--max-points=-1"], "4 points at arity 2; the enumeration bound of -1"),
-        ],
+        "levels,arity,size",
+        [("0,1", "30", "1073741824"), ("0,1", "11", "2048"), ("0,1/2,1", "7", "2187")],
     )
-    def test_point_bound_names_max_points(self, monkeypatch, capsys, extra, message):
-        def refuse(*args):
-            raise AssertionError("grid_points called on an oversized grid")
-
-        monkeypatch.setattr(characterization, "grid_points", refuse)
-        assert main(["verify", "--levels", "0,1", *extra]) == 2
-        assert capsys.readouterr().err == f"error: --max-points: grid has {message} caps both\n"
-
-    @pytest.mark.parametrize("max_points", ["1025", "2187", "100000", str(10**30)])
-    def test_check_bound_names_max_points_at_any_value(self, monkeypatch, capsys, max_points):
+    def test_check_bound_names_arity(self, monkeypatch, capsys, levels, arity, size):
         # 729 points at arity 6 took 5.6 s and 267 MB, most of it the n^2
-        # tables, and they grow about ninefold per arity step
+        # tables, and they grow about ninefold per arity step; verify and
+        # check --grid refuse a larger grid at one raise site
         monkeypatch.setattr(characterization, "grid_points", _reach)
         monkeypatch.setattr(characterization, "_Sample", _reach)
-        argv = ["verify", "--levels", "0,1/2,1", "--arity", "7", "--max-points", max_points]
+        message = f"the grid has {size} points at arity {arity}; the check bound of 1024 caps both"
+        assert main(["verify", "--levels", levels, "--arity", arity]) == 2
+        assert capsys.readouterr().err == f"error: --arity: {message}\n"
+        assert main(["check", "-r", "lex", "--grid", levels, "--arity", arity]) == 2
+        assert capsys.readouterr().err == f"error: --arity: {message}\n"
+
+    @pytest.mark.parametrize(
+        "levels,arity,axioms,budget",
+        [("0,1", "4", "SM", 10_000), ("0,1/2,1", "2", "SM", 1_000),
+         ("0,1/2,1", "3", "WeakIWA", None), ("0,1", "3", "SM,WeakIWA", 27)],
+    )
+    def test_budget_refusal_names_axioms(self, monkeypatch, capsys, levels, arity, axioms, budget):
+        # the pruned walk's work is not known in advance; None keeps the
+        # real budget, which WeakIWA alone on {0,1/2,1}^3 passes at the root
+        if budget is not None:
+            monkeypatch.setattr(characterization, "WALK_BUDGET", budget)
+        argv = ["verify", "--levels", levels, "--arity", arity, "--axioms", axioms]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: --max-points: grid has 2187 points at arity 7; the check bound of 1024 caps both\n"
+        out, err = capsys.readouterr()
+        points = len(levels.split(",")) ** int(arity)
+        assert out == "" and err == (
+            f"error: --axioms: the pruned walk of {points} points passed its budget of "
+            f"{characterization.WALK_BUDGET} steps: these axioms prune too little\n"
         )
 
     def test_no_prune_refused_above_nine_points(self, monkeypatch, capsys):
         for name in ("grid_points", "_Sample", "_runs"):
             monkeypatch.setattr(characterization, name, _reach)
-        argv = ["verify", "--levels", "0,1", "--arity", "4", "--no-prune", "--max-points", "16"]
+        argv = ["verify", "--levels", "0,1", "--arity", "4", "--no-prune"]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: --no-prune: grid has 16 points; the unpruned walk visits all fubini(16) "
             "weak orders and is refused above 9 points\n"
         )
-        # pruned, the same grid is refused only by --max-points
-        assert main(argv[:5] + argv[6:-1] + ["15"]) == 2
-        assert capsys.readouterr().err.startswith("error: --max-points: grid has 16 points")
+        # pruned, the same grid is refused only once its walk passes the budget
+        monkeypatch.undo()
+        monkeypatch.setattr(characterization, "WALK_BUDGET", 1_000)
+        assert main(argv[:-1] + ["--axioms", "SM"]) == 2
+        assert capsys.readouterr().err.startswith("error: --axioms: the pruned walk of 16 points")
+        assert main(argv[:-1]) == 0  # SM+WeakIWA walks 16 points in 82 steps
+
+    def test_one_level_refused_naming_levels(self, monkeypatch, capsys):
+        # one point has one weak order, which would pass as "equals lex"
+        monkeypatch.setattr(characterization, "grid_points", _reach)
+        assert main(["verify", "--levels", "1", "--arity", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --levels: one level gives one point")
+        # check keeps the one point and flags what it cannot test
+        argv = ["check", "-r", "lex", "--grid", "1", "--arity", "2", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sample_size"] == 1
+        assert {r["axiom"] for r in payload["results"] if r["vacuous"]} >= {
+            "StrongMonotonicity", "IWA", "WeakIWA"}
 
     def test_internal_error_names_no_flag(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -458,11 +483,16 @@ class TestVerify:
         assert main(["verify", "--levels", "0,1", "--arity", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: internal error: ")
 
-    def test_max_points_override(self, capsys):
-        code = main(
-            ["verify", "--levels", "0,1/2,1", "--arity", "2", "--max-points", "9"]
-        )
-        assert code == 0
+    def test_27_points_run_without_a_flag(self, capsys):
+        # the paper's claim on {0,1/2,1}^3, which a 9-point cap once refused
+        assert main(["verify", "--levels", "0,1/2,1", "--arity", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "survivors: 1\n" in out and "survivor set equals lex: yes" in out
+
+    def test_removed_max_points_flag_exit_2(self, capsys):
+        argv = ["verify", "--levels", "0,1", "--arity", "2", "--max-points", "9"]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --max-points 9" in capsys.readouterr().err
 
     def test_removed_workers_flag_exit_2(self, capsys):
         argv = ["verify", "--levels", "0,1", "--arity", "2", "--workers", "2"]
@@ -899,24 +929,26 @@ _WEIGHT_PART = st.sampled_from(
 )
 
 
-# every grid has at most 4 points, so no draw starts a large walk
+# the unpruned walk has 4 points, and the pruned one at most 50 steps, so
+# no draw starts a large walk; SM+WeakIWA, 28 steps on {0,1}^3, passes it,
+# and any set that prunes too little, as SM or NonCompensation alone, does not
 @settings(max_examples=100, deadline=None)
 @given(
     axioms=st.lists(_AXIOM_PART, max_size=3).map(",".join),
     weights=st.lists(_WEIGHT_PART, max_size=3).map(",".join),
-    max_points=st.integers(-3, 6),
 )
-def test_fuzzed_flags_exit_cleanly(axioms, weights, max_points):
+def test_fuzzed_flags_exit_cleanly(axioms, weights):
     runs = [
-        ["verify", "--levels", "0,1", "--arity", "2", f"--axioms={axioms}",
-         f"--max-points={max_points}"],
+        ["verify", "--levels", "0,1", "--arity", "3", f"--axioms={axioms}"],
+        ["verify", "--levels", "0,1", "--arity", "2", f"--axioms={axioms}", "--no-prune"],
         ["check", "-r", "wlog", "--grid", "0,1", "--arity", "2", f"--axioms={axioms}",
          f"--weights={weights}"],
     ]
-    named = re.compile(r"error: (--axioms|--weights|--max-points|weights): ")
-    for argv in runs:
-        code, err = _run(argv)  # no exception may escape main
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err
-        if code == 2:
-            assert err.count("\n") == 1 and named.match(err), (argv, err[:200])
+    named = re.compile(r"error: (--axioms|--weights|weights): ")
+    with mock.patch.object(characterization, "WALK_BUDGET", 50):
+        for argv in runs:
+            code, err = _run(argv)  # no exception may escape main
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.count("\n") == 1 and named.match(err), (argv, err[:200])

@@ -119,7 +119,7 @@ class TestBothAxiomsAreNeeded:
         assert len(family) == 2 ** (arity + 1) - 1
         assert len(survivors) == len(family) and set(survivors) == family
         assert lex_ranking(sample.points).ranks in family
-        report = verify_characterization(spec, [WEAK_IWA], max_points=n)
+        report = verify_characterization(spec, [WEAK_IWA])
         assert report.survivor_count == len(family)
 
 
