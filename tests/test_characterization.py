@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -51,6 +51,7 @@ from rafpref.characterization import (
     _TAIL_POINTS,
     _audit_survivor,
     _compile_constraint,
+    _gathered,
     _keep,
     _refused,
     _runs,
@@ -329,20 +330,43 @@ class TestCompiledFiltersMatchCheckers:
                 assert fast == literal, (axiom, ranks)
 
 
-@st.composite
-def compiled_data(draw):
-    """A constraint in _compile_constraint's shape over n <= 9 points,
-    groups of one and two pairs included, and a run of rank tuples."""
-    n = draw(st.integers(1, 9))
+def _constraint(draw, n):
+    """A constraint in _compile_constraint's shape over n points, groups
+    of one and two pairs included."""
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     kind = draw(st.sampled_from(["forced", "groups"]))
     if kind == "forced":
-        data = draw(st.lists(pair, max_size=12))
-    else:
-        group = st.lists(pair, min_size=1, max_size=2) | st.lists(pair, min_size=3, max_size=6)
-        data = draw(st.lists(group, max_size=6))
-    ranks = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
-    return kind, data, draw(st.lists(ranks, max_size=20))
+        return kind, draw(st.lists(pair, max_size=12))
+    group = st.lists(pair, min_size=1, max_size=2) | st.lists(pair, min_size=3, max_size=6)
+    return kind, draw(st.lists(group, max_size=6))
+
+
+def _ranks(size, n):
+    return st.lists(st.integers(0, n - 1), min_size=size, max_size=size).map(tuple)
+
+
+@st.composite
+def compiled_data(draw):
+    """A constraint over n <= 9 points and a run of rank tuples."""
+    n = draw(st.integers(1, 9))
+    kind, data = _constraint(draw, n)
+    return kind, data, draw(st.lists(_ranks(n, n), max_size=20))
+
+
+@st.composite
+def bound_runs(draw):
+    """A constraint over n <= 9 points and a run as _runs yields it for a
+    random rest: the positions at, point i of rest read at n plus its place
+    in rest and any other point at i, and the ungathered tuples, random
+    prefix ranks of the n points followed by random patterns of rest."""
+    n = draw(st.integers(1, 9))
+    kind, data = _constraint(draw, n)
+    rest = draw(st.integers(0, (1 << n) - 1))
+    members = [i for i in range(n) if rest >> i & 1]
+    at = tuple(n + members.index(i) if i in members else i for i in range(n))
+    prefix = draw(_ranks(n, n))
+    patterns = draw(st.lists(_ranks(len(members), n), max_size=20))
+    return kind, data, at, [prefix + pattern for pattern in patterns]
 
 
 class TestKeep:
@@ -352,6 +376,14 @@ class TestKeep:
         kind, data, run = case
         passes = _literal(kind, data)
         assert _keep(kind, data)(iter(run)) == [rv for rv in run if passes(rv)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_runs())
+    def test_bound_to_a_runs_positions(self, case):
+        kind, data, at, run = case
+        passes = _literal(kind, data)
+        kept = _keep(kind, data)(iter(run), at)
+        assert kept == [rv for rv in run if passes(tuple(rv[a] for a in at))]
 
     def test_only_ints_reach_the_source(self):
         with pytest.raises(TypeError):
@@ -411,10 +443,10 @@ class TestPrunedStreamEquivalence:
 
         def capturing_runs(n, dom, groups, pruned_by, tables):
             counts.append(pruned_by)
-            for run in real_runs(n, dom, groups, pruned_by, tables):
+            for at, run in real_runs(n, dom, groups, pruned_by, tables):
                 run = list(run)
-                drained.extend(run)
-                yield run
+                drained.extend(_gathered([(at, run)]))
+                yield at, run
 
         monkeypatch.setattr(characterization, "_runs", capturing_runs)
         report = verify_characterization(GridSpec.of(levels, arity), axioms, prune=True)
@@ -617,6 +649,20 @@ class TestVerify:
         # the strong-monotonicity survivors on the cube
         assert dict(plain.pass_counts) == {SM: 223, WEAK_IWA: 1}
 
+    @pytest.mark.parametrize("axioms,survivors", [((SM, WEAK_IWA), 1), ((WEAK_IWA,), 7)])
+    def test_pruned_equals_unpruned_at_the_largest_unpruned_grid(self, axioms, survivors):
+        # the brute-force reference on its 9 points, fubini(9) weak orders;
+        # WeakIWA alone leaves the 2^(d+1) - 1 signed cut lex orders of
+        # test_paper_claims.py, d = 2
+        spec = GridSpec.of(["0", "1/2", "1"], 2)
+        pruned = verify_characterization(spec, axioms, prune=True)
+        plain = verify_characterization(spec, axioms, prune=False)
+        assert plain.enumerated == plain.checked == pruned.enumerated == 7_087_261
+        assert plain.survivor_count == pruned.survivor_count == survivors
+        assert plain.survivors == pruned.survivors
+        assert len(plain.survivors) == survivors <= SURVIVOR_LISTING_CAP
+        assert plain.matches_lex == pruned.matches_lex == (survivors == 1)
+
     @pytest.mark.parametrize(
         "arity,axioms",
         # the 32 subsets of the verify axioms that contain SM on {0,1}^2,
@@ -733,9 +779,9 @@ class TestVerify:
             runs = _runs(n, *args)
             if n < 4:  # a tail table's walk, not verify's
                 return runs
-            leaves = chain.from_iterable(runs)
+            leaves = _gathered(runs)
             next(leaves)
-            return ((rv,) for rv in leaves)
+            return ((tuple(range(n)), (rv,)) for rv in leaves)
 
         monkeypatch.setattr(characterization, "_runs", dropping)
         with pytest.raises(RafprefError, match="covered 74 candidates"):

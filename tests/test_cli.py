@@ -682,6 +682,17 @@ def test_failed_write_is_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: standard output: No space left on device\n"
 
 
+def test_package_runs_as_a_module(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rafpref", "demo"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["demo"]) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", [
     ["demo"],
