@@ -40,6 +40,13 @@ checkout of that commit, for example::
     python3 /tmp/other/scripts/dump_reports.py > other.txt
     python3 scripts/dump_reports.py > this.txt
     diff other.txt this.txt
+
+``scripts/dump_reports.sha256`` holds the sha256 of the output of
+``PYTHONHASHSEED=0 PYTHONPATH=src python scripts/dump_reports.py`` on
+CPython 3.11, in ``sha256sum -c`` form, and CI requires the output to
+match it. A change that alters a report on purpose updates that file.
+CPython 3.10 and 3.12 print the same bytes; 3.13 wraps one argparse
+usage line differently.
 """
 
 import contextlib

@@ -35,7 +35,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import is_not
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -48,7 +49,7 @@ from .core import (
     require_same_context,
     strictly_dominates,
 )
-from .relations import ComparisonOutcome, PreferenceRelation, at_least_as_good
+from .relations import ComparisonOutcome, PreferenceRelation
 
 __all__ = [
     "AxiomId",
@@ -146,9 +147,10 @@ DEFAULT_CONFIG = CheckConfig()
 
 # The most points in a sample that the command line checks and that verify
 # audits, refused before any table is built: each _Sample table holds the
-# n^2 pairs. On {0,1}^10, 1,024 points, one process on a 2-core Xeon took
-# 4-5 s to build the tables and 7-10 s more for an all-axiom lex audit, at
-# a peak RSS of 327 MB. run_checks itself takes a sample of any size.
+# n^2 pairs. On {0,1}^10, 1,024 points, one process on a 2-core Xeon
+# (CPython 3.11, 8 runs) took 3.5-5.7 s to build the tables and 3.3-4.5 s
+# more for an all-axiom lex audit, at a peak RSS of 319 MB. run_checks
+# itself takes a sample of any size.
 CHECK_MAX_POINTS = 1024
 
 
@@ -490,7 +492,15 @@ class _Sample:
 
 class _Audit:
     """One relation on a _Sample: its n x n verdict table, [i][j] None until
-    outcome draws i against j, and its quadruple axioms' class tallies."""
+    i is drawn against j, and its quadruple axioms' class tallies.
+
+    A verdict is drawn one of two ways, and each ordered pair at most once.
+    The scans that read every pair off the diagonal (Mirror, Connected,
+    IWA and WeakIWA) or every pair (Transitive and NonCompensation) call
+    fill, which draws all the missing ones in one loop, and then read the
+    table inline. Reflexive, the pair axioms and Axiom2MS read only their
+    own pairs, through outcome, one call per pair.
+    """
 
     def __init__(self, rel: PreferenceRelation, sample: _Sample) -> None:
         self.rel = rel
@@ -512,12 +522,27 @@ class _Audit:
         classes. A class with t pairs of weak verdict true and f of false
         holds (t+f)^2 qualifying quadruples, 2tf of them violations; mixed
         maps each pair of a class with both verdicts to the witness index
-        and the class."""
-        geq = self.geq
+        and the class.
+
+        NonCompensation's classes hold every pair and WeakIWA's every pair
+        off the diagonal, so those are filled in bulk; Axiom2MS's hold only
+        the single-coordinate pairs, and only those are drawn.
+        """
+        classes = self.sample.classes(axiom)
+        if axiom is AxiomId.AXIOM2_MS:
+            outcome = self.outcome
+            for members in classes.values():
+                for i, j in members:
+                    outcome(i, j)
+            table = self.table
+        else:
+            table = self.fill(diagonal=axiom is AxiomId.NON_COMPENSATION)
+        second = ComparisonOutcome.SECOND_PREFERRED
         qualifying = violation_count = 0
         mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
-        for key, members in self.sample.classes(axiom).items():
-            t = sum(1 for i, j in members if geq(i, j))
+        for key, members in classes.items():
+            # a generator, not a list: a WeakIWA class can hold n^2/4 pairs
+            t = sum(table[i][j] is not second for i, j in members)
             f = len(members) - t
             qualifying += len(members) ** 2
             if t and f:
@@ -527,19 +552,33 @@ class _Audit:
         return qualifying, violation_count, mixed
 
     def outcome(self, i: int, j: int) -> ComparisonOutcome:
+        """The verdict of i against j, drawn on first use."""
         row = self.table[i]
         out = row[j]
         if out is None:
             out = self.rel.compare(self.points[i], self.points[j])
             if not isinstance(out, ComparisonOutcome):
-                raise RafprefError(
-                    f"relation {self.rel.name!r} returned {out!r}, not a ComparisonOutcome"
-                )
+                self._refuse(out)
             row[j] = out
         return out
 
-    def geq(self, i: int, j: int) -> bool:
-        return at_least_as_good(self.outcome(i, j))
+    def fill(self, diagonal: bool) -> list[list[ComparisonOutcome]]:
+        """Draw every verdict still missing off the diagonal, and on it too
+        when diagonal is true, and return the table: one loop, in which the
+        relation's compare is the only call per pair."""
+        compare, points = self.rel.compare, self.points
+        for i, (a, row) in enumerate(zip(points, self.table)):
+            if None in row:
+                for j, b in enumerate(points):
+                    if row[j] is None and (diagonal or j != i):
+                        out = compare(a, b)
+                        if not isinstance(out, ComparisonOutcome):
+                            self._refuse(out)
+                        row[j] = out
+        return self.table
+
+    def _refuse(self, out: object) -> None:
+        raise RafprefError(f"relation {self.rel.name!r} returned {out!r}, not a ComparisonOutcome")
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -571,12 +610,20 @@ def _reflexive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
 
 
 def _mirror_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
-    """Each ordered pair's verdict must be the mirror of its swap's."""
-    points, outcome, n = audit.points, audit.outcome, audit.n
-    failed = [(i, j) for i in range(n) for j in range(n)
-              if i != j and outcome(i, j).mirrored() is not outcome(j, i)]
+    """Each ordered pair's verdict must be the mirror of its swap's, so
+    (i, j) fails exactly when (j, i) does."""
+    points, n = audit.points, audit.n
+    first, second = ComparisonOutcome.FIRST_PREFERRED, ComparisonOutcome.SECOND_PREFERRED
+    indifferent = ComparisonOutcome.INDIFFERENT
+    table = audit.fill(diagonal=False)
+    failed = [
+        (i, j)
+        for i, row in enumerate(table) for j, out in enumerate(row)
+        if j != i
+        and table[j][i] is not (second if out is first else first if out is second else indifferent)
+    ]
     witnesses = (
-        AxiomViolation(axiom, (points[i], points[j]), (outcome(i, j), outcome(j, i)),
+        AxiomViolation(axiom, (points[i], points[j]), (table[i][j], table[j][i]),
                        detail="swapped arguments must mirror the verdict")
         for i, j in failed
     )
@@ -587,28 +634,27 @@ def _mirror_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
 def _connected_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Connectedness is structural: the outcome type has no "incomparable"
     value, so drawing a verdict for every ordered pair is the whole check.
-    A comparator that cannot is rejected when outcome first draws it."""
-    outcome, n = audit.outcome, audit.n
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                outcome(i, j)
-    pairs = n * (n - 1)
+    A comparator that cannot is rejected when fill draws it."""
+    audit.fill(diagonal=False)
+    pairs = audit.n * (audit.n - 1)
     return pairs, pairs, 0, iter(())
 
 
 def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Transitivity counted over one weak-verdict bit row per point.
 
-    Bit j of rows[i] is set when i is at least as good as j. The triple
-    (i, j, k) qualifies when j is in rows[i] and k in rows[j], and
-    violates when k is also missing from rows[i], so each j in rows[i]
-    contributes |rows[j]| qualifying triples and |rows[j] & ~rows[i]|
-    violations. Witnesses come in row-major (i, j, k) order.
+    Bit j of rows[i] is set when i is at least as good as j; each row is
+    the sum of the bits its verdicts select. The triple (i, j, k)
+    qualifies when j is in rows[i] and k in rows[j], and violates when k
+    is also missing from rows[i], so each j in rows[i] contributes
+    |rows[j]| qualifying triples and |rows[j] & ~rows[i]| violations.
+    Witnesses come in row-major (i, j, k) order.
     """
-    n = audit.n
-    points, outcome, geq = audit.points, audit.outcome, audit.geq
-    rows = [sum(1 << j for j in range(n) if geq(i, j)) for i in range(n)]
+    points, n = audit.points, audit.n
+    table = audit.fill(diagonal=True)
+    bits = [1 << j for j in range(n)]
+    rows = [sum(compress(bits, map(is_not, row, repeat(ComparisonOutcome.SECOND_PREFERRED))))
+            for row in table]
     sizes = [row.bit_count() for row in rows]
     qualifying = violation_count = 0
     for row in rows:
@@ -619,7 +665,7 @@ def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
         AxiomViolation(
             axiom,
             (points[i], points[j], points[k]),
-            (outcome(i, j), outcome(j, k), outcome(i, k)),
+            (table[i][j], table[j][k], table[i][k]),
             detail="weak preference must chain through the middle profile",
         )
         for i, row in enumerate(rows) for j in _members(row) for k in _members(rows[j] & ~row)
@@ -650,19 +696,20 @@ def _quad_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     Witnesses come in row-major order: for each pair, the members of its
     class with the opposite verdict.
     """
-    points, outcome, geq = audit.points, audit.outcome, audit.geq
+    points, table = audit.points, audit.table
+    second = ComparisonOutcome.SECOND_PREFERRED
     qualifying, violation_count, mixed = audit.tally(axiom)
 
     def witnesses() -> Iterator[AxiomViolation]:
         for i, j in sorted(mixed):
             index, members = mixed[i, j]
-            g = geq(i, j)
+            weak = table[i][j] is not second
             for k, l in members:
-                if geq(k, l) != g:
+                if (table[k][l] is not second) != weak:
                     yield AxiomViolation(
                         axiom,
                         (points[i], points[j], points[k], points[l]),
-                        (outcome(i, j), outcome(k, l)),
+                        (table[i][j], table[k][l]),
                         index=index,
                         detail="matching hypothesis but opposite weak verdicts",
                     )

@@ -236,7 +236,9 @@ def make_raf(values: Iterable[RationalLike], ctx: PriorityContext) -> Raf:
 
 
 def require_same_context(a: Raf, b: Raf) -> None:
-    if a.context != b.context:
+    """Refuse two profiles built on different contexts. Profiles built
+    together share one context object, so identity is checked first."""
+    if a.context is not b.context and a.context != b.context:
         raise ContextMismatchError(
             "profiles built on different contexts cannot be compared"
         )

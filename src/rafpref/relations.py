@@ -25,7 +25,6 @@ from .core import (
     PriorityContext,
     Raf,
     RafprefError,
-    first_difference,
     require_same_context,
 )
 
@@ -125,11 +124,20 @@ def lex_compare(a: Raf, b: Raf) -> ComparisonOutcome:
     Indifferent exactly when the profiles are equal; otherwise the profile
     with the larger availability at the first difference wins, regardless
     of every lower-priority coordinate.
+
+    This is first_difference's rule without an equality test per
+    coordinate: a coordinate holding one object in both profiles (grid
+    profiles share their level objects) is passed over unread, and the
+    first other one decides unless its two values are equal.
     """
-    k = first_difference(a, b)
-    if k is None:
-        return ComparisonOutcome.INDIFFERENT
-    return _outcome_of(a.values[k - 1], b.values[k - 1])
+    require_same_context(a, b)
+    for x, y in zip(a.values, b.values):
+        if x is not y:
+            if x > y:
+                return ComparisonOutcome.FIRST_PREFERRED
+            if x < y:
+                return ComparisonOutcome.SECOND_PREFERRED
+    return ComparisonOutcome.INDIFFERENT
 
 
 def mep_utility(a: Raf) -> Fraction:
@@ -188,7 +196,7 @@ def _weighted_product(a: Raf, weights: WeightVector) -> Fraction:
 
 
 def _require_weights_context(a: Raf, weights: WeightVector) -> None:
-    if weights.context != a.context:
+    if weights.context is not a.context and weights.context != a.context:
         raise WeightArityMismatchError("weights built on a different context")
 
 

@@ -150,6 +150,18 @@ class NoVerdictOffDiagonal(PreferenceRelation):
         return INDIFF if a == b else None
 
 
+class OneBadVerdict(PreferenceRelation):
+    """Lex, except that one ordered pair gets a string, not an outcome."""
+
+    name = "one-bad-verdict"
+
+    def __init__(self, a: Raf, b: Raf) -> None:
+        self.a, self.b = a, b
+
+    def compare(self, a: Raf, b: Raf):
+        return "first_preferred" if a is self.a and b is self.b else lex_compare(a, b)
+
+
 def total_indifference(points):
     return table_relation(RankedRelation.from_rank_map({p: 0 for p in points}))
 
@@ -840,20 +852,6 @@ class TestRunChecks:
         with pytest.raises(RafprefError, match=message):
             call(nine_grid)
 
-    def test_reflexive_alone_compares_each_point_once(self):
-        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
-        rel = CountingLex()
-        report = run_checks(rel, sample, [AxiomId.REFLEXIVE])
-        assert report.passed
-        assert rel.calls == len(sample) == 27
-
-    def test_transitive_alone_draws_each_pair_once(self):
-        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
-        rel = CountingLex()
-        report = run_checks(rel, sample, [AxiomId.TRANSITIVE])
-        assert report.passed
-        assert rel.calls == len(rel.drawn) == 27 ** 2
-
     def test_strong_monotonicity_alone_draws_only_qualifying_pairs(self):
         sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
         rel = CountingLex()
@@ -861,21 +859,6 @@ class TestRunChecks:
         assert result.passed
         assert rel.calls == len(rel.drawn) == result.qualifying == 81
         assert all(single_coordinate_increase(a, b) for a, b in rel.drawn)
-
-    def test_axiom2_ms_alone_draws_only_single_coordinate_pairs(self):
-        # the quadruple path is as lazy as the pair path: only the pairs of
-        # a hypothesis class are put to the relation
-        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
-        rel = CountingLex()
-        assert run_checks(rel, sample, [AxiomId.AXIOM2_MS]).passed
-        assert rel.calls == len(rel.drawn) == 27 * 3 * 2
-        assert all(sum(x != y for x, y in zip(a.values, b.values)) == 1 for a, b in rel.drawn)
-
-    def test_all_axioms_draw_each_pair_once(self):
-        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
-        rel = CountingLex()
-        assert run_checks(rel, sample).passed
-        assert rel.calls == len(rel.drawn) == 27 ** 2
 
     def test_audit_keeps_one_verdict_table(self):
         # with the sample's tables built first, what an all-axiom lex audit
@@ -902,3 +885,48 @@ class TestRunChecks:
         assert run_checks(NoVerdictOffDiagonal(), nine_grid, [AxiomId.REFLEXIVE]).passed
         with pytest.raises(RafprefError, match="not a ComparisonOutcome"):
             run_checks(NoVerdictOffDiagonal(), nine_grid, [AxiomId.CONNECTED])
+
+    @pytest.mark.parametrize(
+        "axioms", [[axiom] for axiom in ALL_AXIOMS] + [list(ALL_AXIOMS)],
+        ids=[str(axiom) for axiom in ALL_AXIOMS] + ["all"],
+    )
+    def test_draws_exactly_the_pairs_each_axiom_reads(self, axioms):
+        # every pair an axiom reads is drawn, no other, and none twice
+        sample = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 3))
+        reads = {
+            AxiomId.REFLEXIVE: lambda a, b: a == b,
+            AxiomId.MIRROR_CONSISTENT: lambda a, b: a != b,
+            AxiomId.CONNECTED: lambda a, b: a != b,
+            AxiomId.TRANSITIVE: lambda a, b: True,
+            AxiomId.WEAK_DOMINANCE: strictly_dominates,
+            AxiomId.STRONG_MONOTONICITY: single_coordinate_increase,
+            AxiomId.STRONG_DOMINANCE: qualifies_strong_dominance,
+            AxiomId.NON_COMPENSATION: lambda a, b: True,
+            AxiomId.AXIOM2_MS: lambda a, b: sum(x != y for x, y in zip(a.values, b.values)) == 1,
+            AxiomId.IWA: lambda a, b: a != b,
+            AxiomId.WEAK_IWA: lambda a, b: a != b,
+        }
+        sizes = {
+            AxiomId.REFLEXIVE: 27, AxiomId.MIRROR_CONSISTENT: 702, AxiomId.CONNECTED: 702,
+            AxiomId.TRANSITIVE: 729, AxiomId.WEAK_DOMINANCE: 27, AxiomId.STRONG_MONOTONICITY: 81,
+            AxiomId.STRONG_DOMINANCE: 189, AxiomId.NON_COMPENSATION: 729, AxiomId.AXIOM2_MS: 162,
+            AxiomId.IWA: 702, AxiomId.WEAK_IWA: 702,
+        }
+        expected = {
+            (a, b) for a in sample for b in sample if any(reads[axiom](a, b) for axiom in axioms)
+        }
+        assert len(expected) == (sizes[axioms[0]] if len(axioms) == 1 else 27 ** 2)
+        rel = CountingLex()
+        assert run_checks(rel, sample, axioms).passed
+        assert rel.calls == len(rel.drawn)
+        assert rel.drawn == expected
+
+    @pytest.mark.parametrize("axiom", [
+        AxiomId.MIRROR_CONSISTENT, AxiomId.CONNECTED, AxiomId.TRANSITIVE,
+        AxiomId.NON_COMPENSATION, AxiomId.IWA, AxiomId.WEAK_IWA,
+    ])
+    def test_bulk_draw_refuses_a_non_outcome(self, nine_grid, axiom):
+        rel = OneBadVerdict(nine_grid[5], nine_grid[2])
+        with pytest.raises(RafprefError, match="returned 'first_preferred', not a ComparisonOutcome"):
+            run_checks(rel, nine_grid, [axiom])
+        assert run_checks(rel, nine_grid, [AxiomId.REFLEXIVE]).passed

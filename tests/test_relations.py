@@ -24,6 +24,7 @@ from rafpref import (
     WeightVector,
     at_least_as_good,
     default_context,
+    first_difference,
     grid_points,
     lex_compare,
     make_raf,
@@ -34,7 +35,7 @@ from rafpref import (
     wlog_compare,
 )
 from rafpref.relations import MAX_WEIGHT
-from conftest import rationals01
+from conftest import rationals01, raf_values
 
 FIRST = ComparisonOutcome.FIRST_PREFERRED
 SECOND = ComparisonOutcome.SECOND_PREFERRED
@@ -82,6 +83,52 @@ class TestLex:
                         lex_compare(b, c)
                     ):
                         assert at_least_as_good(lex_compare(a, c))
+
+    @given(st.data())
+    def test_lex_is_the_first_difference_rule(self, data):
+        # b copies some of a's values as the same objects and some as equal
+        # but distinct Fractions, and may sit on an equal but distinct context
+        arity = data.draw(st.integers(2, 4))
+        a_values = data.draw(raf_values(arity))
+        own = data.draw(raf_values(arity))
+        kinds = data.draw(st.lists(st.sampled_from(("same", "copy", "own")),
+                                   min_size=arity, max_size=arity))
+        b_values = tuple(
+            x if kind == "same" else Fraction(x.numerator, x.denominator) if kind == "copy" else y
+            for x, y, kind in zip(a_values, own, kinds)
+        )
+        ctx = default_context(arity)
+        a = Raf(ctx, a_values)
+        b = Raf(data.draw(st.sampled_from((ctx, default_context(arity)))), b_values)
+        k = first_difference(a, b)
+        if k is None:
+            expected = INDIFF
+        else:
+            expected = FIRST if a.values[k - 1] > b.values[k - 1] else SECOND
+        assert lex_compare(a, b) is expected
+        assert lex_compare(b, a) is expected.mirrored()
+
+    def test_contexts_equal_or_mixed(self):
+        labels = ("a", "b")
+        ctx = PriorityContext.of(labels, {"a": 40, "b": 10})
+        twin = PriorityContext.of(labels, {"a": 40, "b": 10})
+        assert ctx == twin and ctx is not twin
+        other = PriorityContext.of(("p", "q"), {"p": 40, "q": 10})
+        a = make_raf(("1/2", "1/3"), ctx)
+        twin_b = make_raf(("1/2", "1/4"), twin)
+        other_b = make_raf(("1/2", "1/4"), other)
+        wlog = WeightedLogProductRelation(WeightVector(twin, (1, 2)))
+        # an equal context built apart compares without error, like the same one
+        assert lex_compare(a, twin_b) is FIRST
+        assert MaxExpectedPayoffRelation().compare(a, twin_b) is INDIFF
+        assert wlog.compare(a, twin_b) is FIRST
+        assert wlog_compare(a, twin_b, WeightVector(ctx, (1, 2))) is FIRST
+        for compare in (lex_compare, MaxExpectedPayoffRelation().compare, wlog.compare,
+                        lambda x, y: wlog_compare(x, y, wlog.weights)):
+            with pytest.raises(ContextMismatchError):
+                compare(a, other_b)
+            with pytest.raises(ContextMismatchError):
+                compare(other_b, a)
 
     @given(rationals01(), rationals01(), rationals01(), rationals01())
     def test_top_priority_gap_decides(self, a1, a2, b1, b2):
