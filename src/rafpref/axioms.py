@@ -7,10 +7,17 @@ in canonical order (row-major over sample indices), that replay
 deterministically.
 
 Every audit reads two tables over the n^2 ordered pairs of the sample:
-the (up-set, down-set, first difference) signature of each pair, and the
-relation's verdicts, drawn once per pair into one table per audit. The
-signature table and the hypothesis tables read from it belong to one
-_Sample, built once per run_checks call and once per verify run.
+the signature of each pair, its up-set and down-set packed into one int,
+and the relation's verdicts, drawn once per pair into one table per
+audit. Every hypothesis depends only on the order of each coordinate's
+values, never on their size, so the points are first replaced by integer
+rank codes, and the signatures are built from the codes. Each hypothesis
+table is then read off the signatures with each distinct signature
+decoded once: NonCompensation's classes are the pairs grouped by
+signature, WeakIWA's classes and each pair axiom's qualifying pairs are
+unions of such groups, and Axiom2MS's classes split the single-coordinate
+groups by rank code. The codes, the signatures and the tables belong to
+one _Sample, built once per run_checks call and once per verify run.
 
 - Reflexivity visits every point; mirror consistency and connectedness
   every ordered pair.
@@ -33,10 +40,12 @@ witnesses the config records.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import is_not
+from functools import cached_property, cmp_to_key, partial, reduce
+from itertools import compress, count, islice, product, repeat
+from math import gcd
+from operator import add, getitem, is_not
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -49,7 +58,7 @@ from .core import (
     require_same_context,
     strictly_dominates,
 )
-from .relations import ComparisonOutcome, PreferenceRelation
+from .relations import _FIRST, _INDIFFERENT, _SECOND, ComparisonOutcome, PreferenceRelation
 
 __all__ = [
     "AxiomId",
@@ -148,8 +157,8 @@ DEFAULT_CONFIG = CheckConfig()
 # The most points in a sample that the command line checks and that verify
 # audits, refused before any table is built: each _Sample table holds the
 # n^2 pairs. On {0,1}^10, 1,024 points, one process on a 2-core Xeon
-# (CPython 3.11, 8 runs) took 3.5-5.7 s to build the tables and 3.3-4.5 s
-# more for an all-axiom lex audit, at a peak RSS of 319 MB. run_checks
+# (CPython 3.11, 3 runs) took 1.5-2.2 s to build the tables and 1.3-2.2 s
+# more for an all-axiom lex audit, at a peak RSS of 171 MB. run_checks
 # itself takes a sample of any size.
 CHECK_MAX_POINTS = 1024
 
@@ -310,35 +319,74 @@ def qualifies_weak_iwa(a: Raf, b: Raf, c: Raf, d: Raf) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_signatures(values: Sequence[tuple]) -> list[list[tuple[int, int, int]]]:
-    """sig[i][j] = (up, down, fd) for every ordered pair of points.
+# orders (numerator, denominator) pairs with positive denominators by value
+_BY_VALUE = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
+def _rank_codes(points: Sequence[Raf]) -> list[tuple[int, ...]]:
+    """codes[i][c]: the rank of point i's value at 0-based coordinate c
+    among the sample's distinct values there, an order-preserving integer
+    code, equal exactly where the values are.
+
+    Read from the points' integer ratios, with no Fraction built: each
+    (numerator, denominator) pair a column holds is reduced to lowest
+    terms once, and the distinct values are ordered by cross-multiplying.
+    """
+    dens = [p.denominator for p in points]
+    codes = []
+    for column in zip(*[p.numerators for p in points]):
+        keys = list(zip(column, dens))
+        lowest = {}
+        for p, q in set(keys):
+            g = gcd(p, q)
+            lowest[p, q] = (p // g, q // g)
+        levels = sorted(set(lowest.values()), key=_BY_VALUE)
+        rank = dict(zip(levels, count()))
+        codes.append(map({key: rank[v] for key, v in lowest.items()}.__getitem__, keys))
+    return list(zip(*codes))
+
+
+def _pair_signatures(codes: Sequence[tuple[int, ...]]) -> list[int]:
+    """The packed signature up | down << d of every ordered pair of points,
+    row-major: entry i * n + j for point i against point j.
 
     Bit c of up/down is set when point i is strictly above/below point j
-    at 0-based coordinate c; fd is the first coordinate where they
-    differ, -1 when they are equal. Each coordinate's values are first
-    replaced by their rank among the sample's distinct values there, an
-    order-preserving integer code, so the n^2 pair loop compares ints
-    rather than exact rationals. Each pair i < j is computed once: sig[j][i]
-    is its mirror, with up and down swapped.
+    at 0-based coordinate c, for arity d. The rows are read off the rank
+    codes with no loop over coordinates: for each coordinate and each code
+    v there, one step tuple gives, for every point j, the bit that a point
+    coded v sets against j there, and each row is the elementwise sum of its
+    point's d step tuples, a fold of map(add, ...) run in C.
     """
-    ranks = [{v: r for r, v in enumerate(sorted(set(column)))} for column in zip(*values)]
-    coded = [tuple(rank[x] for rank, x in zip(ranks, p)) for p in values]
-    n = len(coded)
-    sigs = [[(0, 0, -1)] * n for _ in range(n)]
-    for i, p in enumerate(coded):
-        row = sigs[i]
-        for j in range(i + 1, n):
-            up = down = 0
-            for c, (x, y) in enumerate(zip(p, coded[j])):
-                if x > y:
-                    up |= 1 << c
-                elif x < y:
-                    down |= 1 << c
-            diff = up | down
-            fd = (diff & -diff).bit_length() - 1
-            row[j] = (up, down, fd)
-            sigs[j][i] = (down, up, fd)
+    d = len(codes[0])
+    steps = []
+    for c, column in enumerate(zip(*codes)):
+        up, down, m = 1 << c, 1 << (c + d), max(column) + 1
+        steps.append([tuple(map(([up] * v + [0] + [down] * (m - 1 - v)).__getitem__, column))
+                      for v in range(m)])
+    fold = partial(map, add)
+    sigs: list[int] = []
+    for point in codes:
+        sigs.extend(reduce(fold, map(getitem, steps, point)))
     return sigs
+
+
+def _decode(sig: int, arity: int) -> tuple[int, int, int]:
+    """(up, down, fd) of a packed signature: fd is the first coordinate
+    where the pair differs, -1 when it is equal."""
+    up, down = sig & ((1 << arity) - 1), sig >> arity
+    diff = up | down
+    return up, down, (diff & -diff).bit_length() - 1
+
+
+def _group(keys: Iterable[Optional[int]], labels: Iterable, pairs: list[tuple[int, int]]) -> dict:
+    """The pairs grouped by their keys, both row-major, in one pass run in
+    C. labels lists every key in order of first occurrence, so the groups
+    come in that order and their members in row-major order; a pair keyed
+    None falls in no group."""
+    groups: dict = {label: [] for label in labels}
+    deque(map(list.append, map(groups.__getitem__, keys), pairs), maxlen=0)
+    groups.pop(None, None)
+    return groups
 
 
 class _PairAxiom(NamedTuple):
@@ -371,21 +419,21 @@ _PAIR_HYPOTHESES = {
 
 
 def _qualifying_pairs(
-    axiom: AxiomId, arity: int, sigs: list[list[tuple[int, int, int]]]
-) -> list[tuple[int, int, int]]:
-    """(i, j, fd) for each ordered pair meeting a pair axiom's hypothesis,
-    in row-major order."""
+    axiom: AxiomId, arity: int, decoded: dict[int, tuple[int, int, int]],
+    sigs: list[int], pairs: list[tuple[int, int]],
+) -> list[tuple[int, int]]:
+    """Each ordered pair meeting a pair axiom's hypothesis, in row-major
+    order: the union of the signature groups that qualify, each distinct
+    signature decided once and the pairs gathered in one pass."""
     full = (1 << arity) - 1
     meets = _PAIR_HYPOTHESES[axiom].meets
-    return [
-        (i, j, fd)
-        for i, row in enumerate(sigs) for j, (up, down, fd) in enumerate(row)
-        if not down and meets(up, full)
-    ]
+    qualifies = {sig: not down and meets(up, full) for sig, (up, down, _) in decoded.items()}
+    return list(compress(pairs, map(qualifies.__getitem__, sigs)))
 
 
 def _hypothesis_classes(
-    axiom: AxiomId, values: Sequence[tuple], sigs: list[list[tuple[int, int, int]]]
+    axiom: AxiomId, codes: Sequence[tuple[int, ...]], decoded: dict[int, tuple[int, int, int]],
+    sigs: list[int], pairs: list[tuple[int, int]],
 ) -> dict[tuple, list[tuple[int, int]]]:
     """Ordered pairs grouped by a quadruple axiom's hypothesis key.
 
@@ -394,7 +442,16 @@ def _hypothesis_classes(
     verdict is constant on every class. Pairs outside the hypothesis
     belong to no class. Each key starts with the 1-based coordinate a
     witness reports (None for NonCompensation); classes and their members
-    come in row-major order.
+    come in row-major order, and every class holds the sample's one tuple
+    per pair.
+
+    Every class is read off the packed signatures, each distinct signature
+    decoded once (decoded lists them in order of first occurrence, which
+    fixes the order of the classes). NonCompensation's classes are the signature groups
+    themselves, keyed (None, up, down). WeakIWA's are unions of groups,
+    keyed by the first difference and its direction, and gathered in one
+    pass over the signatures. Axiom2MS's split the single-coordinate
+    groups by the two rank codes at that coordinate.
 
     IWA shares WeakIWA's classes: two pairs whose up/down patterns agree
     on the coordinates up to some k where the first pair differs also
@@ -402,28 +459,25 @@ def _hypothesis_classes(
     coordinate in the same direction, and conversely.
     """
     if axiom is AxiomId.NON_COMPENSATION:
-        keyed = (
-            ((None, up, down), i, j)
-            for i, row in enumerate(sigs) for j, (up, down, _) in enumerate(row)
-        )
-    elif axiom is AxiomId.AXIOM2_MS:
-        keyed = (
-            ((fd + 1, values[i][fd], values[j][fd]), i, j)
-            for i, row in enumerate(sigs) for j, (up, down, fd) in enumerate(row)
-            if fd >= 0 and (up | down) == 1 << fd
-        )
-    elif axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
-        keyed = (
-            ((fd + 1, (up >> fd) & 1), i, j)
-            for i, row in enumerate(sigs) for j, (up, _, fd) in enumerate(row)
-            if fd >= 0
-        )
-    else:
-        raise RafprefError(f"axiom {axiom} has no pair-class hypothesis")
-    classes: dict[tuple, list[tuple[int, int]]] = {}
-    for key, i, j in keyed:
-        classes.setdefault(key, []).append((i, j))
-    return classes
+        groups = _group(sigs, decoded, pairs)
+        return {(None, *decoded[sig][:2]): members for sig, members in groups.items()}
+    if axiom is AxiomId.AXIOM2_MS:
+        single = {sig: fd for sig, (up, down, fd) in decoded.items() if fd >= 0 and up | down == 1 << fd}
+        chosen = list(map(single.__contains__, sigs))
+        classes: dict[tuple, list[tuple[int, int]]] = {}
+        for sig, pair in zip(compress(sigs, chosen), compress(pairs, chosen)):
+            fd = single[sig]
+            i, j = pair
+            classes.setdefault((fd + 1, codes[i][fd], codes[j][fd]), []).append(pair)
+        return classes
+    if axiom is AxiomId.IWA or axiom is AxiomId.WEAK_IWA:
+        # grouped first by the int 2 * fd + direction, which hashes faster
+        # than a tuple
+        key = {sig: 2 * fd + ((up >> fd) & 1) if fd >= 0 else None
+               for sig, (up, _, fd) in decoded.items()}
+        groups = _group(map(key.__getitem__, sigs), dict.fromkeys(key.values()), pairs)
+        return {(k // 2 + 1, k & 1): members for k, members in groups.items()}
+    raise RafprefError(f"axiom {axiom} has no pair-class hypothesis")
 
 
 def _class_key(axiom: AxiomId) -> AxiomId:
@@ -434,9 +488,12 @@ def _class_key(axiom: AxiomId) -> AxiomId:
 
 class _Sample:
     """A validated sample and its per-sample tables, each built on first
-    use and kept: the pair signatures, each pair axiom's qualifying pairs
-    and each quadruple axiom's hypothesis classes. The tables depend on
-    the points alone, so one _Sample serves any number of audits."""
+    use and kept: the points' rank codes, the packed signature of every
+    ordered pair, one (i, j) tuple per pair that every table shares, each
+    pair axiom's qualifying pairs and each quadruple axiom's hypothesis
+    classes. The codes are read once from the points' integer ratios, and
+    every other table from the codes. The tables depend on the points
+    alone, so one _Sample serves any number of audits."""
 
     def __init__(self, points: Sequence[Raf]) -> None:
         if not points:
@@ -447,19 +504,33 @@ class _Sample:
                 raise ContextMismatchError("sample mixes profiles from different contexts")
         self.points = tuple(points)
         self.n = len(self.points)
-        self.values = [raf.values for raf in self.points]
-        self._qualifying: dict[AxiomId, list[tuple[int, int, int]]] = {}
+        self.arity = ctx.arity
+        self._qualifying: dict[AxiomId, list[tuple[int, int]]] = {}
         self._classes: dict[AxiomId, dict[tuple, list[tuple[int, int]]]] = {}
 
     @cached_property
-    def signatures(self) -> list[list[tuple[int, int, int]]]:
-        return _pair_signatures(self.values)
+    def codes(self) -> list[tuple[int, ...]]:
+        return _rank_codes(self.points)
 
-    def qualifying(self, axiom: AxiomId) -> list[tuple[int, int, int]]:
-        """(i, j, fd) of every pair meeting a pair axiom's hypothesis."""
+    @cached_property
+    def signatures(self) -> list[int]:
+        return _pair_signatures(self.codes)
+
+    @cached_property
+    def decoded(self) -> dict[int, tuple[int, int, int]]:
+        """(up, down, fd) of each distinct signature, decoded once, in
+        order of first occurrence."""
+        return {sig: _decode(sig, self.arity) for sig in dict.fromkeys(self.signatures)}
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        return list(product(range(self.n), repeat=2))
+
+    def qualifying(self, axiom: AxiomId) -> list[tuple[int, int]]:
+        """Every pair meeting a pair axiom's hypothesis."""
         if axiom not in self._qualifying:
-            arity = len(self.values[0])
-            self._qualifying[axiom] = _qualifying_pairs(axiom, arity, self.signatures)
+            self._qualifying[axiom] = _qualifying_pairs(
+                axiom, self.arity, self.decoded, self.signatures, self.pairs)
         return self._qualifying[axiom]
 
     def classes(self, axiom: AxiomId) -> dict[tuple, list[tuple[int, int]]]:
@@ -467,7 +538,8 @@ class _Sample:
         WeakIWA's, the same object."""
         key = _class_key(axiom)
         if key not in self._classes:
-            self._classes[key] = _hypothesis_classes(key, self.values, self.signatures)
+            self._classes[key] = _hypothesis_classes(
+                key, self.codes, self.decoded, self.signatures, self.pairs)
         return self._classes[key]
 
     def audit(
@@ -537,12 +609,11 @@ class _Audit:
             table = self.table
         else:
             table = self.fill(diagonal=axiom is AxiomId.NON_COMPENSATION)
-        second = ComparisonOutcome.SECOND_PREFERRED
         qualifying = violation_count = 0
         mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
         for key, members in classes.items():
             # a generator, not a list: a WeakIWA class can hold n^2/4 pairs
-            t = sum(table[i][j] is not second for i, j in members)
+            t = sum(table[i][j] is not _SECOND for i, j in members)
             f = len(members) - t
             qualifying += len(members) ** 2
             if t and f:
@@ -600,7 +671,7 @@ _Scan = tuple[int, int, int, Iterator[AxiomViolation]]
 def _reflexive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Each point compared with itself must be Indifferent."""
     points, outcome = audit.points, audit.outcome
-    failed = [i for i in range(audit.n) if outcome(i, i) is not ComparisonOutcome.INDIFFERENT]
+    failed = [i for i in range(audit.n) if outcome(i, i) is not _INDIFFERENT]
     witnesses = (
         AxiomViolation(axiom, (points[i],), (outcome(i, i),),
                        detail="comparing a profile with itself must be Indifferent")
@@ -613,14 +684,12 @@ def _mirror_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Each ordered pair's verdict must be the mirror of its swap's, so
     (i, j) fails exactly when (j, i) does."""
     points, n = audit.points, audit.n
-    first, second = ComparisonOutcome.FIRST_PREFERRED, ComparisonOutcome.SECOND_PREFERRED
-    indifferent = ComparisonOutcome.INDIFFERENT
     table = audit.fill(diagonal=False)
     failed = [
         (i, j)
         for i, row in enumerate(table) for j, out in enumerate(row)
         if j != i
-        and table[j][i] is not (second if out is first else first if out is second else indifferent)
+        and table[j][i] is not (_SECOND if out is _FIRST else _FIRST if out is _SECOND else _INDIFFERENT)
     ]
     witnesses = (
         AxiomViolation(axiom, (points[i], points[j]), (table[i][j], table[j][i]),
@@ -653,7 +722,7 @@ def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     points, n = audit.points, audit.n
     table = audit.fill(diagonal=True)
     bits = [1 << j for j in range(n)]
-    rows = [sum(compress(bits, map(is_not, row, repeat(ComparisonOutcome.SECOND_PREFERRED))))
+    rows = [sum(compress(bits, map(is_not, row, repeat(_SECOND))))
             for row in table]
     sizes = [row.bit_count() for row in rows]
     qualifying = violation_count = 0
@@ -674,18 +743,19 @@ def _transitive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
 
 
 def _pair_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
-    """Pair audit over the signature table: only pairs that meet the
-    hypothesis are put to the comparator."""
-    points, outcome = audit.points, audit.outcome
+    """Pair audit over the qualifying pairs: only pairs that meet the
+    hypothesis are put to the comparator. An indexed axiom's witness
+    reports the pair's first difference, read from its signature."""
+    points, outcome, sample = audit.points, audit.outcome, audit.sample
     entry = _PAIR_HYPOTHESES[axiom]
-    qualifying = audit.sample.qualifying(axiom)
-    failed = [(i, j, fd) for i, j, fd in qualifying
-              if outcome(i, j) is not ComparisonOutcome.FIRST_PREFERRED]
+    qualifying = sample.qualifying(axiom)
+    failed = [(i, j) for i, j in qualifying if outcome(i, j) is not _FIRST]
     witnesses = (
         AxiomViolation(axiom, (points[i], points[j]), (outcome(i, j),),
-                       index=fd + 1 if entry.indexed else None,
+                       index=sample.decoded[sample.signatures[i * audit.n + j]][2] + 1
+                       if entry.indexed else None,
                        detail=f"{entry.requirement}; observed {outcome(i, j)}")
-        for i, j, fd in failed
+        for i, j in failed
     )
     return audit.n * (audit.n - 1), len(qualifying), len(failed), witnesses
 
@@ -697,15 +767,14 @@ def _quad_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     class with the opposite verdict.
     """
     points, table = audit.points, audit.table
-    second = ComparisonOutcome.SECOND_PREFERRED
     qualifying, violation_count, mixed = audit.tally(axiom)
 
     def witnesses() -> Iterator[AxiomViolation]:
         for i, j in sorted(mixed):
             index, members = mixed[i, j]
-            weak = table[i][j] is not second
+            weak = table[i][j] is not _SECOND
             for k, l in members:
-                if (table[k][l] is not second) != weak:
+                if (table[k][l] is not _SECOND) != weak:
                     yield AxiomViolation(
                         axiom,
                         (points[i], points[j], points[k], points[l]),
@@ -848,7 +917,7 @@ def run_checks(
 def _pair_replay(hypothesis: Callable) -> Callable[..., bool]:
     """The pair qualifies but is not strictly preferred."""
     return lambda rel, a, b: (
-        bool(hypothesis(a, b)) and rel.compare(a, b) is not ComparisonOutcome.FIRST_PREFERRED
+        bool(hypothesis(a, b)) and rel.compare(a, b) is not _FIRST
     )
 
 
@@ -863,7 +932,7 @@ def _quad_replay(hypothesis: Callable) -> Callable[..., bool]:
 # the raf-level predicates (a 1-based index they return is never 0), never
 # the signature table, so a replay cross-checks the scans.
 _REPLAYS: dict[AxiomId, Callable[..., bool]] = {
-    AxiomId.REFLEXIVE: lambda rel, a: rel.compare(a, a) is not ComparisonOutcome.INDIFFERENT,
+    AxiomId.REFLEXIVE: lambda rel, a: rel.compare(a, a) is not _INDIFFERENT,
     AxiomId.MIRROR_CONSISTENT: (
         lambda rel, a, b: rel.compare(b, a) is not rel.compare(a, b).mirrored()
     ),

@@ -524,7 +524,7 @@ def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
 
 def _compile_constraint(axiom: AxiomId, sample: _Sample):
     if axiom in PAIR_AXIOMS:
-        return ("forced", [(i, j) for i, j, _ in sample.qualifying(axiom)])
+        return ("forced", sample.qualifying(axiom))
     # singleton groups constrain nothing; drop them to keep the hot loop lean
     return ("groups", [g for g in sample.classes(axiom).values() if len(g) > 1])
 

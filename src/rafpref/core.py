@@ -8,9 +8,10 @@ exact coordinate equality, which binary floating point would corrupt.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -192,10 +193,21 @@ class PriorityContext:
 
 @dataclass(frozen=True, repr=False)
 class Raf:
-    """One availability profile: an exact probability per alternative."""
+    """One availability profile: an exact probability per alternative.
+
+    The values' integer ratios are computed once, on construction, over
+    one common denominator: values[i] == numerators[i] / denominator, the
+    denominator being the least common multiple of the values' own. Two
+    profiles then compare at a coordinate by integer cross-multiplication,
+    with no Fraction arithmetic; lex_compare and the sample tables of the
+    axiom checkers read them. Neither is an argument of the constructor,
+    and neither takes part in ==, hash or repr.
+    """
 
     context: PriorityContext
     values: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != self.context.arity:
@@ -207,6 +219,10 @@ class Raf:
                 raise OutOfRangeError(
                     f"availability {format_rational(v)} lies outside [0, 1]"
                 )
+        ratios = [v.as_integer_ratio() for v in self.values]
+        den = math.lcm(*[q for _, q in ratios])
+        object.__setattr__(self, "numerators", tuple(p * (den // q) for p, q in ratios))
+        object.__setattr__(self, "denominator", den)
 
     def __hash__(self) -> int:
         # Computed once and kept: hashing the values again would hash every

@@ -82,27 +82,34 @@ class ComparisonOutcome(enum.Enum):
 
     def mirrored(self) -> "ComparisonOutcome":
         """The verdict expected when the two arguments are swapped."""
-        if self is ComparisonOutcome.FIRST_PREFERRED:
-            return ComparisonOutcome.SECOND_PREFERRED
-        if self is ComparisonOutcome.SECOND_PREFERRED:
-            return ComparisonOutcome.FIRST_PREFERRED
-        return ComparisonOutcome.INDIFFERENT
+        if self is _FIRST:
+            return _SECOND
+        if self is _SECOND:
+            return _FIRST
+        return _INDIFFERENT
 
     def __str__(self) -> str:
         return self.value
 
 
+# The members bound to names: read as class attributes, they cost an enum
+# lookup on every verdict.
+_FIRST = ComparisonOutcome.FIRST_PREFERRED
+_SECOND = ComparisonOutcome.SECOND_PREFERRED
+_INDIFFERENT = ComparisonOutcome.INDIFFERENT
+
+
 def at_least_as_good(outcome: ComparisonOutcome) -> bool:
     """Weak verdict: the first argument is at least as good as the second."""
-    return outcome is not ComparisonOutcome.SECOND_PREFERRED
+    return outcome is not _SECOND
 
 
 def _outcome_of(x, y) -> ComparisonOutcome:
     if x > y:
-        return ComparisonOutcome.FIRST_PREFERRED
+        return _FIRST
     if x < y:
-        return ComparisonOutcome.SECOND_PREFERRED
-    return ComparisonOutcome.INDIFFERENT
+        return _SECOND
+    return _INDIFFERENT
 
 
 class PreferenceRelation(abc.ABC):
@@ -125,19 +132,25 @@ def lex_compare(a: Raf, b: Raf) -> ComparisonOutcome:
     with the larger availability at the first difference wins, regardless
     of every lower-priority coordinate.
 
-    This is first_difference's rule without an equality test per
-    coordinate: a coordinate holding one object in both profiles (grid
-    profiles share their level objects) is passed over unread, and the
-    first other one decides unless its two values are equal.
+    This is first_difference's rule on the profiles' integer ratios, with
+    no Fraction compared: each coordinate is decided by cross-multiplying,
+    a's numerator times b's denominator against b's numerator times a's.
+    Over one shared denominator that is the order of the two numerator
+    tuples, which compare in one step.
     """
     require_same_context(a, b)
-    for x, y in zip(a.values, b.values):
-        if x is not y:
-            if x > y:
-                return ComparisonOutcome.FIRST_PREFERRED
-            if x < y:
-                return ComparisonOutcome.SECOND_PREFERRED
-    return ComparisonOutcome.INDIFFERENT
+    x, y = a.numerators, b.numerators
+    p, q = a.denominator, b.denominator
+    if p == q:
+        if x == y:
+            return _INDIFFERENT
+        return _FIRST if x > y else _SECOND
+    for u, v in zip(x, y):
+        u *= q
+        v *= p
+        if u != v:
+            return _FIRST if u > v else _SECOND
+    return _INDIFFERENT
 
 
 def mep_utility(a: Raf) -> Fraction:

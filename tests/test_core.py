@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import time
 from fractions import Fraction
@@ -167,6 +168,18 @@ class TestRaf:
         assert twin == raf and hash(twin) == hash(raf)
         assert table[twin] == "kept"
         assert {twin: "copy"}[make_raf(("1/5", "4/5"), money_ctx)] == "copy"
+        assert (twin.numerators, twin.denominator) == (raf.numerators, raf.denominator)
+
+    @given(st.lists(st.one_of(rationals01(), st.sampled_from((0, 1))), min_size=2, max_size=5))
+    def test_integer_ratios_over_the_least_common_denominator(self, values):
+        raf = Raf(default_context(len(values)), tuple(values))
+        assert raf.denominator == math.lcm(*(Fraction(v).denominator for v in values))
+        assert all(isinstance(p, int) for p in raf.numerators)
+        assert [Fraction(p, raf.denominator) for p in raf.numerators] == list(values)
+        # kept beside the values, not part of them
+        twin = make_raf(values, raf.context)
+        assert twin == raf and repr(twin) == repr(raf)
+        assert "numerators" not in repr(raf)
 
 
 class TestFirstDifference:

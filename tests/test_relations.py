@@ -86,17 +86,24 @@ class TestLex:
 
     @given(st.data())
     def test_lex_is_the_first_difference_rule(self, data):
-        # b copies some of a's values as the same objects and some as equal
-        # but distinct Fractions, and may sit on an equal but distinct context
+        # lex_compare reads the profiles' integer ratios; it must agree with
+        # comparing the values at their first difference. a holds Fractions
+        # or plain ints (Raf takes both); b copies some of a's values as the
+        # same objects, some as equal but distinct Fractions and some as
+        # ints where they are whole, and may sit on an equal but distinct
+        # context
         arity = data.draw(st.integers(2, 4))
-        a_values = data.draw(raf_values(arity))
+        held = st.sampled_from((0, 1)) if data.draw(st.booleans()) else rationals01()
+        a_values = data.draw(st.tuples(*[held] * arity))
         own = data.draw(raf_values(arity))
-        kinds = data.draw(st.lists(st.sampled_from(("same", "copy", "own")),
+        kinds = data.draw(st.lists(st.sampled_from(("same", "copy", "int", "own")),
                                    min_size=arity, max_size=arity))
-        b_values = tuple(
-            x if kind == "same" else Fraction(x.numerator, x.denominator) if kind == "copy" else y
-            for x, y, kind in zip(a_values, own, kinds)
-        )
+        copies = {
+            "same": lambda x: x,
+            "copy": lambda x: Fraction(x.numerator, x.denominator),
+            "int": lambda x: int(x) if x == int(x) else x,
+        }
+        b_values = tuple(y if kind == "own" else copies[kind](x) for x, y, kind in zip(a_values, own, kinds))
         ctx = default_context(arity)
         a = Raf(ctx, a_values)
         b = Raf(data.draw(st.sampled_from((ctx, default_context(arity)))), b_values)
