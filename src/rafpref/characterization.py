@@ -25,12 +25,11 @@ filter runs on it in turn: the brute-force reference, refused above
 DEFAULT_MAX_POINTS points. One deterministic walk, _walk, makes that
 stream, enumerate_weak_orders's and the pruned one, which is the plain
 one filtered by construction. verify drains either stream run by run
-(_runs) with no Python call per tuple. Unpruned, each filter (_keep)
-reads a run's tuples before they are put in point order, and only the
-tuples that pass every filter are. The two give the same
-survivors and verdict; they differ in checked, pruned_away, pruned_by,
-pass_counts and elapsed_ms (see CharacterizationReport). The search
-runs in one process.
+(_runs) with no Python call per tuple: a run's tuples come out of C
+already in point order, and unpruned, each filter (_keep) reads a whole
+run at a time. The two give the same survivors and verdict; they
+differ in checked, pruned_away, pruned_by, pass_counts and elapsed_ms
+(see CharacterizationReport). The search runs in one process.
 """
 
 from __future__ import annotations
@@ -91,13 +90,13 @@ DEFAULT_MAX_POINTS = 9
 # 17 points could never be drained.
 _WALK_MAX_POINTS = 16
 # With nothing to refuse, the walk makes the subtree of a node with at
-# most this many points left from a table of rank patterns, 541 of them at
-# 5 points. Best of seven per round, six rounds, on {0,1}^3 (2-core Xeon,
-# CPython 3.11): the unpruned SM+WeakIWA verify took 192-218 ms with
-# tables of 4 points, 100-167 ms of 5 and 94-110 ms of 6; the
-# enumerate_weak_orders drain 264-396, 222-398 and 215-274 ms. Tables of
-# 6 points save 5-10% but raise the peak RSS of that verify and drain by
-# 0.9 MB, about 5%, so 5 stays.
+# most this many points left from a table of rank columns, 541 ranks long
+# at 5 points. Best of seven per round, four rounds, on {0,1}^3
+# (2-core Xeon, CPython 3.11): the enumerate_weak_orders drain took
+# 123-142 ms with tables of 5 points and 113-116 ms with tables of 6, the
+# unpruned SM+WeakIWA verify 76-82 and 60-79 ms. Tables of 6 points are
+# faster but raise the peak RSS of that drain and verify by 0.5-0.6 MB,
+# about 3%, so 5 stays.
 _TAIL_POINTS = 5
 # The most steps verify's pruned walk takes: a node with e eligible points
 # runs its block loop 2^e times and is charged them as it is entered. The
@@ -329,17 +328,9 @@ def _walk(
     skips are added to pruned_by["dominators"] or pruned_by[reason], so that
     the stream's length plus their sum is fubini(n). Refusing only skips
     blocks, so the stream is the unconstrained one less the refused tuples.
+    The stream is _runs' runs chained, each already in point order.
     """
-    return _gathered(_runs(n, dom, groups or {}, pruned_by, {}))
-
-
-def _gathered(runs: Iterable[tuple[tuple[int, ...], Iterable]]) -> Iterator[tuple[int, ...]]:
-    """The tuples of _runs' runs, each gathered into point order. A walk of
-    fewer than two points has one run, a leaf already in point order;
-    itemgetter of one index would give the rank itself, not a 1-tuple."""
-    return chain.from_iterable(
-        map(itemgetter(*at), run) if len(at) > 1 else run for at, run in runs
-    )
+    return chain.from_iterable(_runs(n, dom, groups or {}, pruned_by, {}))
 
 
 def _runs(
@@ -347,29 +338,29 @@ def _runs(
     dom: Optional[list[int]],
     groups: dict[str, list[list[tuple[int, int]]]],
     pruned_by: Optional[dict[str, int]],
-    tables: dict[tuple[int, int], list[tuple[int, ...]]],
-) -> Iterator[tuple[tuple[int, ...], Iterable[tuple[int, ...]]]]:
-    """_walk's stream in runs, each a pair (at, tuples) whose tuples are
-    not yet in point order: point i's rank in rv is rv[at[i]]. A leaf is
-    its rank tuple alone, at the identity. In a plain walk, one given no
+    tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]],
+) -> Iterator[Iterable[tuple[int, ...]]]:
+    """_walk's stream in runs, each an iterable of rank tuples in point
+    order. A leaf is its rank tuple alone. In a plain walk, one given no
     pruned_by, a child with r <= _TAIL_POINTS points left is its whole
-    subtree, made in C from tables[r, d], the r-point walk's rank tuples
-    plus d, which _tail builds: each pattern is appended to the n ranks
-    placed so far, and at reads point i of rest at n plus its place in
-    rest, any other point at i. Relabelling rest onto 0..r-1 keeps the
-    order of its bits, so the run is exactly the subtree the walk would
-    visit. A table holds every weak order of r points, so a pruned walk,
-    even with nothing to refuse, takes none: it reads each block's bits
-    inline and counts its steps, raising WalkBudgetError past WALK_BUDGET.
-    Runs are most of an unpruned verify, whose filters read them
-    ungathered and gather only what passes: its SM+WeakIWA run on the
-    545,835 orders of 8 points took 100-129 ms (best of seven, three
-    rounds, 2-core Xeon, CPython 3.11), against 157-248 ms when each tuple
-    was gathered before the filters, and on the 7,087,261 of 9 points
-    1.27-1.41 s against 2.1-4.3 s (best of two).
+    subtree, made in C as a zip of n rank columns: a placed point's column
+    repeats its rank, and the k-th point of rest reads column k of
+    tables[r, d], the r-point walk's ranks plus d, which _tail builds.
+    Relabelling rest onto 0..r-1 keeps the order of its bits, so the run
+    is exactly the subtree the walk would visit. A table holds every weak
+    order of r points, so a pruned walk, even with nothing to refuse,
+    takes none: it reads each block's bits inline and counts its steps,
+    raising WalkBudgetError past WALK_BUDGET. Runs are most of an unpruned
+    verify and of enumerate_weak_orders: on the 545,835 orders of {0,1}^3
+    the drain of enumerate_weak_orders took 129-195 ms and the SM+WeakIWA
+    verify 78-127 ms (best of seven, eight rounds, 2-core Xeon, CPython
+    3.11), against 180-336 and 84-148 ms when each run was its prefix plus
+    a table row, put in point order by an itemgetter. On the 7,087,261
+    orders of 9 points the filters do most of the work: that verify took
+    1.1-1.6 s against 1.3-1.8 s (best of two, seven rounds).
     """
     if not n:  # no points leave one empty order and nothing to refuse
-        yield (), ((),)
+        yield ((),)
         return
     fub = [fubini(r) for r in range(n + 1)]
     # per reason, per point: (group, partner mask) of the pairs it
@@ -392,7 +383,6 @@ def _runs(
     # the most points left at which a child's subtree is one run
     tabled = _TAIL_POINTS if plain else 0
     left = WALK_BUDGET
-    identity = tuple(range(n))
     places: dict[int, tuple[int, ...]] = {}
     ranks = [0] * n
     # the stack, by depth: points left, eligible points, next block,
@@ -440,26 +430,29 @@ def _runs(
                 if r > tabled:
                     break
                 if not r:
-                    yield identity, (tuple(ranks),)
+                    yield (tuple(ranks),)
                     continue
-                at = places.get(rest)
-                if at is None:
-                    place = dict(zip(_members(rest), range(n, n + r)))
-                    at = places[rest] = tuple(place.get(i, i) for i in identity)
-                yield at, map(add, repeat(tuple(ranks)), _tail(tables, r, depth + 1))
+                place = places.get(rest)
+                if place is None:
+                    where = dict(zip(_members(rest), count()))
+                    place = places[rest] = tuple(where.get(i, -1) for i in range(n))
+                cols = _tail(tables, r, depth + 1)
+                yield zip(*[cols[k] if k >= 0 else repeat(v) for k, v in zip(place, ranks)])
         depth += 1
 
 
 def _tail(
-    tables: dict[tuple[int, int], list[tuple[int, ...]]], r: int, d: int
-) -> list[tuple[int, ...]]:
-    """tables[r, d]: the r-point walk's rank tuples, each rank plus d,
-    built on first use by the walk of r points, from the smaller tables."""
-    run = tables.get((r, d))
-    if run is None:
-        walk = _gathered(_runs(r, None, {}, None, tables))
-        run = tables[r, d] = [tuple(x + d for x in rv) for rv in walk]
-    return run
+    tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]], r: int, d: int
+) -> tuple[tuple[int, ...], ...]:
+    """tables[r, d]: the r-point walk's rank tuples, each rank plus d, as
+    r columns, column k holding point k's ranks: _runs zips a child's
+    tuples from them straight into point order. Built on first use by the
+    walk of r points, from the smaller tables."""
+    cols = tables.get((r, d))
+    if cols is None:
+        walk = chain.from_iterable(_runs(r, None, {}, None, tables))
+        cols = tables[r, d] = tuple(zip(*[[x + d for x in rv] for rv in walk]))
+    return cols
 
 
 def enumerate_weak_orders(
@@ -529,39 +522,27 @@ def _compile_constraint(axiom: AxiomId, sample: _Sample):
     return ("groups", [g for g in sample.classes(axiom).values() if len(g) > 1])
 
 
-def _keep(kind: str, data) -> Callable[..., list[tuple[int, ...]]]:
-    """The filter of one compiled constraint over a run, keep(run, at): the
-    list of the run's tuples that meet it, in run order, where point i's
-    rank is rv[at[i]], as _runs yields them; at defaults to the identity,
-    for tuples in point order. The test is generated source, one and-chain
-    of terms in data's order, so a tuple is tested against each pair only
-    until the first that fails, with no Python call per tuple: forced pairs
-    give rv[pi] < rv[pj], and a group of two or more pairs the chained
-    comparison (rv[pi0] <= rv[pj0]) == (rv[pi1] <= rv[pj1]) == ..., which
-    holds when all are equal, each pi bound to at[i] once per call. Only
-    operator.index of each index is written into the source, so nothing
-    but ints reaches exec, as in collections.namedtuple. One compile
-    serves every run: for SM and WeakIWA on {0,1}^3 it takes 0.2-0.3 ms
-    and 0.7-1.3 ms, so one per rest, 218 of them in the unpruned walk,
-    would cost 0.2-0.3 s, more than the whole 0.1 s verify."""
+def _keep(kind: str, data) -> Callable[[Iterable[tuple[int, ...]]], list[tuple[int, ...]]]:
+    """The filter of one compiled constraint over a run of rank tuples in
+    point order, keep(run): the list of the run's tuples that meet it, in
+    run order. The test is generated source, one and-chain of terms in
+    data's order, so a tuple is tested against each pair only until the
+    first that fails, with no Python call per tuple: forced pairs give
+    rv[i] < rv[j], and a group of two or more pairs the chained comparison
+    (rv[i0] <= rv[j0]) == (rv[i1] <= rv[j1]) == ..., which holds when all
+    are equal, each index a constant of the source. Only operator.index of
+    each index is written into the source, so nothing but ints reaches
+    exec, as in collections.namedtuple. One compile serves every run: for
+    SM and WeakIWA on {0,1}^3 it takes 0.1 and 0.5 ms."""
+    index = operator.index
     if kind == "forced":
-        pairs = [(operator.index(i), operator.index(j)) for i, j in data]
-        terms = [f"rv[p{i}] < rv[p{j}]" for i, j in pairs]
-    else:
-        pairs, terms = [], []
-        for grp in data:
-            grp = [(operator.index(i), operator.index(j)) for i, j in grp]
-            if len(grp) > 1:  # one pair alone has nothing to agree with
-                pairs += grp
-                terms.append(" == ".join(f"(rv[p{i}] <= rv[p{j}])" for i, j in grp))
-    top = 1 + max((i for pair in pairs for i in pair), default=-1)
-    # one unpacking, as separate binds would lengthen the source and with
-    # it the compile's peak memory, the peak of an unpruned verify
-    binds = f"    {''.join(f'p{i}, ' for i in range(top))}*_ = at\n" if top else ""
+        terms = [f"rv[{index(i)}] < rv[{index(j)}]" for i, j in data]
+    else:  # a group of one pair has nothing to agree with
+        terms = [" == ".join(f"(rv[{index(i)}] <= rv[{index(j)}])" for i, j in grp)
+                 for grp in data if len(grp) > 1]
     test = " and ".join(terms) or "True"
     namespace: dict = {}
-    exec(f"def keep(run, at={tuple(range(top))}):\n{binds}"
-         f"    return [rv for rv in run if {test}]\n", namespace)
+    exec(f"def keep(run):\n    return [rv for rv in run if {test}]\n", namespace)
     return namespace["keep"]
 
 
@@ -704,19 +685,19 @@ def verify_characterization(
     # at 1, as compress would drop the tuple drawn with a 0
     tallies = [count(1) for _ in range(len(filters) + 1)]
     walk = _runs(n, dom, groups, pruned_by if prune else None, {})
-    if prune:  # every run is a leaf, in point order, and no filter runs
-        runs = map(compress, map(itemgetter(1), walk), repeat(tallies[0]))
+    if prune:  # every run is a leaf and no filter runs
+        runs = map(compress, walk, repeat(tallies[0]))
     else:
         keeps = [_keep(kind, data) for kind, data in filters]
 
-        def sieve(at, run):
-            """The run's tuples that pass every filter, gathered."""
+        def sieve(run):
+            """The run's tuples that pass every filter."""
             run = compress(run, tallies[0])
             for keep, tally in zip(keeps, tallies[1:]):
-                run = compress(keep(run, at), tally)
-            return map(itemgetter(*at), run)
+                run = compress(keep(run), tally)
+            return run
 
-        runs = starmap(sieve, walk)
+        runs = map(sieve, walk)
     stream = chain.from_iterable(runs)
     listed = list(islice(stream, SURVIVOR_LISTING_CAP))
     deque(stream, maxlen=0)

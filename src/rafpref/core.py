@@ -214,12 +214,12 @@ class Raf:
             raise ArityMismatchError(
                 f"expected {self.context.arity} values, got {len(self.values)}"
             )
-        for v in self.values:
-            if v < ZERO or v > ONE:
+        ratios = [v.as_integer_ratio() for v in self.values]
+        for v, (p, q) in zip(self.values, ratios):
+            if not 0 <= p <= q:  # q > 0
                 raise OutOfRangeError(
                     f"availability {format_rational(v)} lies outside [0, 1]"
                 )
-        ratios = [v.as_integer_ratio() for v in self.values]
         den = math.lcm(*[q for _, q in ratios])
         object.__setattr__(self, "numerators", tuple(p * (den // q) for p, q in ratios))
         object.__setattr__(self, "denominator", den)

@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import rationals01
 
 from rafpref import (
     AxiomId,
@@ -51,7 +54,6 @@ from rafpref.characterization import (
     _TAIL_POINTS,
     _audit_survivor,
     _compile_constraint,
-    _gathered,
     _keep,
     _refused,
     _runs,
@@ -196,6 +198,15 @@ class TestEnumeration:
     def test_duplicates_rejected(self, unit_square):
         with pytest.raises(RafprefError):
             next(enumerate_weak_orders(unit_square + unit_square[:1]))
+
+    def test_ranks_are_the_walks_int_tuples(self):
+        # the tabled runs are zips of rank columns: each order's ranks must
+        # still be a plain tuple of ints, the walk's own
+        points = grid_points(GridSpec.of(["0", "1"], 3))[:7]
+        orders = enumerate_weak_orders(points)
+        for ranking, rv in zip(orders, _walk(7), strict=True):
+            assert type(ranking.ranks) is tuple and ranking.ranks == rv
+            assert all(type(x) is int for x in ranking.ranks)
 
     def test_refused_at_the_call(self, unit_square):
         # no next(): the stream is refused before any walk exists
@@ -353,22 +364,6 @@ def compiled_data(draw):
     return kind, data, draw(st.lists(_ranks(n, n), max_size=20))
 
 
-@st.composite
-def bound_runs(draw):
-    """A constraint over n <= 9 points and a run as _runs yields it for a
-    random rest: the positions at, point i of rest read at n plus its place
-    in rest and any other point at i, and the ungathered tuples, random
-    prefix ranks of the n points followed by random patterns of rest."""
-    n = draw(st.integers(1, 9))
-    kind, data = _constraint(draw, n)
-    rest = draw(st.integers(0, (1 << n) - 1))
-    members = [i for i in range(n) if rest >> i & 1]
-    at = tuple(n + members.index(i) if i in members else i for i in range(n))
-    prefix = draw(_ranks(n, n))
-    patterns = draw(st.lists(_ranks(len(members), n), max_size=20))
-    return kind, data, at, [prefix + pattern for pattern in patterns]
-
-
 class TestKeep:
     @settings(max_examples=300, deadline=None)
     @given(compiled_data())
@@ -376,14 +371,6 @@ class TestKeep:
         kind, data, run = case
         passes = _literal(kind, data)
         assert _keep(kind, data)(iter(run)) == [rv for rv in run if passes(rv)]
-
-    @settings(max_examples=300, deadline=None)
-    @given(bound_runs())
-    def test_bound_to_a_runs_positions(self, case):
-        kind, data, at, run = case
-        passes = _literal(kind, data)
-        kept = _keep(kind, data)(iter(run), at)
-        assert kept == [rv for rv in run if passes(tuple(rv[a] for a in at))]
 
     def test_only_ints_reach_the_source(self):
         with pytest.raises(TypeError):
@@ -443,10 +430,10 @@ class TestPrunedStreamEquivalence:
 
         def capturing_runs(n, dom, groups, pruned_by, tables):
             counts.append(pruned_by)
-            for at, run in real_runs(n, dom, groups, pruned_by, tables):
+            for run in real_runs(n, dom, groups, pruned_by, tables):
                 run = list(run)
-                drained.extend(_gathered([(at, run)]))
-                yield at, run
+                drained.extend(run)
+                yield run
 
         monkeypatch.setattr(characterization, "_runs", capturing_runs)
         report = verify_characterization(GridSpec.of(levels, arity), axioms, prune=True)
@@ -530,12 +517,18 @@ class TestWalk:
             digest.update(repr(rv).encode())
         assert digest.hexdigest() == PLAIN_STREAM_SHA256[n]
 
+    @pytest.mark.parametrize("n", [_TAIL_POINTS + 1, _TAIL_POINTS + 2])
+    def test_tabled_walk_is_the_reference(self, n):
+        # the first sizes whose children are made from the tail tables
+        assert list(_walk(n)) == _reference_walk(n)
+
     @pytest.mark.parametrize("r", range(_TAIL_POINTS + 1))
     def test_tail_table_is_the_small_walk(self, r):
         tails = {}
         reference = _reference_walk(r)
         for d in (0, 1, 3):
-            assert _tail(tails, r, d) == [tuple(x + d for x in rv) for rv in reference]
+            rows = [tuple(x + d for x in rv) for rv in reference]
+            assert _tail(tails, r, d) == tuple(zip(*rows))
 
     @settings(max_examples=200, deadline=None)
     @given(dominator_masks())
@@ -779,9 +772,9 @@ class TestVerify:
             runs = _runs(n, *args)
             if n < 4:  # a tail table's walk, not verify's
                 return runs
-            leaves = _gathered(runs)
+            leaves = chain.from_iterable(runs)
             next(leaves)
-            return ((tuple(range(n)), (rv,)) for rv in leaves)
+            return ((rv,) for rv in leaves)
 
         monkeypatch.setattr(characterization, "_runs", dropping)
         with pytest.raises(RafprefError, match="covered 74 candidates"):
@@ -1029,6 +1022,52 @@ class TestVerify:
                     assert proof_trace_check(rel, a, b).passed
 
 
+def _report_of(grid, axioms, prune):
+    """verify's report on grid, less the grid, its points and the time,
+    each survivor by its ranks; or the message of the budget error."""
+    try:
+        report = verify_characterization(grid, axioms, prune=prune)
+    except characterization.WalkBudgetError as error:
+        return str(error)
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    for name in ("grid", "points", "elapsed_ms"):
+        del out[name]
+    out["survivors"] = [s.ranks for s in report.survivors]
+    return out
+
+
+class TestVerifyRecodingInvariance:
+    """The compiled constraints read only the order of the levels, so a
+    strictly increasing recoding of a grid's levels leaves verify's whole
+    report unchanged, grid and points aside."""
+
+    @staticmethod
+    def check(data, sizes, arities, prune):
+        size = data.draw(sizes)
+        arity = data.draw(arities)
+        before, after = (
+            sorted(data.draw(st.sets(rationals01(), min_size=size, max_size=size)))
+            for _ in range(2)
+        )
+        axioms = data.draw(st.lists(st.sampled_from(VERIFY_AXIOMS), min_size=1, unique=True))
+        with pytest.MonkeyPatch.context() as patch:
+            # a walk that these axioms barely prune fails alike, and fast
+            patch.setattr(characterization, "WALK_BUDGET", 50_000)
+            assert (_report_of(GridSpec.of(before, arity), axioms, prune)
+                    == _report_of(GridSpec.of(after, arity), axioms, prune))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_pruned_report_survives_a_recoding(self, data):
+        self.check(data, st.integers(2, 3), st.integers(2, 3), prune=True)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_unpruned_report_survives_a_recoding(self, data):
+        # at most 8 points: two levels at arity 2 or 3
+        self.check(data, st.just(2), st.integers(2, 3), prune=False)
+
+
 class TestWalkBudget:
     """The pruned walk's work is not known in advance: it charges each node
     the 2^e runs of its block loop as it enters, and stops past WALK_BUDGET."""
@@ -1070,7 +1109,7 @@ class TestWalkBudget:
         assert sum(1 for _ in enumerate_weak_orders(grid_points(GridSpec.of(["0", "1"], 2)))) == 75
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
         assert report.matches_lex
-        assert len(_tail({}, _TAIL_POINTS, 0)) == fubini(_TAIL_POINTS)
+        assert len(_tail({}, _TAIL_POINTS, 0)[0]) == fubini(_TAIL_POINTS)
         # given a pruned_by, a walk counts even with nothing to refuse
         with pytest.raises(characterization.WalkBudgetError):
             next(_walk(3, None, {}, {}))

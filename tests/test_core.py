@@ -142,6 +142,22 @@ class TestRaf:
         with pytest.raises(OutOfRangeError):
             make_raf(("-1/2", "1/2"), money_ctx)
 
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(1), 0, 1])
+    def test_range_bounds_admitted(self, money_ctx, value):
+        raf = Raf(money_ctx, (value, Fraction(1, 2)))
+        # a plain int is the Fraction it stands for
+        assert raf == Raf(money_ctx, (Fraction(value), Fraction(1, 2)))
+        assert (raf.numerators, raf.denominator) == ((2 * value, 1), 2)
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [(Fraction(-1, 2), "-1/2"), (Fraction(3, 2), "3/2"), (-1, "-1"), (2, "2")],
+    )
+    def test_out_of_range_quotes_the_value(self, money_ctx, value, text):
+        message = f"^availability {text} lies outside \\[0, 1\\]$"
+        with pytest.raises(OutOfRangeError, match=message):
+            Raf(money_ctx, (Fraction(1, 2), value))
+
     def test_arity_enforced(self, money_ctx):
         with pytest.raises(ArityMismatchError):
             make_raf(("1/2",), money_ctx)
