@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rafpref import (
-    CheckConfig, PriorityContext, Raf, RafprefError, WeightVector, axioms, characterization,
-    cli, format_rational, relations, run_checks,
+    CheckConfig, GridSpec, PriorityContext, Raf, RafprefError, WeightVector, axioms,
+    characterization, cli, default_context, format_rational, grid_points, relations, run_checks,
 )
 from rafpref.cli import InputDocument, DocumentError, main
 
@@ -604,6 +605,64 @@ class TestJsonText:
         with pytest.raises(TypeError):
             cli._json_text(value)
 
+    # each dict is written from one template of its keys at its depth
+
+    def test_keys_holding_percent_signs(self):
+        value = {"%": "%", "%s": ["%s", {"%%": "%%s"}], "%%": {"%d": None, "a%(b)s": 1}}
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_one_key_set_in_two_orders(self):
+        a, b = "a", "b"
+        value = [{a: 1, b: [2]}, {b: 3, a: {a: 4, b: 5}}, {b: {b: 6, a: 7}, a: 8}]
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_one_shape_at_several_depths(self):
+        value = {"x": 1, "y": [{"x": 2, "y": {"x": 3, "y": [[{"x": 4, "y": None}]]}}]}
+        for indent in (0, 2, 3):
+            assert cli._json_text(value, indent) == json.dumps(value, indent=indent)
+
+    def test_one_dict_shared_at_two_depths(self):
+        shared = {"k": [1, "%s"], "long": "x" * 300}
+        short = {"k": "v"}
+        value = [shared, [shared, short], {"d": shared, "e": [short]}, short]
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers_beside_full_ones(self):
+        value = [{}, {"a": {}}, [], [[]], {"a": []}, {"a": [1]}, {"a": {"b": {}}}, [{}, {"c": 2}]]
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_str_subclass_refused_after_a_plain_dict_of_its_shape(self):
+        text = type("Text", (str,), {})
+        key, plain = "x", {"x": "a"}
+        assert cli._json_text(plain) == json.dumps(plain, indent=2)
+        for value in ([plain, {text(key): "a"}], [plain, {key: text("a")}],
+                      {text(key): "a"}, {key: text("a")}):
+            with pytest.raises(TypeError):
+                cli._json_text(value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_check_reports_match_stdlib(self, data):
+        # every verdict drawn, so that each axiom can fail, with every violation recorded
+        levels = data.draw(st.sets(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                                    Fraction(1)]), min_size=1, max_size=3))
+        sample = grid_points(GridSpec.of(sorted(levels), 2), default_context(2))
+        outcomes = st.sampled_from(list(relations.ComparisonOutcome))
+        verdicts = {(a, b): data.draw(outcomes) for a in sample for b in sample}
+
+        class Drawn(relations.PreferenceRelation):
+            def compare(self, a, b):
+                return verdicts[a, b]
+
+        report = run_checks(Drawn(), sample, config=CheckConfig(all_violations=True))
+        payload = cli._check_json(report, data.draw(st.sampled_from(cli.RELATION_NAMES) | _JSON_STRING))
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+        # the payload shares its axiom names and observed lists; each violation keeps its own
+        listed = [(r["axiom"], v["axiom"], v["observed"], v["index"], v["detail"])
+                  for r in payload["results"] for v in r["violations"]]
+        assert listed == [(str(r.axiom), str(v.axiom), [str(o) for o in v.observed], v.index, v.detail)
+                          for r in report.results for v in r.violations]
+
 
 class TestCanonicalJson:
     """Every --format json report is exactly what json.dumps(indent=2) prints."""
@@ -691,6 +750,42 @@ def test_package_runs_as_a_module(capsys):
     assert done.returncode == 0, done.stderr
     assert main(["demo"]) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+class TestMainInSequence:
+    """main builds its parser once per process, and no call leaves
+    anything behind for the next."""
+
+    CHECK = ["check", "--relation", "wlog", "--grid", "0,1/2,1", "--arity", "2",
+             "--weights", "1,1", "--format", "json"]
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for argv in (["demo"], self.CHECK, ["demo", "--bogus"], ["demo"]):
+                main(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_all_violations_do_not_carry_over(self, capsys):
+        assert main(self.CHECK + ["--all-violations"]) == 1
+        every = json.loads(capsys.readouterr().out)["results"]
+        assert max(len(r["violations"]) for r in every) > 1
+        assert main(self.CHECK) == 1
+        first = json.loads(capsys.readouterr().out)["results"]
+        assert [r["violations"] for r in first] == [r["violations"][:1] for r in every]
+
+    def test_usage_error_then_a_good_call(self, capsys):
+        assert main(self.CHECK + ["--all-violations", "--axioms", "SM", "--bogus"]) == 2
+        assert "--bogus" in capsys.readouterr().err
+        assert main(self.CHECK) == 1
+        _, sample, weights = cli._grid_sample(cli.build_parser().parse_args(self.CHECK))
+        report = run_checks(relations.WeightedLogProductRelation(weights), sample)
+        assert capsys.readouterr().out == cli._json_text(cli._check_json(report, "wlog")) + "\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
