@@ -113,7 +113,7 @@ VERIFY_SELECTIONS = [
     "SM,NonCompensation",
 ]
 # The unpruned walk visits all fubini(n) weak orders: 545,835 on 8 points
-# take 0.2-0.35 s per selection and format (2-core Xeon, CPython 3.11),
+# take 13-21 ms per selection and format (2-core Xeon, CPython 3.11),
 # and there are 13 times as many, 7,087,261, on 9 points.
 UNPRUNED = {
     ("0,1", 2): VERIFY_SELECTIONS,

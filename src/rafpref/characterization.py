@@ -22,27 +22,29 @@ advance, so it counts its steps and stops past WALK_BUDGET.
 
 Without pruning the walk emits every weak order and each requested
 filter runs on it in turn: the brute-force reference, refused above
-DEFAULT_MAX_POINTS points. One deterministic walk, _walk, makes that
+DEFAULT_MAX_POINTS points. One deterministic walk, _runs, makes that
 stream, enumerate_weak_orders's and the pruned one, which is the plain
-one filtered by construction. verify drains either stream run by run
-(_runs) with no Python call per tuple: a run's tuples come out of C
-already in point order, and unpruned, each filter (_keep) reads a whole
-run at a time. The two give the same survivors and verdict; they
-differ in checked, pruned_away, pruned_by, pass_counts and elapsed_ms
-(see CharacterizationReport). The search runs in one process.
+one filtered by construction. It hands each run over as a description:
+the placed points' ranks and a table of every weak order of the points
+left, up to 541 of them. _rows makes a run's rank tuples in C, already in
+point order, for enumerate_weak_orders; the unpruned verify (_sift)
+still evaluates every filter on every weak order, but on a whole run at
+once, as bitmasks of its rows read from the table, and builds a tuple
+only for the survivors it lists. The two searches give the same
+survivors and verdict; they differ in checked, pruned_away, pruned_by,
+pass_counts and elapsed_ms (see CharacterizationReport). The search runs
+in one process.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count, islice, repeat, starmap
+from itertools import chain, compress, count, islice, repeat
 from math import comb
-from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import GridSpec, InvalidGridError, Raf, RafprefError, first_difference, grid_points
 from .relations import ComparisonOutcome, RankedRelation, TableRelation, lex_compare, at_least_as_good
@@ -90,13 +92,14 @@ DEFAULT_MAX_POINTS = 9
 # 17 points could never be drained.
 _WALK_MAX_POINTS = 16
 # With nothing to refuse, the walk makes the subtree of a node with at
-# most this many points left from a table of rank columns, 541 ranks long
-# at 5 points. Best of seven per round, four rounds, on {0,1}^3
+# most this many points left one run, read from a table of rank columns,
+# 541 ranks long at 5 points. Best of seven, two rounds, on {0,1}^3
 # (2-core Xeon, CPython 3.11): the enumerate_weak_orders drain took
-# 123-142 ms with tables of 5 points and 113-116 ms with tables of 6, the
-# unpruned SM+WeakIWA verify 76-82 and 60-79 ms. Tables of 6 points are
-# faster but raise the peak RSS of that drain and verify by 0.5-0.6 MB,
-# about 3%, so 5 stays.
+# 130 ms with tables of 5 points and 196-201 ms with tables of 6, and
+# the unpruned SM+WeakIWA verify 12 and 16-23 ms; only the unpruned
+# WeakIWA verify of 9 points gained, 181-210 against 58-60 ms (best of
+# two). Tables of 6 points also raise the peak RSS by 0.5-0.7 MB, so 5
+# stays.
 _TAIL_POINTS = 5
 # The most steps verify's pruned walk takes: a node with e eligible points
 # runs its block loop 2^e times and is charged them as it is entered. The
@@ -328,9 +331,15 @@ def _walk(
     skips are added to pruned_by["dominators"] or pruned_by[reason], so that
     the stream's length plus their sum is fubini(n). Refusing only skips
     blocks, so the stream is the unconstrained one less the refused tuples.
-    The stream is _runs' runs chained, each already in point order.
+    The stream is the rows of _runs' runs, chained.
     """
-    return chain.from_iterable(_runs(n, dom, groups or {}, pruned_by, {}))
+    return chain.from_iterable(map(_rows, _runs(n, dom, groups or {}, pruned_by, {})))
+
+
+# A run of the walk: (ranks, place, cols). place[i] is point i's column in
+# the tail table cols, or -1 once i is placed, and then ranks[i] is its
+# rank; a leaf places every point and has no table, cols None.
+_Run = tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[tuple[int, ...], ...]]]
 
 
 def _runs(
@@ -338,29 +347,24 @@ def _runs(
     dom: Optional[list[int]],
     groups: dict[str, list[list[tuple[int, int]]]],
     pruned_by: Optional[dict[str, int]],
-    tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]],
-) -> Iterator[Iterable[tuple[int, ...]]]:
-    """_walk's stream in runs, each an iterable of rank tuples in point
-    order. A leaf is its rank tuple alone. In a plain walk, one given no
-    pruned_by, a child with r <= _TAIL_POINTS points left is its whole
-    subtree, made in C as a zip of n rank columns: a placed point's column
-    repeats its rank, and the k-th point of rest reads column k of
-    tables[r, d], the r-point walk's ranks plus d, which _tail builds.
-    Relabelling rest onto 0..r-1 keeps the order of its bits, so the run
-    is exactly the subtree the walk would visit. A table holds every weak
-    order of r points, so a pruned walk, even with nothing to refuse,
-    takes none: it reads each block's bits inline and counts its steps,
-    raising WalkBudgetError past WALK_BUDGET. Runs are most of an unpruned
-    verify and of enumerate_weak_orders: on the 545,835 orders of {0,1}^3
-    the drain of enumerate_weak_orders took 129-195 ms and the SM+WeakIWA
-    verify 78-127 ms (best of seven, eight rounds, 2-core Xeon, CPython
-    3.11), against 180-336 and 84-148 ms when each run was its prefix plus
-    a table row, put in point order by an itemgetter. On the 7,087,261
-    orders of 9 points the filters do most of the work: that verify took
-    1.1-1.6 s against 1.3-1.8 s (best of two, seven rounds).
+    tables: dict,
+) -> Iterator[_Run]:
+    """_walk's stream in runs, each a description that _rows turns into
+    its rank tuples in point order. A leaf is its ranks alone. In a plain
+    walk, one given no pruned_by, a child with r <= _TAIL_POINTS points
+    left is its whole subtree: the placed points keep their ranks, and the
+    k-th point of rest reads column k of tables[r, d], the r-point walk's
+    ranks plus d, which _tail builds. Relabelling rest onto 0..r-1 keeps
+    the order of its bits, so the rows are exactly the subtree the walk
+    would visit. A table holds every weak order of r points, so a pruned
+    walk, even with nothing to refuse, takes none: it reads each block's
+    bits inline and counts its steps, raising WalkBudgetError past
+    WALK_BUDGET. A run is handed over as a description, not as its rows,
+    so that the unpruned verify can filter it whole from the table's
+    masks (_sift) and build no tuple per order.
     """
     if not n:  # no points leave one empty order and nothing to refuse
-        yield ((),)
+        yield (), (), None
         return
     fub = [fubini(r) for r in range(n + 1)]
     # per reason, per point: (group, partner mask) of the pairs it
@@ -383,7 +387,7 @@ def _runs(
     # the most points left at which a child's subtree is one run
     tabled = _TAIL_POINTS if plain else 0
     left = WALK_BUDGET
-    places: dict[int, tuple[int, ...]] = {}
+    places: dict[int, tuple[int, ...]] = {0: (-1,) * n}
     ranks = [0] * n
     # the stack, by depth: points left, eligible points, next block,
     # groups whose verdict the placed block fixed
@@ -429,30 +433,54 @@ def _runs(
                 r = rest.bit_count()
                 if r > tabled:
                     break
-                if not r:
-                    yield (tuple(ranks),)
-                    continue
                 place = places.get(rest)
                 if place is None:
                     where = dict(zip(_members(rest), count()))
                     place = places[rest] = tuple(where.get(i, -1) for i in range(n))
-                cols = _tail(tables, r, depth + 1)
-                yield zip(*[cols[k] if k >= 0 else repeat(v) for k, v in zip(place, ranks)])
+                yield tuple(ranks), place, _tail(tables, r, depth + 1) if r else None
         depth += 1
 
 
-def _tail(
-    tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]], r: int, d: int
-) -> tuple[tuple[int, ...], ...]:
+def _rows(run: _Run) -> Iterable[tuple[int, ...]]:
+    """A run's rank tuples in point order, made in C: a leaf's one tuple,
+    or a zip of n columns, where a placed point's column repeats its rank
+    and a point of rest reads its column of the tail table."""
+    ranks, place, cols = run
+    if cols is None:
+        return (ranks,)
+    return zip(*[cols[k] if k >= 0 else repeat(v) for k, v in zip(place, ranks)])
+
+
+def _tail(tables: dict, r: int, d: int) -> tuple[tuple[int, ...], ...]:
     """tables[r, d]: the r-point walk's rank tuples, each rank plus d, as
-    r columns, column k holding point k's ranks: _runs zips a child's
+    r columns, column k holding point k's ranks: _rows zips a child's
     tuples from them straight into point order. Built on first use by the
     walk of r points, from the smaller tables."""
     cols = tables.get((r, d))
     if cols is None:
-        walk = chain.from_iterable(_runs(r, None, {}, None, tables))
+        walk = chain.from_iterable(map(_rows, _runs(r, None, {}, None, tables)))
         cols = tables[r, d] = tuple(zip(*[[x + d for x in rv] for rv in walk]))
     return cols
+
+
+# bytes of 0s and 1s to the digits of a binary numeral
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _masks(tables: dict, cols: tuple[tuple[int, ...], ...]) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """tables[r] for a tail table of r columns: its row count, the mask of
+    all its rows, and lt, where bit t of lt[k][l] is set when row t ranks
+    point k strictly before point l. Every table of r points has the same
+    rows less a constant, so one set serves every depth. Each mask is read
+    in C from a string of binary digits, last row first."""
+    lows = [col[::-1] for col in cols]
+    lt = tuple(
+        tuple(int(bytes(map(operator.lt, a, b)).translate(_BINARY_DIGITS), 2) for b in lows)
+        for a in lows
+    )
+    rows = len(cols[0])
+    out = tables[len(cols)] = (rows, (1 << rows) - 1, lt)
+    return out
 
 
 def enumerate_weak_orders(
@@ -522,28 +550,74 @@ def _compile_constraint(axiom: AxiomId, sample: _Sample):
     return ("groups", [g for g in sample.classes(axiom).values() if len(g) > 1])
 
 
-def _keep(kind: str, data) -> Callable[[Iterable[tuple[int, ...]]], list[tuple[int, ...]]]:
-    """The filter of one compiled constraint over a run of rank tuples in
-    point order, keep(run): the list of the run's tuples that meet it, in
-    run order. The test is generated source, one and-chain of terms in
-    data's order, so a tuple is tested against each pair only until the
-    first that fails, with no Python call per tuple: forced pairs give
-    rv[i] < rv[j], and a group of two or more pairs the chained comparison
-    (rv[i0] <= rv[j0]) == (rv[i1] <= rv[j1]) == ..., which holds when all
-    are equal, each index a constant of the source. Only operator.index of
-    each index is written into the source, so nothing but ints reaches
-    exec, as in collections.namedtuple. One compile serves every run: for
-    SM and WeakIWA on {0,1}^3 it takes 0.1 and 0.5 ms."""
-    index = operator.index
-    if kind == "forced":
-        terms = [f"rv[{index(i)}] < rv[{index(j)}]" for i, j in data]
-    else:  # a group of one pair has nothing to agree with
-        terms = [" == ".join(f"(rv[{index(i)}] <= rv[{index(j)}])" for i, j in grp)
-                 for grp in data if len(grp) > 1]
-    test = " and ".join(terms) or "True"
-    namespace: dict = {}
-    exec(f"def keep(run):\n    return [rv for rv in run if {test}]\n", namespace)
-    return namespace["keep"]
+def _sift(
+    runs: Iterable[_Run], filters: Sequence[tuple[str, list]], tables: dict, cap: int
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Every row of every run through the compiled filters in order:
+    counts[0] is the number of rows, counts[k] the number that pass the
+    first k filters, and kept the first cap rows that pass them all, in
+    stream order. A run is filtered whole, as a bitmask of its rows, and
+    no tuple is built but the kept ones. A pair (i, j) holds on all rows or
+    none when i is placed: by ranks if j is placed too, and always if not,
+    as a placed point ranks before every point of rest. With i in rest it
+    fails if j is placed, and otherwise reads the table's mask of the two
+    columns (_masks). A forced pair keeps the rows where rank[i] < rank[j]
+    and a group the rows where all its pairs' weak verdicts
+    rank[i] <= rank[j] agree; a run is dropped at its first empty mask."""
+    counts = [0] * (len(filters) + 1)
+    kept: list[tuple[int, ...]] = []
+    stages = tuple(enumerate(filters, 1))
+    for run in runs:
+        ranks, place, cols = run
+        if cols is None:
+            rows = full = 1
+        else:
+            rows, full, lt = tables.get(len(cols)) or _masks(tables, cols)
+        counts[0] += rows
+        alive = full
+        for k, (kind, data) in stages:
+            if kind == "forced":
+                for i, j in data:
+                    p, q = place[i], place[j]
+                    if p < 0:
+                        if q < 0 and ranks[i] >= ranks[j]:
+                            alive = 0
+                            break
+                    elif q < 0:
+                        alive = 0
+                        break
+                    else:
+                        alive &= lt[p][q]
+                        if not alive:
+                            break
+            else:
+                for grp in data:
+                    # the rows where every pair holds, and where every one fails
+                    yes = no = full
+                    for i, j in grp:
+                        p, q = place[i], place[j]
+                        if p < 0:
+                            if q >= 0 or ranks[i] <= ranks[j]:
+                                no = 0
+                            else:
+                                yes = 0
+                        elif q < 0:
+                            yes = 0
+                        else:
+                            fails = lt[q][p]
+                            yes &= full ^ fails
+                            no &= fails
+                    alive &= yes | no
+                    if not alive:
+                        break
+            if not alive:
+                break
+            counts[k] += alive.bit_count()
+        else:
+            if len(kept) < cap:
+                # bit t of alive keeps row t
+                kept += islice(compress(_rows(run), map(int, bin(alive)[:1:-1])), cap - len(kept))
+    return counts, kept
 
 
 # ---------------------------------------------------------------------------
@@ -675,33 +749,13 @@ def verify_characterization(
             pruned_by[str(a)] = 0
             if data and data not in groups.values():
                 groups[str(a)] = data
-    if prune:  # every leaf the pruned walk reaches satisfies every axiom
-        filters = []
-    else:
-        dom, groups, pruned_by, filters = None, {}, {}, constraints
-    # the walk's runs through one filter per constraint, in canonical order;
-    # tallies[0] counts the leaves and tallies[k] what passes the k-th
-    # filter, one tick per tuple that compress draws through it; they start
-    # at 1, as compress would drop the tuple drawn with a 0
-    tallies = [count(1) for _ in range(len(filters) + 1)]
-    walk = _runs(n, dom, groups, pruned_by if prune else None, {})
-    if prune:  # every run is a leaf and no filter runs
-        runs = map(compress, walk, repeat(tallies[0]))
-    else:
-        keeps = [_keep(kind, data) for kind, data in filters]
-
-        def sieve(run):
-            """The run's tuples that pass every filter."""
-            run = compress(run, tallies[0])
-            for keep, tally in zip(keeps, tallies[1:]):
-                run = compress(keep(run), tally)
-            return run
-
-        runs = map(sieve, walk)
-    stream = chain.from_iterable(runs)
-    listed = list(islice(stream, SURVIVOR_LISTING_CAP))
-    deque(stream, maxlen=0)
-    checked, *passed = (next(tally) - 1 for tally in tallies)
+    if not prune:  # every weak order is walked and each filter runs on it
+        dom, groups, pruned_by = None, {}, {}
+    tables: dict = {}
+    walk = _runs(n, dom, groups, pruned_by if prune else None, tables)
+    # every leaf the pruned walk reaches satisfies every axiom, so no filter runs
+    counts, listed = _sift(walk, [] if prune else constraints, tables, SURVIVOR_LISTING_CAP)
+    checked, *passed = counts
     survivor_count = passed[-1] if passed else checked
     if prune:
         passed = [checked] * len(constraints)

@@ -8,8 +8,9 @@ broken relations, so the contract is the weakest structure they consume.
 
 The three utility relations (mep, wlog and a caller-supplied utility)
 evaluate the utility once per distinct profile per relation instance and
-compare the stored exact values, so a utility must be a pure function of
-the profile.
+compare the stored integer ratios, so a utility must be a pure function of
+the profile, and its value a number with an exact integer ratio (an int or
+a Fraction, say): any other value is refused with a RafprefError.
 """
 
 from __future__ import annotations
@@ -243,9 +244,13 @@ class LexicographicRelation(PreferenceRelation):
 class _MemoizedUtilityRelation(PreferenceRelation):
     """Compares profiles by a utility evaluated once per distinct profile.
 
-    The memo maps each profile this instance has compared to its utility.
-    It takes no part in repr, == or hash, and a hit never skips a check:
-    _check runs on every compare before the lookup.
+    The memo maps each profile this instance has compared to its utility's
+    integer ratio (numerator, denominator > 0), so that a pair is decided
+    by one cross-multiplication of ints rather than by Fraction comparisons,
+    which go through the numbers.Rational checks each time. A utility value
+    with no exact integer ratio raises RafprefError. The memo takes no part
+    in repr, == or hash, and a hit never skips a check: _check runs on
+    every compare before the lookup.
     """
 
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -257,16 +262,22 @@ class _MemoizedUtilityRelation(PreferenceRelation):
     def _check(self, a: Raf, b: Raf) -> None:
         require_same_context(a, b)
 
+    def _ratio(self, a: Raf) -> tuple[int, int]:
+        """a's utility as its integer ratio, kept in the memo."""
+        u = self._utility(a)
+        try:  # a NaN or an infinity raises ValueError or OverflowError
+            ratio = self._memo[a] = u.as_integer_ratio()
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            raise RafprefError(f"relation {self.name!r}: the utility of {a} is "
+                               f"{u!r:.40}, which has no exact integer ratio") from None
+        return ratio
+
     def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
         self._check(a, b)
         memo = self._memo
-        ua = memo.get(a)
-        if ua is None:
-            ua = memo[a] = self._utility(a)
-        ub = memo.get(b)
-        if ub is None:
-            ub = memo[b] = self._utility(b)
-        return _outcome_of(ua, ub)
+        ra = memo.get(a) or self._ratio(a)
+        rb = memo.get(b) or self._ratio(b)
+        return _outcome_of(ra[0] * rb[1], rb[0] * ra[1])
 
 
 @dataclass(frozen=True)
@@ -299,7 +310,9 @@ class UtilityRelation(_MemoizedUtilityRelation):
     """Generic numerical representation: compare by a caller-supplied utility.
 
     The utility is evaluated once per distinct profile per instance and
-    its value reused, so it must be a pure function of the profile.
+    its value reused, so it must be a pure function of the profile. Its
+    value must have an exact integer ratio, as an int or a Fraction has;
+    compare raises RafprefError on one that has none.
     """
 
     utility: Callable[[Raf], Fraction]

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -54,9 +54,10 @@ from rafpref.characterization import (
     _TAIL_POINTS,
     _audit_survivor,
     _compile_constraint,
-    _keep,
     _refused,
+    _rows,
     _runs,
+    _sift,
     _tail,
     _walk,
 )
@@ -94,9 +95,9 @@ def _reach(*args):
 
 
 def _literal(kind, data):
-    """The per-pair loop that _keep's generated filter must match on each
-    rank tuple: forced pairs need rv[i] < rv[j], and each group one weak
-    verdict rv[i] <= rv[j] for all its pairs."""
+    """The per-pair loop that _sift's masks must match on each rank tuple:
+    forced pairs need rv[i] < rv[j], and each group one weak verdict
+    rv[i] <= rv[j] for all its pairs."""
     if kind == "forced":
 
         def passes(rv):
@@ -313,18 +314,22 @@ class TestCompiledFiltersMatchCheckers:
     }
 
     def test_all_candidates_unit_square(self, unit_square):
+        # the walk of 4 points is runs of tail tables and one leaf, each
+        # filtered whole
         sample = _Sample(unit_square)
-        compiled = {axiom: _keep(*_compile_constraint(axiom, sample)) for axiom in VERIFY_AXIOMS}
-        for ranking in enumerate_weak_orders(unit_square):
-            rel = table_relation(ranking)
-            for axiom, checker in self.CHECKERS.items():
-                fast = compiled[axiom]((ranking.ranks,)) == [ranking.ranks]
-                literal = checker(rel, list(unit_square)).passed
-                assert fast == literal, (axiom, ranking.ranks)
+        for axiom, checker in self.CHECKERS.items():
+            tables = {}
+            runs = _runs(4, None, {}, None, tables)
+            _, kept = _sift(runs, [_compile_constraint(axiom, sample)], tables, fubini(4))
+            literal = [
+                ranking.ranks for ranking in enumerate_weak_orders(unit_square)
+                if checker(table_relation(ranking), list(unit_square)).passed
+            ]
+            assert kept == literal, axiom
 
     def test_sampled_candidates_nine_grid(self, nine_grid):
         sample = _Sample(nine_grid)
-        compiled = {axiom: _keep(*_compile_constraint(axiom, sample)) for axiom in VERIFY_AXIOMS}
+        compiled = {axiom: _compile_constraint(axiom, sample) for axiom in VERIFY_AXIOMS}
         rng = random.Random(23)
         pts = tuple(nine_grid)
         for _ in range(40):
@@ -336,55 +341,69 @@ class TestCompiledFiltersMatchCheckers:
             ranking = RankedRelation(pts, ranks)
             rel = table_relation(ranking)
             for axiom, checker in self.CHECKERS.items():
-                fast = compiled[axiom]((ranks,)) == [ranks]
+                leaf = (ranks, (-1,) * 9, None)
+                fast = _sift([leaf], [compiled[axiom]], {}, 1) == ([1, 1], [ranks])
                 literal = checker(rel, list(pts)).passed
                 assert fast == literal, (axiom, ranks)
 
 
 def _constraint(draw, n):
-    """A constraint in _compile_constraint's shape over n points, groups
-    of one and two pairs included."""
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    """A constraint in _compile_constraint's shape over n points: diagonal
+    and repeated pairs included, and groups of one pair and of several."""
+    point = st.integers(0, n - 1)
+    pair = st.tuples(point, point) | point.map(lambda i: (i, i))
+    pairs = st.lists(pair, max_size=12)
     kind = draw(st.sampled_from(["forced", "groups"]))
     if kind == "forced":
-        return kind, draw(st.lists(pair, max_size=12))
-    group = st.lists(pair, min_size=1, max_size=2) | st.lists(pair, min_size=3, max_size=6)
+        return kind, draw(pairs | pairs.map(lambda ps: ps + ps[:1]))
+    group = (st.lists(pair, min_size=1, max_size=1) | st.lists(pair, min_size=2, max_size=6)
+             | st.lists(pair, min_size=1, max_size=3).map(lambda g: g + g))
     return kind, draw(st.lists(group, max_size=6))
 
 
-def _ranks(size, n):
-    return st.lists(st.integers(0, n - 1), min_size=size, max_size=size).map(tuple)
-
-
 @st.composite
-def compiled_data(draw):
-    """A constraint over n <= 9 points and a run of rank tuples."""
-    n = draw(st.integers(1, 9))
-    kind, data = _constraint(draw, n)
-    return kind, data, draw(st.lists(_ranks(n, n), max_size=20))
+def sifted_filters(draw):
+    """n <= 7 points and up to three constraints over them, in order."""
+    n = draw(st.integers(1, 7))
+    return n, [_constraint(draw, n) for _ in range(draw(st.integers(1, 3)))]
 
 
-class TestKeep:
-    @settings(max_examples=300, deadline=None)
-    @given(compiled_data())
-    def test_matches_the_per_pair_loop(self, case):
-        kind, data, run = case
-        passes = _literal(kind, data)
-        assert _keep(kind, data)(iter(run)) == [rv for rv in run if passes(rv)]
+# the plain walks of up to 7 points as runs, and the tables they read
+_TABLES: dict = {}
+_RUNS = {n: list(_runs(n, None, {}, None, _TABLES)) for n in range(8)}
 
-    def test_only_ints_reach_the_source(self):
-        with pytest.raises(TypeError):
-            _keep("forced", [("0", 1)])
-        with pytest.raises(TypeError):
-            _keep("groups", [[(0, 1), (1.0, 2)]])
-        # an int subclass is written as the int it stands for, whatever
-        # its own formatting says
-        class Sly(int):
-            def __format__(self, spec):
-                return "0] or rv[1"
 
-        run = [(0, 1), (1, 0), (0, 0)]
-        assert _keep("forced", [(Sly(0), 1)])(run) == [(0, 1)]
+class TestSift:
+    """_sift reads each tail table's masks, never its rows, so it must
+    agree with the per-pair loops on every row of every run."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sifted_filters())
+    def test_matches_the_per_pair_loops_on_every_run(self, case):
+        n, filters = case
+        tests = [_literal(kind, data) for kind, data in filters]
+        total = [0] * (len(filters) + 1)
+        for run in _RUNS[n]:
+            rows = list(_rows(run))
+            counts, kept = _sift([run], filters, _TABLES, len(rows))
+            expected = [len(rows)]
+            for passes in tests:
+                rows = [rv for rv in rows if passes(rv)]
+                expected.append(len(rows))
+            assert counts == expected
+            assert kept == rows
+            total = [t + c for t, c in zip(total, counts)]
+        # over the whole walk, and the kept rows in stream order up to the cap
+        survivors = [rv for rv in _walk(n) if all(passes(rv) for passes in tests)]
+        counts, kept = _sift(iter(_RUNS[n]), filters, _TABLES, 10)
+        assert counts == total and total[0] == fubini(n) and total[-1] == len(survivors)
+        assert kept == survivors[:10]
+
+    def test_tables_are_reached(self):
+        # the walks above hold tail tables of every size, and leaves
+        tables = [run[2] for run in _RUNS[7]]
+        assert None in tables
+        assert {len(cols) for cols in tables if cols} == set(range(1, _TAIL_POINTS + 1))
 
 
 # the axiom sets whose pruned stream is compared in full with the plain one
@@ -431,8 +450,7 @@ class TestPrunedStreamEquivalence:
         def capturing_runs(n, dom, groups, pruned_by, tables):
             counts.append(pruned_by)
             for run in real_runs(n, dom, groups, pruned_by, tables):
-                run = list(run)
-                drained.extend(run)
+                drained.extend(_rows(run))
                 yield run
 
         monkeypatch.setattr(characterization, "_runs", capturing_runs)
@@ -622,6 +640,15 @@ class TestVerify:
         assert report.survivor_count == len(survivors)
         assert [s.ranks for s in report.survivors] == survivors[:SURVIVOR_LISTING_CAP]
 
+    @pytest.mark.parametrize("axioms", STREAM_AXIOM_SETS)
+    def test_sequential_pass_counts_match_a_loop_on_the_square(self, axioms):
+        passed, survivors = _plain_survivors(("0", "1"), 2)[axioms]
+        report = verify_characterization(GridSpec.of(["0", "1"], 2), reversed(axioms), prune=False)
+        assert report.checked == fubini(4)
+        assert report.pass_counts == tuple(zip(axioms, passed))
+        assert report.survivor_count == len(survivors)
+        assert [s.ranks for s in report.survivors] == survivors[:SURVIVOR_LISTING_CAP]
+
     def test_pruned_equals_unpruned(self):
         spec = GridSpec.of(["0", "1"], 2)
         pruned = verify_characterization(spec, [SM, WEAK_IWA], prune=True)
@@ -772,12 +799,25 @@ class TestVerify:
             runs = _runs(n, *args)
             if n < 4:  # a tail table's walk, not verify's
                 return runs
-            leaves = chain.from_iterable(runs)
-            next(leaves)
-            return ((rv,) for rv in leaves)
+            ranks, _, cols = next(runs)  # the root's first block holds every point
+            assert ranks == (0, 0, 0, 0) and cols is None
+            return runs
 
         monkeypatch.setattr(characterization, "_runs", dropping)
         with pytest.raises(RafprefError, match="covered 74 candidates"):
+            verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
+
+    def test_short_tail_table_fails_the_fubini_check(self, monkeypatch):
+        # a run counts the rows of its table, not fubini(r): a 3-point table
+        # one row short loses one row in each of the four runs that read it
+        real = _tail
+
+        def short(tables, r, d):
+            cols = real(tables, r, d)
+            return tuple(col[:-1] for col in cols) if r == 3 else cols
+
+        monkeypatch.setattr(characterization, "_tail", short)
+        with pytest.raises(RafprefError, match="covered 71 candidates"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
 
     def test_one_refused_count_per_node(self, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rafpref import (
-    CheckConfig, GridSpec, PriorityContext, Raf, RafprefError, WeightVector, axioms,
+    ALL_AXIOMS, CheckConfig, GridSpec, PriorityContext, Raf, RafprefError, WeightVector, axioms,
     characterization, cli, default_context, format_rational, grid_points, relations, run_checks,
 )
 from rafpref.cli import InputDocument, DocumentError, main
@@ -534,6 +534,43 @@ class TestEmit:
         verify = ["verify", "--levels", "0,1", "--arity", "2", "--format", "json"]
         assert main(verify) == 0
         assert json.loads(capsys.readouterr().out)["matches_lex"] is True
+
+    def test_json_is_written_one_results_entry_at_a_time(self, monkeypatch):
+        # each results entry's text is rendered and then written, before the
+        # next one is rendered, and the pieces make the canonical text
+        events = []
+        real = cli._json_write
+
+        def rendering(obj, indent, depth, *caches):
+            text = real(obj, indent, depth, *caches)
+            if depth == cli._JSON_PIECE_DEPTH:
+                events.append(("render", text))
+            return text
+
+        class Out:
+            def write(self, text):
+                events.append(("write", text))
+
+            def writelines(self, pieces):
+                for piece in pieces:
+                    self.write(piece)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli, "_json_write", rendering)
+        monkeypatch.setattr(sys, "stdout", Out())
+        check = ["check", "--relation", "wlog", "--grid", "0,1/2,1", "--arity", "2",
+                 "--weights", "1,1", "--all-violations", "--format", "json"]
+        assert main(check) == 1
+        text = "".join(t for kind, t in events if kind == "write")
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        rendered = [k for k, (kind, _) in enumerate(events) if kind == "render"]
+        assert len(rendered) == len(payload["results"]) == len(ALL_AXIOMS)
+        for k in rendered:
+            assert events[k + 1] == ("write", events[k][1])
+        assert max(len(t) for _, t in events) < len(text) / 2
 
     @pytest.mark.parametrize(
         "argv,render",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rafpref import (
     ALL_AXIOMS,
+    RafprefError,
     ComparisonOutcome,
     ContextMismatchError,
     GridSpec,
@@ -340,6 +341,17 @@ class TestRelationContract:
         assert LexicographicRelation().compare(raf_a, raf_b) is FIRST
 
 
+def _int_utility(a: Raf) -> int:
+    """An int utility with ties and negative values."""
+    return (sum(a.values) * 4).__floor__() - 2 * len(a.values)
+
+
+def _fine_utility(a: Raf) -> Fraction:
+    """A Fraction utility whose denominators are about 10**90, and whose
+    profiles differ by less than 10**-60."""
+    return sum((v / (10**30 + k) for k, v in enumerate(a.values, 1)), Fraction(-1, 3**190))
+
+
 class TestUtilityMemo:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -356,10 +368,34 @@ class TestUtilityMemo:
         index = st.integers(0, len(points) - 1)
         pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
         mep, wlog = MaxExpectedPayoffRelation(), WeightedLogProductRelation(weights)
+        ints, fine = UtilityRelation(_int_utility), UtilityRelation(_fine_utility)
         for i, j in pairs:
             a, b = points[i], points[j]
             assert mep.compare(a, b) is utility_compare(a, b, mep_utility)
             assert wlog.compare(a, b) is wlog_compare(a, b, weights)
+            assert ints.compare(a, b) is utility_compare(a, b, _int_utility)
+            assert fine.compare(a, b) is utility_compare(a, b, _fine_utility)
+
+    def test_close_fractions_are_told_apart(self, money_ctx):
+        a, b = make_raf(("1/2", "1/3"), money_ctx), make_raf(("1/3", "1/2"), money_ctx)
+        tiny = Fraction(1, 10**80)
+        rel = UtilityRelation(lambda p: Fraction(1, 3) + (tiny if p == a else tiny * (1 - tiny)))
+        assert rel.compare(a, b) is FIRST and rel.compare(b, a) is SECOND
+        assert rel.compare(a, a) is INDIFF
+
+    @pytest.mark.parametrize("value", ["1/2", None, float("nan"), float("inf"), 1j, [1, 2]])
+    def test_utility_without_an_integer_ratio_refused(self, raf_a, value):
+        rel = UtilityRelation(lambda p: value, name="odd")
+        with pytest.raises(RafprefError, match="^relation 'odd': the utility of .* no exact integer ratio"):
+            rel.compare(raf_a, raf_a)
+        assert not rel._memo  # nothing is kept, so a later call is refused too
+
+    def test_integer_ratios_of_other_numbers_kept(self, raf_a, raf_b):
+        # an int, a bool and a finite float compare by their exact ratios
+        for value, ratio in ((3, (3, 1)), (True, (1, 1)), (0.5, (1, 2))):
+            rel = UtilityRelation(lambda p: value)
+            assert rel.compare(raf_a, raf_b) is INDIFF
+            assert rel._memo == {raf_a: ratio, raf_b: ratio}
 
     def test_run_checks_evaluates_each_point_once(self):
         ctx = PriorityContext.of(("a", "b", "c"), {"a": 40, "b": 10, "c": 5})
