@@ -26,14 +26,15 @@ DEFAULT_MAX_POINTS points. One deterministic walk, _runs, makes that
 stream, enumerate_weak_orders's and the pruned one, which is the plain
 one filtered by construction. It hands each run over as a description:
 the placed points' ranks and a table of every weak order of the points
-left, up to 541 of them. _rows makes a run's rank tuples in C, already in
-point order, for enumerate_weak_orders; the unpruned verify (_sift)
-still evaluates every filter on every weak order, but on a whole run at
-once, as bitmasks of its rows read from the table, and builds a tuple
-only for the survivors it lists. The two searches give the same
-survivors and verdict; they differ in checked, pruned_away, pruned_by,
-pass_counts and elapsed_ms (see CharacterizationReport). The search runs
-in one process.
+left, up to 541 of them. A table and its masks depend on sizes alone,
+so each is built once per process (_tail, _masks). _rows makes a run's
+rank tuples in C, already in point order, for enumerate_weak_orders;
+the unpruned verify (_sift) still evaluates every filter on every weak
+order, but on a whole run at once, as bitmasks of its rows read from
+the masks, and builds a tuple only for the survivors it lists. The two
+searches give the same survivors and verdict; they differ in checked,
+pruned_away, pruned_by, pass_counts and elapsed_ms (see
+CharacterizationReport). The search runs in one process.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import chain, compress, count, islice, repeat
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -93,13 +94,12 @@ DEFAULT_MAX_POINTS = 9
 _WALK_MAX_POINTS = 16
 # With nothing to refuse, the walk makes the subtree of a node with at
 # most this many points left one run, read from a table of rank columns,
-# 541 ranks long at 5 points. Best of seven, two rounds, on {0,1}^3
-# (2-core Xeon, CPython 3.11): the enumerate_weak_orders drain took
-# 130 ms with tables of 5 points and 196-201 ms with tables of 6, and
-# the unpruned SM+WeakIWA verify 12 and 16-23 ms; only the unpruned
-# WeakIWA verify of 9 points gained, 181-210 against 58-60 ms (best of
-# two). Tables of 6 points also raise the peak RSS by 0.5-0.7 MB, so 5
-# stays.
+# 541 ranks long at 5 points, built once per process. With tables of 6
+# (2-core Xeon, CPython 3.11, best of six after a first call, two rounds)
+# the {0,1}^3 drain took 109-119 against 126-137 ms, its unpruned
+# SM+WeakIWA verify 2.5 against 9-10 ms but 19-21 against 14-16 on the
+# first call, the 9-point unpruned WeakIWA verify 37-58 against 156-177
+# ms, and peak RSS 0.5 MB more; 5 stays until the benchmark weighs them.
 _TAIL_POINTS = 5
 # The most steps verify's pruned walk takes: a node with e eligible points
 # runs its block loop 2^e times and is charged them as it is entered. The
@@ -265,7 +265,7 @@ def _eligible(remaining: int, dom: list[int], pruned_by: dict[str, int]) -> int:
     return eligible
 
 
-@lru_cache(maxsize=None)
+@cache
 def _refused(r: int, e: int) -> int:
     """The completions refused at a node with r >= 1 points left and e of
     them eligible, 0 when e = r. A first block S leads to fubini(r - |S|)
@@ -333,7 +333,7 @@ def _walk(
     blocks, so the stream is the unconstrained one less the refused tuples.
     The stream is the rows of _runs' runs, chained.
     """
-    return chain.from_iterable(map(_rows, _runs(n, dom, groups or {}, pruned_by, {})))
+    return chain.from_iterable(map(_rows, _runs(n, dom, groups or {}, pruned_by)))
 
 
 # A run of the walk: (ranks, place, cols). place[i] is point i's column in
@@ -347,21 +347,20 @@ def _runs(
     dom: Optional[list[int]],
     groups: dict[str, list[list[tuple[int, int]]]],
     pruned_by: Optional[dict[str, int]],
-    tables: dict,
 ) -> Iterator[_Run]:
     """_walk's stream in runs, each a description that _rows turns into
     its rank tuples in point order. A leaf is its ranks alone. In a plain
     walk, one given no pruned_by, a child with r <= _TAIL_POINTS points
     left is its whole subtree: the placed points keep their ranks, and the
-    k-th point of rest reads column k of tables[r, d], the r-point walk's
-    ranks plus d, which _tail builds. Relabelling rest onto 0..r-1 keeps
-    the order of its bits, so the rows are exactly the subtree the walk
-    would visit. A table holds every weak order of r points, so a pruned
-    walk, even with nothing to refuse, takes none: it reads each block's
-    bits inline and counts its steps, raising WalkBudgetError past
+    k-th point of rest reads column k of _tail(r, d), the r-point walk's
+    ranks plus d, built once per process. Relabelling rest onto 0..r-1
+    keeps the order of its bits, so the rows are exactly the subtree the
+    walk would visit. A table holds every weak order of r points, so a
+    pruned walk, even with nothing to refuse, takes none: it reads each
+    block's bits inline and counts its steps, raising WalkBudgetError past
     WALK_BUDGET. A run is handed over as a description, not as its rows,
-    so that the unpruned verify can filter it whole from the table's
-    masks (_sift) and build no tuple per order.
+    so that the unpruned verify can filter it whole from the masks of its
+    table's size (_sift) and build no tuple per order.
     """
     if not n:  # no points leave one empty order and nothing to refuse
         yield (), (), None
@@ -437,7 +436,7 @@ def _runs(
                 if place is None:
                     where = dict(zip(_members(rest), count()))
                     place = places[rest] = tuple(where.get(i, -1) for i in range(n))
-                yield tuple(ranks), place, _tail(tables, r, depth + 1) if r else None
+                yield tuple(ranks), place, _tail(r, depth + 1) if r else None
         depth += 1
 
 
@@ -451,36 +450,34 @@ def _rows(run: _Run) -> Iterable[tuple[int, ...]]:
     return zip(*[cols[k] if k >= 0 else repeat(v) for k, v in zip(place, ranks)])
 
 
-def _tail(tables: dict, r: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """tables[r, d]: the r-point walk's rank tuples, each rank plus d, as
-    r columns, column k holding point k's ranks: _rows zips a child's
-    tuples from them straight into point order. Built on first use by the
-    walk of r points, from the smaller tables."""
-    cols = tables.get((r, d))
-    if cols is None:
-        walk = chain.from_iterable(map(_rows, _runs(r, None, {}, None, tables)))
-        cols = tables[r, d] = tuple(zip(*[[x + d for x in rv] for rv in walk]))
-    return cols
+@cache
+def _tail(r: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The r-point walk's rank tuples, each rank plus d, as r columns,
+    column k holding point k's ranks: _rows zips a child's tuples from
+    them straight into point order. Built once per process, on first use,
+    by the walk of r points, which reads the smaller tables."""
+    return tuple(zip(*[[x + d for x in rv] for rv in _walk(r)]))
 
 
 # bytes of 0s and 1s to the digits of a binary numeral
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _masks(tables: dict, cols: tuple[tuple[int, ...], ...]) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """tables[r] for a tail table of r columns: its row count, the mask of
-    all its rows, and lt, where bit t of lt[k][l] is set when row t ranks
-    point k strictly before point l. Every table of r points has the same
-    rows less a constant, so one set serves every depth. Each mask is read
-    in C from a string of binary digits, last row first."""
-    lows = [col[::-1] for col in cols]
+@cache
+def _masks(r: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """The masks of every tail table of r >= 1 points, built once per
+    process from _tail(r, 0): the row count, the mask of all rows, and lt,
+    where bit t of lt[k][l] is set when row t ranks point k strictly
+    before point l. Every table of r points has the same rows less a
+    constant, so one set serves every depth. Each mask is read in C from
+    a string of binary digits, last row first."""
+    lows = [col[::-1] for col in _tail(r, 0)]
     lt = tuple(
         tuple(int(bytes(map(operator.lt, a, b)).translate(_BINARY_DIGITS), 2) for b in lows)
         for a in lows
     )
-    rows = len(cols[0])
-    out = tables[len(cols)] = (rows, (1 << rows) - 1, lt)
-    return out
+    rows = len(lows[0])
+    return rows, (1 << rows) - 1, lt
 
 
 def enumerate_weak_orders(
@@ -551,19 +548,20 @@ def _compile_constraint(axiom: AxiomId, sample: _Sample):
 
 
 def _sift(
-    runs: Iterable[_Run], filters: Sequence[tuple[str, list]], tables: dict, cap: int
+    runs: Iterable[_Run], filters: Sequence[tuple[str, list]], cap: int
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Every row of every run through the compiled filters in order:
     counts[0] is the number of rows, counts[k] the number that pass the
     first k filters, and kept the first cap rows that pass them all, in
     stream order. A run is filtered whole, as a bitmask of its rows, and
-    no tuple is built but the kept ones. A pair (i, j) holds on all rows or
-    none when i is placed: by ranks if j is placed too, and always if not,
-    as a placed point ranks before every point of rest. With i in rest it
-    fails if j is placed, and otherwise reads the table's mask of the two
-    columns (_masks). A forced pair keeps the rows where rank[i] < rank[j]
-    and a group the rows where all its pairs' weak verdicts
-    rank[i] <= rank[j] agree; a run is dropped at its first empty mask."""
+    no tuple is built but the kept ones. A pair (i, j) holds on all rows
+    or none when i is placed: by ranks if j is placed too, and always if
+    not, as a placed point ranks before every point of rest. With i in
+    rest it fails if j is placed, and otherwise reads the mask of the two
+    columns that _masks builds once per process for the table's size. A
+    forced pair keeps the rows where rank[i] < rank[j] and a group the
+    rows where all its pairs' weak verdicts rank[i] <= rank[j] agree; a
+    run is dropped at its first empty mask."""
     counts = [0] * (len(filters) + 1)
     kept: list[tuple[int, ...]] = []
     stages = tuple(enumerate(filters, 1))
@@ -572,7 +570,7 @@ def _sift(
         if cols is None:
             rows = full = 1
         else:
-            rows, full, lt = tables.get(len(cols)) or _masks(tables, cols)
+            rows, full, lt = _masks(len(cols))
         counts[0] += rows
         alive = full
         for k, (kind, data) in stages:
@@ -751,10 +749,9 @@ def verify_characterization(
                 groups[str(a)] = data
     if not prune:  # every weak order is walked and each filter runs on it
         dom, groups, pruned_by = None, {}, {}
-    tables: dict = {}
-    walk = _runs(n, dom, groups, pruned_by if prune else None, tables)
+    walk = _runs(n, dom, groups, pruned_by if prune else None)
     # every leaf the pruned walk reaches satisfies every axiom, so no filter runs
-    counts, listed = _sift(walk, [] if prune else constraints, tables, SURVIVOR_LISTING_CAP)
+    counts, listed = _sift(walk, [] if prune else constraints, SURVIVOR_LISTING_CAP)
     checked, *passed = counts
     survivor_count = passed[-1] if passed else checked
     if prune:

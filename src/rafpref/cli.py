@@ -412,8 +412,8 @@ _JSON_SCALARS: dict[type, Callable[[object], str]] = {
 }
 
 
-def _json_text(obj, indent: int = 2) -> str:
-    """The text json.dumps(obj, indent=indent) prints, for dicts with str
+def _json_text(obj) -> str:
+    """The text json.dumps(obj, indent=2) prints, for dicts with str
     keys, lists, str, int, finite float, bool and None; any other value,
     key (a str subclass too) or a NaN raises TypeError. It is the pieces
     of _json_pieces joined.
@@ -429,17 +429,19 @@ def _json_text(obj, indent: int = 2) -> str:
     810 KB check report takes 6.6–10.8 ms against 12.5–18.5 ms with a call
     per scalar and a join per dict, and json.dumps 34–55 ms.
     """
-    return "".join(_json_pieces(obj, indent))
+    return "".join(_json_pieces(obj))
 
 
+# the JSON writer's indent: --format json prints json.dumps(indent=2)'s text
+_JSON_INDENT = 2
 # _json_pieces writes each container at this depth as one piece: each
 # entry of a check report's results
 _JSON_PIECE_DEPTH = 2
 
 
-def _json_pieces(obj, indent: int = 2, depth: int = 0,
+def _json_pieces(obj, depth: int = 0,
                  texts: Optional[dict] = None, templates: Optional[dict] = None) -> Iterator[str]:
-    """_json_text(obj, indent) in pieces, in order: a container above
+    """_json_text(obj) in pieces, in order: a container above
     _JSON_PIECE_DEPTH yields its own text and its scalars' as one piece
     up to each child container, whose pieces come next, and a container
     at that depth is one piece, so that a report can be written while only
@@ -454,16 +456,16 @@ def _json_pieces(obj, indent: int = 2, depth: int = 0,
         yield scalar(obj)
         return
     if depth >= _JSON_PIECE_DEPTH:
-        yield _json_write(obj, indent, depth, texts, templates)
+        yield _json_write(obj, depth, texts, templates)
         return
     if kind is dict:
         # the text before each value, and after the last
-        template = _dict_template(obj, indent, depth)
+        template = _dict_template(obj, depth)
         befores, end, values = template[0:-1:2], template[-1], obj.values()
     elif kind is list:
-        inner = "\n" + " " * (indent * (depth + 1))
+        inner = "\n" + " " * (_JSON_INDENT * (depth + 1))
         befores = ["[" + inner] + ["," + inner] * (len(obj) - 1)
-        end, values = "\n" + " " * (indent * depth) + "]" if obj else "[]", obj
+        end, values = "\n" + " " * (_JSON_INDENT * depth) + "]" if obj else "[]", obj
     else:
         raise TypeError(f"a {kind.__name__} has no JSON form")
     held: list[str] = []
@@ -475,7 +477,7 @@ def _json_pieces(obj, indent: int = 2, depth: int = 0,
         else:
             yield "".join(held)
             held.clear()
-            yield from _json_pieces(value, indent, depth + 1, texts, templates)
+            yield from _json_pieces(value, depth + 1, texts, templates)
     held.append(end)
     yield "".join(held)
 
@@ -488,7 +490,7 @@ def _json_pieces(obj, indent: int = 2, depth: int = 0,
 _JSON_KEPT_TEXT = 256
 
 
-def _json_write(obj, indent: int, depth: int, texts: dict[tuple[int, int], str],
+def _json_write(obj, depth: int, texts: dict[tuple[int, int], str],
                 templates: dict[tuple[int, ...], list[Optional[str]]]) -> str:
     """obj's text at depth, obj a list or dict. texts holds short containers'
     by (id, depth), templates each dict's by (depth, id of each key); the
@@ -498,7 +500,7 @@ def _json_write(obj, indent: int, depth: int, texts: dict[tuple[int, int], str],
         shape = (depth, *map(id, obj))
         template = templates.get(shape)
         if template is None:
-            template = templates[shape] = _dict_template(obj, indent, depth)
+            template = templates[shape] = _dict_template(obj, depth)
         values = obj.values()
     elif kind is list:
         values = obj
@@ -507,15 +509,15 @@ def _json_write(obj, indent: int, depth: int, texts: dict[tuple[int, int], str],
     scalars, inner_depth = _JSON_SCALARS, depth + 1
     items = [scalar(v) if (scalar := scalars.get(type(v))) is not None
              else texts.get((id(v), inner_depth))
-             or _json_write(v, indent, inner_depth, texts, templates) for v in values]
+             or _json_write(v, inner_depth, texts, templates) for v in values]
     if kind is dict:
         filled = template.copy()
         filled[1::2] = items
         out = "".join(filled)
     elif items:  # one join, so that a long list's text is built in one copy
-        inner = "\n" + " " * (indent * inner_depth)
+        inner = "\n" + " " * (_JSON_INDENT * inner_depth)
         items[0] = "[" + inner + items[0]
-        items[-1] += "\n" + " " * (indent * depth) + "]"
+        items[-1] += "\n" + " " * (_JSON_INDENT * depth) + "]"
         out = ("," + inner).join(items)
     else:
         out = "[]"
@@ -524,7 +526,7 @@ def _json_write(obj, indent: int, depth: int, texts: dict[tuple[int, int], str],
     return out
 
 
-def _dict_template(keys, indent: int, depth: int) -> list[Optional[str]]:
+def _dict_template(keys, depth: int) -> list[Optional[str]]:
     """The text of a dict with these keys at depth, as a list that holds the
     text around its values at even places and None at each value's place."""
     for k in keys:
@@ -532,10 +534,10 @@ def _dict_template(keys, indent: int, depth: int) -> list[Optional[str]]:
             raise TypeError(f"a {type(k).__name__} key has no JSON form")
     if not keys:
         return ["{}"]
-    inner = "\n" + " " * (indent * (depth + 1))
+    inner = "\n" + " " * (_JSON_INDENT * (depth + 1))
     pieces = ["," + inner + encode_basestring_ascii(k) + ": " for k in keys]
     pieces[0] = "{" + pieces[0][1:]
-    pieces.append("\n" + " " * (indent * depth) + "}")
+    pieces.append("\n" + " " * (_JSON_INDENT * depth) + "}")
     template: list[Optional[str]] = [None] * (2 * len(pieces) - 1)
     template[::2] = pieces
     return template

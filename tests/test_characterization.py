@@ -54,6 +54,7 @@ from rafpref.characterization import (
     _TAIL_POINTS,
     _audit_survivor,
     _compile_constraint,
+    _masks,
     _refused,
     _rows,
     _runs,
@@ -92,6 +93,18 @@ class _Reached(Exception):
 
 def _reach(*args):
     raise _Reached
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empties the process-wide tail tables and masks before and after the
+    test: a test that patches the walk then builds its tables under the
+    patch, and no table built under a patch outlives the test."""
+    for cached in (_tail, _masks):
+        cached.cache_clear()
+    yield
+    for cached in (_tail, _masks):
+        cached.cache_clear()
 
 
 def _literal(kind, data):
@@ -318,9 +331,8 @@ class TestCompiledFiltersMatchCheckers:
         # filtered whole
         sample = _Sample(unit_square)
         for axiom, checker in self.CHECKERS.items():
-            tables = {}
-            runs = _runs(4, None, {}, None, tables)
-            _, kept = _sift(runs, [_compile_constraint(axiom, sample)], tables, fubini(4))
+            runs = _runs(4, None, {}, None)
+            _, kept = _sift(runs, [_compile_constraint(axiom, sample)], fubini(4))
             literal = [
                 ranking.ranks for ranking in enumerate_weak_orders(unit_square)
                 if checker(table_relation(ranking), list(unit_square)).passed
@@ -342,7 +354,7 @@ class TestCompiledFiltersMatchCheckers:
             rel = table_relation(ranking)
             for axiom, checker in self.CHECKERS.items():
                 leaf = (ranks, (-1,) * 9, None)
-                fast = _sift([leaf], [compiled[axiom]], {}, 1) == ([1, 1], [ranks])
+                fast = _sift([leaf], [compiled[axiom]], 1) == ([1, 1], [ranks])
                 literal = checker(rel, list(pts)).passed
                 assert fast == literal, (axiom, ranks)
 
@@ -368,9 +380,8 @@ def sifted_filters(draw):
     return n, [_constraint(draw, n) for _ in range(draw(st.integers(1, 3)))]
 
 
-# the plain walks of up to 7 points as runs, and the tables they read
-_TABLES: dict = {}
-_RUNS = {n: list(_runs(n, None, {}, None, _TABLES)) for n in range(8)}
+# the plain walks of up to 7 points as runs
+_RUNS = {n: list(_runs(n, None, {}, None)) for n in range(8)}
 
 
 class TestSift:
@@ -385,7 +396,7 @@ class TestSift:
         total = [0] * (len(filters) + 1)
         for run in _RUNS[n]:
             rows = list(_rows(run))
-            counts, kept = _sift([run], filters, _TABLES, len(rows))
+            counts, kept = _sift([run], filters, len(rows))
             expected = [len(rows)]
             for passes in tests:
                 rows = [rv for rv in rows if passes(rv)]
@@ -395,7 +406,7 @@ class TestSift:
             total = [t + c for t, c in zip(total, counts)]
         # over the whole walk, and the kept rows in stream order up to the cap
         survivors = [rv for rv in _walk(n) if all(passes(rv) for passes in tests)]
-        counts, kept = _sift(iter(_RUNS[n]), filters, _TABLES, 10)
+        counts, kept = _sift(iter(_RUNS[n]), filters, 10)
         assert counts == total and total[0] == fubini(n) and total[-1] == len(survivors)
         assert kept == survivors[:10]
 
@@ -442,14 +453,14 @@ class TestPrunedStreamEquivalence:
         [(levels, arity, axioms) for levels, arity in ((("0", "1"), 2), (("0", "1"), 3))
          for axioms in STREAM_AXIOM_SETS],
     )
-    def test_pruned_is_filtered_plain_stream(self, monkeypatch, levels, arity, axioms):
+    def test_pruned_is_filtered_plain_stream(self, monkeypatch, fresh_tables, levels, arity, axioms):
         # the whole stream that verify drains, group axioms included
         _, plain_survivors = _plain_survivors(levels, arity)[axioms]
         real_runs, drained, counts = _runs, [], []
 
-        def capturing_runs(n, dom, groups, pruned_by, tables):
+        def capturing_runs(n, dom, groups, pruned_by):
             counts.append(pruned_by)
-            for run in real_runs(n, dom, groups, pruned_by, tables):
+            for run in real_runs(n, dom, groups, pruned_by):
                 drained.extend(_rows(run))
                 yield run
 
@@ -541,12 +552,23 @@ class TestWalk:
         assert list(_walk(n)) == _reference_walk(n)
 
     @pytest.mark.parametrize("r", range(_TAIL_POINTS + 1))
-    def test_tail_table_is_the_small_walk(self, r):
-        tails = {}
+    def test_tail_table_is_the_small_walk(self, fresh_tables, r):
         reference = _reference_walk(r)
         for d in (0, 1, 3):
             rows = [tuple(x + d for x in rv) for rv in reference]
-            assert _tail(tails, r, d) == tuple(zip(*rows))
+            assert _tail(r, d) == tuple(zip(*rows))
+
+    @pytest.mark.parametrize("r", range(1, _TAIL_POINTS + 1))
+    def test_masks_read_the_tail_table(self, r):
+        # bit t of lt[k][l] is set exactly when row t ranks k before l
+        cols = _tail(r, 0)
+        rows, full, lt = _masks(r)
+        assert rows == len(cols[0]) == fubini(r)
+        assert full == (1 << rows) - 1
+        assert lt == tuple(
+            tuple(sum(1 << t for t, (x, y) in enumerate(zip(a, b)) if x < y) for b in cols)
+            for a in cols
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(dominator_masks())
@@ -782,7 +804,7 @@ class TestVerify:
         assert solo.survivors == team.survivors
         assert solo.checked == team.checked == 75
 
-    def test_fubini_mismatch_raises(self, monkeypatch):
+    def test_fubini_mismatch_raises(self, monkeypatch, fresh_tables):
         real = _refused
 
         def undercount(r, e):
@@ -807,18 +829,38 @@ class TestVerify:
         with pytest.raises(RafprefError, match="covered 74 candidates"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
 
-    def test_short_tail_table_fails_the_fubini_check(self, monkeypatch):
+    def test_short_tail_table_fails_the_fubini_check(self, monkeypatch, fresh_tables):
         # a run counts the rows of its table, not fubini(r): a 3-point table
         # one row short loses one row in each of the four runs that read it
         real = _tail
 
-        def short(tables, r, d):
-            cols = real(tables, r, d)
+        def short(r, d):
+            cols = real(r, d)
             return tuple(col[:-1] for col in cols) if r == 3 else cols
 
         monkeypatch.setattr(characterization, "_tail", short)
         with pytest.raises(RafprefError, match="covered 71 candidates"):
             verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
+
+    @pytest.mark.parametrize("walk", ["verify", "drain"])
+    def test_tables_are_built_once_per_process(self, fresh_tables, walk):
+        # the tail tables and their masks depend on sizes alone: a second
+        # unpruned verify of {0,1}^3, or a second drain, builds none
+        spec = GridSpec.of(["0", "1"], 3)
+        run = {
+            "verify": lambda: verify_characterization(spec, [SM, WEAK_IWA], prune=False).checked,
+            "drain": lambda: sum(1 for _ in enumerate_weak_orders(grid_points(spec))),
+        }[walk]
+
+        def misses():
+            return _tail.cache_info().misses, _masks.cache_info().misses
+
+        assert run() == fubini(8)
+        built = misses()
+        # only the verify filters by masks; both walks read tail tables
+        assert built[0] > 0 and (built[1] > 0) == (walk == "verify")
+        assert run() == fubini(8)
+        assert misses() == built
 
     def test_one_refused_count_per_node(self, monkeypatch):
         # SM+WeakIWA on {0,1/2,1}^3 walks one chain of 27 nodes down to lex
@@ -834,7 +876,7 @@ class TestVerify:
         assert report.matches_lex
         assert [r for r, _ in calls] == list(range(27, 0, -1))  # once per node
 
-    def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch):
+    def test_iwa_and_weak_iwa_share_one_forward_check(self, monkeypatch, fresh_tables):
         real_classes = axioms._hypothesis_classes
         classed, walked = [], []
 
@@ -842,9 +884,9 @@ class TestVerify:
             classed.append(axiom)
             return real_classes(axiom, *args)
 
-        def capturing_runs(n, dom, groups, pruned_by, tables):
+        def capturing_runs(n, dom, groups, pruned_by):
             walked.append(groups)
-            return _runs(n, dom, groups, pruned_by, tables)
+            return _runs(n, dom, groups, pruned_by)
 
         monkeypatch.setattr(axioms, "_hypothesis_classes", counting_classes)
         monkeypatch.setattr(characterization, "_runs", capturing_runs)
@@ -1143,13 +1185,13 @@ class TestWalkBudget:
         with pytest.raises(characterization.WalkBudgetError, match="of 27 points"):
             verify_characterization(GridSpec.of(["0", "1/2", "1"], 3), [WEAK_IWA])
 
-    def test_only_the_pruned_walk_counts(self, monkeypatch):
+    def test_only_the_pruned_walk_counts(self, monkeypatch, fresh_tables):
         # with no budget at all, every walk given no pruned_by still runs
         monkeypatch.setattr(characterization, "WALK_BUDGET", -1)
         assert sum(1 for _ in enumerate_weak_orders(grid_points(GridSpec.of(["0", "1"], 2)))) == 75
         report = verify_characterization(GridSpec.of(["0", "1"], 2), [SM, WEAK_IWA], prune=False)
         assert report.matches_lex
-        assert len(_tail({}, _TAIL_POINTS, 0)[0]) == fubini(_TAIL_POINTS)
+        assert len(_tail(_TAIL_POINTS, 0)[0]) == fubini(_TAIL_POINTS)
         # given a pruned_by, a walk counts even with nothing to refuse
         with pytest.raises(characterization.WalkBudgetError):
             next(_walk(3, None, {}, {}))

@@ -541,8 +541,8 @@ class TestEmit:
         events = []
         real = cli._json_write
 
-        def rendering(obj, indent, depth, *caches):
-            text = real(obj, indent, depth, *caches)
+        def rendering(obj, depth, *caches):
+            text = real(obj, depth, *caches)
             if depth == cli._JSON_PIECE_DEPTH:
                 events.append(("render", text))
             return text
@@ -620,11 +620,6 @@ class TestJsonText:
     def test_matches_stdlib_indent_2(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("indent", [0, 1, 4])
-    def test_matches_stdlib_other_indents(self, indent):
-        value = {"a": [1, [], {}, {"b": None}], "c": [[True, 1.5]]}
-        assert cli._json_text(value, indent) == json.dumps(value, indent=indent)
-
     def test_shared_containers(self):
         # a check report shares each witness point between its witnesses;
         # the writer reuses short texts by identity and depth, never by value
@@ -655,8 +650,7 @@ class TestJsonText:
 
     def test_one_shape_at_several_depths(self):
         value = {"x": 1, "y": [{"x": 2, "y": {"x": 3, "y": [[{"x": 4, "y": None}]]}}]}
-        for indent in (0, 2, 3):
-            assert cli._json_text(value, indent) == json.dumps(value, indent=indent)
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
     def test_one_dict_shared_at_two_depths(self):
         shared = {"k": [1, "%s"], "long": "x" * 300}
