@@ -26,20 +26,20 @@ DEFAULT_MAX_POINTS points. One deterministic walk, _runs, makes that
 stream, enumerate_weak_orders's and the pruned one, which is the plain
 one filtered by construction. It hands each run over as a description:
 the placed points' ranks and a table of every weak order of the points
-left, up to 541 of them. A table and its masks depend on sizes alone,
-so each is built once per process (_tail, _masks). _rows makes a run's
-rank tuples in C, already in point order, for enumerate_weak_orders;
-the unpruned verify (_sift) still evaluates every filter on every weak
-order, but on a whole run at once, as bitmasks of its rows read from
-the masks, and builds a tuple only for the survivors it lists. The two
-searches give the same survivors and verdict; they differ in checked,
-pruned_away, pruned_by, pass_counts and elapsed_ms (see
-CharacterizationReport). The search runs in one process.
+left, up to 47,293 of them, one byte per rank in a column per point. A
+table and its masks depend on sizes alone, so each is built once per
+process, in C (_tail, _masks). _rows makes a run's rank tuples in C,
+already in point order, for enumerate_weak_orders; the unpruned verify
+(_sift) still evaluates every filter on every weak order, but on a
+whole run at once, as bitmasks of its rows read from the masks, and
+builds a tuple only for the survivors it lists. The two searches give
+the same survivors and verdict; they differ in checked, pruned_away,
+pruned_by, pass_counts and elapsed_ms (see CharacterizationReport). The
+search runs in one process.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -89,18 +89,24 @@ class WalkBudgetError(RafprefError):
 # walks with prune=False: fubini(9) = 7,087,261 leaves.
 DEFAULT_MAX_POINTS = 9
 # The most points enumerate_weak_orders takes whatever its max_points says.
-# It bounds the work, not a table: the fubini(17) = 1.3e17 weak orders of
-# 17 points could never be drained.
+# It bounds the work: the fubini(17) = 1.3e17 weak orders of 17 points
+# could never be drained. It also keeps every rank below 16, so that a
+# tail table holds one in a byte.
 _WALK_MAX_POINTS = 16
 # With nothing to refuse, the walk makes the subtree of a node with at
-# most this many points left one run, read from a table of rank columns,
-# 541 ranks long at 5 points, built once per process. With tables of 6
-# (2-core Xeon, CPython 3.11, best of six after a first call, two rounds)
-# the {0,1}^3 drain took 109-119 against 126-137 ms, its unpruned
-# SM+WeakIWA verify 2.5 against 9-10 ms but 19-21 against 14-16 on the
-# first call, the 9-point unpruned WeakIWA verify 37-58 against 156-177
-# ms, and peak RSS 0.5 MB more; 5 stays until the benchmark weighs them.
-_TAIL_POINTS = 5
+# most this many points left one run, read from a table of rank columns
+# of one byte per rank, built once per process: 47,293 rows at 7 points,
+# 331 KB per depth and 262 KB of masks. The walk of 8 points is 255 runs,
+# against 6,471 with tables of 5. In one interpreter per size (2-core
+# Xeon, CPython 3.11, best of six after a first call, two rounds), the
+# unpruned SM+WeakIWA verify of {0,1}^3 took 3.8-4.0 ms with tables of 7,
+# 3.3-5.8 with 6 and 12 with 5, and the 9-point unpruned WeakIWA verify
+# 29-45, 80-85 and 241-276 ms; the first {0,1}^3 verify, which builds
+# every table it reads, took 27-31 ms with 7 and 21-34 with tuple tables
+# of 5. Tables of 8 would hold 545,835 rows, 4.4 MB per depth plus 4.4 MB
+# of masks, and help only the 9-point walk, whose first verify they took
+# to 528-657 ms and peak RSS from 18 to 36 MB.
+_TAIL_POINTS = 7
 # The most steps verify's pruned walk takes: a node with e eligible points
 # runs its block loop 2^e times and is charged them as it is entered. The
 # heaviest pruned walk of the tests and scripts, WeakIWA alone on
@@ -339,7 +345,7 @@ def _walk(
 # A run of the walk: (ranks, place, cols). place[i] is point i's column in
 # the tail table cols, or -1 once i is placed, and then ranks[i] is its
 # rank; a leaf places every point and has no table, cols None.
-_Run = tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[tuple[int, ...], ...]]]
+_Run = tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[bytes, ...]]]
 
 
 def _runs(
@@ -353,14 +359,15 @@ def _runs(
     walk, one given no pruned_by, a child with r <= _TAIL_POINTS points
     left is its whole subtree: the placed points keep their ranks, and the
     k-th point of rest reads column k of _tail(r, d), the r-point walk's
-    ranks plus d, built once per process. Relabelling rest onto 0..r-1
-    keeps the order of its bits, so the rows are exactly the subtree the
-    walk would visit. A table holds every weak order of r points, so a
-    pruned walk, even with nothing to refuse, takes none: it reads each
-    block's bits inline and counts its steps, raising WalkBudgetError past
-    WALK_BUDGET. A run is handed over as a description, not as its rows,
-    so that the unpruned verify can filter it whole from the masks of its
-    table's size (_sift) and build no tuple per order.
+    ranks plus d, one byte each, built once per process. The walk of 8
+    points is 255 such runs. Relabelling rest onto 0..r-1 keeps the order
+    of its bits, so the rows are exactly the subtree the walk would visit.
+    A table holds every weak order of r points, so a pruned walk, even
+    with nothing to refuse, takes none: it reads each block's bits inline
+    and counts its steps, raising WalkBudgetError past WALK_BUDGET. A run
+    is handed over as a description, not as its rows, so that the unpruned
+    verify can filter it whole from the masks of its table's size (_sift)
+    and build no tuple per order.
     """
     if not n:  # no points leave one empty order and nothing to refuse
         yield (), (), None
@@ -451,16 +458,29 @@ def _rows(run: _Run) -> Iterable[tuple[int, ...]]:
 
 
 @cache
-def _tail(r: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """The r-point walk's rank tuples, each rank plus d, as r columns,
-    column k holding point k's ranks: _rows zips a child's tuples from
-    them straight into point order. Built once per process, on first use,
-    by the walk of r points, which reads the smaller tables."""
-    return tuple(zip(*[[x + d for x in rv] for rv in _walk(r)]))
+def _tail(r: int, d: int) -> tuple[bytes, ...]:
+    """The r-point walk's rank tuples, each rank plus d, as r columns of
+    one byte per rank, column k holding point k's ranks: _rows zips a
+    child's tuples from them straight into point order, as iterating bytes
+    yields ints. Built once per process, on first use, with no rank tuple:
+    column k of _tail(r, 0) joins, run by run of _runs(r), the child
+    table's column that point k reads, or its rank repeated once per row
+    if placed. _tail(r, d) is that table shifted by one translate, as
+    ranks stay below _WALK_MAX_POINTS = 16 and d + 15 < 256."""
+    if d:
+        shift = bytes(range(d, 256)) + bytes(d)
+        return tuple(col.translate(shift) for col in _tail(r, 0))
+    pieces: list[list[bytes]] = [[] for _ in range(r)]
+    for ranks, place, cols in _runs(r, None, {}, None):
+        rows = len(cols[0]) if cols else 1
+        for piece, k, v in zip(pieces, place, ranks):
+            piece.append(cols[k] if k >= 0 else bytes((v,)) * rows)
+    return tuple(map(b"".join, pieces))
 
 
-# bytes of 0s and 1s to the digits of a binary numeral
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# the bytes a guarded subtraction leaves, 0x80 where a >= b and 0 where
+# a < b, to the digits of a binary numeral
+_LT_DIGITS = bytes.maketrans(b"\x80\0", b"01")
 
 
 @cache
@@ -469,14 +489,23 @@ def _masks(r: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     process from _tail(r, 0): the row count, the mask of all rows, and lt,
     where bit t of lt[k][l] is set when row t ranks point k strictly
     before point l. Every table of r points has the same rows less a
-    constant, so one set serves every depth. Each mask is read in C from
-    a string of binary digits, last row first."""
-    lows = [col[::-1] for col in _tail(r, 0)]
+    constant, so one set serves every depth. Each mask is made in C, with
+    no call per row: columns a and b are read as integers, row t in byte
+    t, and with the guard bit 0x80 set in every byte of a, a - b keeps a
+    byte's guard bit exactly where a >= b, since ranks stay below 0x80 and
+    no borrow crosses a byte. Those bytes, last row first, translate to
+    the digits of the mask in binary."""
+    cols = _tail(r, 0)
+    rows = len(cols[0])
+    guard = int.from_bytes(b"\x80" * rows, "little")
+    ints = [int.from_bytes(col, "little") for col in cols]
     lt = tuple(
-        tuple(int(bytes(map(operator.lt, a, b)).translate(_BINARY_DIGITS), 2) for b in lows)
-        for a in lows
+        tuple(
+            int((((a | guard) - b) & guard).to_bytes(rows, "big").translate(_LT_DIGITS), 2)
+            for b in ints
+        )
+        for a in ints
     )
-    rows = len(lows[0])
     return rows, (1 << rows) - 1, lt
 
 
@@ -488,11 +517,14 @@ def enumerate_weak_orders(
     The stream is deterministic, its length is the n-th Fubini number, and
     it is _walk's with nothing to refuse: verify's pruned search drains the
     same walk, which then skips refused blocks but never reorders a tuple.
-    The call itself, before any walk exists, raises RafprefError for no
-    points or a repeated one, TooManyPointsError for more than max_points
-    points, and its subclass UnprunedWalkError for more than 16 whatever
-    max_points says.
+    The call itself, before any walk exists, raises RafprefError for a
+    max_points that is not an int (a bool included), no points or a
+    repeated one, TooManyPointsError for more than max_points points, and
+    its subclass UnprunedWalkError for more than 16 whatever max_points
+    says.
     """
+    if not isinstance(max_points, int) or isinstance(max_points, bool):
+        raise RafprefError(f"max_points must be an int, not {max_points!r:.40}")
     pts = tuple(points)
     n = len(pts)
     if n < 1:

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
 
 import pytest
@@ -209,6 +209,15 @@ class TestEnumeration:
         with pytest.raises(_Reached):  # 16 points are admitted
             next(enumerate_weak_orders(points[:16], max_points=16))
 
+    @pytest.mark.parametrize("max_points", ["9", None, True, 8.5])
+    def test_max_points_must_be_an_int(self, monkeypatch, unit_square, max_points):
+        # refused at the call, before any walk: a str or None would fail
+        # the bound's comparison with a bare TypeError, True would compare
+        # as a bound of 1 and 8.5 as a bound at all
+        monkeypatch.setattr(characterization, "_walk", _reach)
+        with pytest.raises(RafprefError, match="^max_points must be an int, not "):
+            enumerate_weak_orders(unit_square, max_points=max_points)
+
     def test_duplicates_rejected(self, unit_square):
         with pytest.raises(RafprefError):
             next(enumerate_weak_orders(unit_square + unit_square[:1]))
@@ -380,8 +389,22 @@ def sifted_filters(draw):
     return n, [_constraint(draw, n) for _ in range(draw(st.integers(1, 3)))]
 
 
-# the plain walks of up to 7 points as runs
-_RUNS = {n: list(_runs(n, None, {}, None)) for n in range(8)}
+# the plain walks of up to 8 points as runs
+_RUNS = {n: list(_runs(n, None, {}, None)) for n in range(9)}
+
+
+def _sift_one_run(run, filters, tests):
+    """_sift's counts for one run, checked against the per-pair loops
+    tests on every row of it: each filter's count and every row kept."""
+    rows = list(_rows(run))
+    counts, kept = _sift([run], filters, len(rows))
+    expected = [len(rows)]
+    for passes in tests:
+        rows = [rv for rv in rows if passes(rv)]
+        expected.append(len(rows))
+    assert counts == expected
+    assert kept == rows
+    return counts
 
 
 class TestSift:
@@ -395,15 +418,7 @@ class TestSift:
         tests = [_literal(kind, data) for kind, data in filters]
         total = [0] * (len(filters) + 1)
         for run in _RUNS[n]:
-            rows = list(_rows(run))
-            counts, kept = _sift([run], filters, len(rows))
-            expected = [len(rows)]
-            for passes in tests:
-                rows = [rv for rv in rows if passes(rv)]
-                expected.append(len(rows))
-            assert counts == expected
-            assert kept == rows
-            total = [t + c for t, c in zip(total, counts)]
+            total = [t + c for t, c in zip(total, _sift_one_run(run, filters, tests))]
         # over the whole walk, and the kept rows in stream order up to the cap
         survivors = [rv for rv in _walk(n) if all(passes(rv) for passes in tests)]
         counts, kept = _sift(iter(_RUNS[n]), filters, 10)
@@ -412,9 +427,21 @@ class TestSift:
 
     def test_tables_are_reached(self):
         # the walks above hold tail tables of every size, and leaves
-        tables = [run[2] for run in _RUNS[7]]
+        tables = [run[2] for run in _RUNS[8]]
         assert None in tables
         assert {len(cols) for cols in tables if cols} == set(range(1, _TAIL_POINTS + 1))
+
+    def test_largest_tables_match_the_per_pair_loops(self):
+        # the 8 runs of the 8-point walk whose first block is one point
+        # read the largest tables, which the drawn walks above never reach
+        runs = [run for run in _RUNS[8] if run[2] and len(run[2]) == _TAIL_POINTS]
+        assert len(runs) == 8
+        filters = [
+            ("groups", [[(1, 2), (3, 4)], [(5, 6), (6, 7), (2, 0)]]),
+            ("forced", [(7, 1), (2, 5), (4, 3)]),
+        ]
+        tests = [_literal(kind, data) for kind, data in filters]
+        assert sum(_sift_one_run(run, filters, tests)[-1] for run in runs) > 0
 
 
 # the axiom sets whose pruned stream is compared in full with the plain one
@@ -518,8 +545,10 @@ def _reference_walk(r: int) -> list:
 
 
 # sha256 of the repr of every tuple of _walk(n), in stream order, as
-# the walk with a Python loop per leaf made them; the tail tables begin at
-# n = 6
+# the walk with a Python loop per leaf made them for n <= 8, and as the
+# walk with tables of 5 points made it for n = 9. Every child of the root
+# of 2 to 8 points reads a tail table; n = 9 is the first walk to place
+# blocks below its root
 PLAIN_STREAM_SHA256 = (
     "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
     "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
@@ -530,7 +559,32 @@ PLAIN_STREAM_SHA256 = (
     "d4106e701443e4830490191d2ffdced658609a43e8ec1334d69e978bc8f7fc23",
     "859b2ceaaf854acb209c737c48d35f385d61b2719d77940a6f8221a0189b9a34",
     "cbdef660129517e478e4f389eb2fbe2c62ee33230d36367f4e576a653fc10fc0",
+    "444e73745ff71ba0a6512dc260e0f0fb50a187c3a03f52f9a08c4dbecc179c2a",
 )
+
+
+# rank k to the ASCII digit of k, for k < 10
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _stream_digest(n: int) -> str:
+    """sha256 of the reprs of _walk(n)'s tuples, concatenated in stream
+    order, streamed in slices of 2**16 tuples, so that no more are held at
+    once. For 2 <= n <= 10 points the repr "(r0, r1, ...)" of a tuple is 3n
+    characters with rank k's one digit at 3k + 1, so a slice's reprs are
+    the repr of (0,) * n repeated, its ranks' digits written at every third
+    byte: made in C, with no repr per tuple."""
+    digest = hashlib.sha256()
+    walk = _walk(n)
+    template = repr((0,) * n).encode()
+    while chunk := list(islice(walk, 1 << 16)):
+        if 2 <= n <= 10:
+            text = bytearray(template * len(chunk))
+            text[1::3] = bytes(chain.from_iterable(chunk)).translate(_DIGITS)
+        else:
+            text = "".join(map(repr, chunk)).encode()
+        digest.update(text)
+    return digest.hexdigest()
 
 
 class TestWalk:
@@ -541,14 +595,13 @@ class TestWalk:
 
     @pytest.mark.parametrize("n", range(len(PLAIN_STREAM_SHA256)))
     def test_plain_stream_pinned(self, n):
-        digest = hashlib.sha256()
-        for rv in _walk(n):
-            digest.update(repr(rv).encode())
-        assert digest.hexdigest() == PLAIN_STREAM_SHA256[n]
+        assert _stream_digest(n) == PLAIN_STREAM_SHA256[n]
 
-    @pytest.mark.parametrize("n", [_TAIL_POINTS + 1, _TAIL_POINTS + 2])
-    def test_tabled_walk_is_the_reference(self, n):
-        # the first sizes whose children are made from the tail tables
+    def test_tabled_walk_is_the_reference(self):
+        # the first size whose root has children made from the largest
+        # tables; n = 9 is pinned by its stream's digest alone, as its
+        # reference would hold all fubini(9) = 7,087,261 tuples
+        n = _TAIL_POINTS + 1
         assert list(_walk(n)) == _reference_walk(n)
 
     @pytest.mark.parametrize("r", range(_TAIL_POINTS + 1))
@@ -556,19 +609,23 @@ class TestWalk:
         reference = _reference_walk(r)
         for d in (0, 1, 3):
             rows = [tuple(x + d for x in rv) for rv in reference]
-            assert _tail(r, d) == tuple(zip(*rows))
+            cols = _tail(r, d)
+            assert cols == tuple(bytes(c) for c in zip(*rows))
+            assert all(type(c) is bytes for c in cols)
 
     @pytest.mark.parametrize("r", range(1, _TAIL_POINTS + 1))
     def test_masks_read_the_tail_table(self, r):
-        # bit t of lt[k][l] is set exactly when row t ranks k before l
+        # bit t of lt[k][l] is set exactly when row t ranks k before l,
+        # read bit by bit: the binary digits of a mask, lowest first
         cols = _tail(r, 0)
         rows, full, lt = _masks(r)
         assert rows == len(cols[0]) == fubini(r)
         assert full == (1 << rows) - 1
-        assert lt == tuple(
-            tuple(sum(1 << t for t, (x, y) in enumerate(zip(a, b)) if x < y) for b in cols)
-            for a in cols
-        )
+        assert len(lt) == r and all(len(masks) == r for masks in lt)
+        for a, masks in zip(cols, lt):
+            for b, mask in zip(cols, masks):
+                bits = format(mask, f"0{rows}b")[::-1]
+                assert bits == "".join("1" if x < y else "0" for x, y in zip(a, b))
 
     @settings(max_examples=200, deadline=None)
     @given(dominator_masks())
