@@ -420,9 +420,9 @@ def _json_text(obj) -> str:
 
     The stdlib's C encoder ignores indent, so json.dumps falls back to a
     chain of pure-Python generators. Here a container writes its scalar
-    children inline, and its text is one join: a list's of its items, a
-    dict's of the one template of its keys at its depth, built once per
-    call, with the values filled in. A short container met again at the
+    children inline, and its text is one join of its template with the
+    values filled in: a list's for its length, a dict's for its keys at
+    its depth, built once per call. A short container met again at the
     same depth (a check report's witness points and observed lists are
     shared, see _check_json) reuses its text. On a 2-core Xeon with
     CPython 3.11 (five runs, each the median of 15 calls), the benchmark's
@@ -442,16 +442,15 @@ _JSON_PIECE_DEPTH = 2
 def _json_pieces(obj, depth: int = 0,
                  texts: Optional[dict] = None, templates: Optional[dict] = None) -> Iterator[str]:
     """_json_text(obj) in pieces, in order: a container above
-    _JSON_PIECE_DEPTH yields its own text and its scalars' as one piece
-    up to each child container, whose pieces come next, and a container
-    at that depth is one piece, so that a report can be written while only
-    one results entry's text exists. One texts and templates cache serves
-    every piece (see _json_write)."""
+    _JSON_PIECE_DEPTH yields the text before each value, that value's
+    pieces and its closing text, and a container at that depth is one
+    piece, so that a report can be written while only one results entry's
+    text exists. One texts and templates cache serves every piece (see
+    _json_write)."""
     if texts is None or templates is None:
         texts, templates = {}, {}
     kind = type(obj)
-    scalars = _JSON_SCALARS
-    scalar = scalars.get(kind)
+    scalar = _JSON_SCALARS.get(kind)
     if scalar is not None:
         yield scalar(obj)
         return
@@ -459,27 +458,15 @@ def _json_pieces(obj, depth: int = 0,
         yield _json_write(obj, depth, texts, templates)
         return
     if kind is dict:
-        # the text before each value, and after the last
-        template = _dict_template(obj, depth)
-        befores, end, values = template[0:-1:2], template[-1], obj.values()
+        frame, values = _dict_template(obj, depth)[::2], obj.values()
     elif kind is list:
-        inner = "\n" + " " * (_JSON_INDENT * (depth + 1))
-        befores = ["[" + inner] + ["," + inner] * (len(obj) - 1)
-        end, values = "\n" + " " * (_JSON_INDENT * depth) + "]" if obj else "[]", obj
+        frame, values = _list_template(len(obj), depth)[::2], obj
     else:
         raise TypeError(f"a {kind.__name__} has no JSON form")
-    held: list[str] = []
-    for before, value in zip(befores, values):
-        held.append(before)
-        scalar = scalars.get(type(value))
-        if scalar is not None:
-            held.append(scalar(value))
-        else:
-            yield "".join(held)
-            held.clear()
-            yield from _json_pieces(value, depth + 1, texts, templates)
-    held.append(end)
-    yield "".join(held)
+    for before, value in zip(frame, values):
+        yield before
+        yield from _json_pieces(value, depth + 1, texts, templates)
+    yield frame[-1]
 
 
 # _json_write keeps a container's text only up to this length: enough for a
@@ -501,26 +488,16 @@ def _json_write(obj, depth: int, texts: dict[tuple[int, int], str],
         template = templates.get(shape)
         if template is None:
             template = templates[shape] = _dict_template(obj, depth)
-        values = obj.values()
+        template, values = template.copy(), obj.values()
     elif kind is list:
-        values = obj
+        template, values = _list_template(len(obj), depth), obj
     else:
         raise TypeError(f"a {kind.__name__} has no JSON form")
     scalars, inner_depth = _JSON_SCALARS, depth + 1
-    items = [scalar(v) if (scalar := scalars.get(type(v))) is not None
-             else texts.get((id(v), inner_depth))
-             or _json_write(v, inner_depth, texts, templates) for v in values]
-    if kind is dict:
-        filled = template.copy()
-        filled[1::2] = items
-        out = "".join(filled)
-    elif items:  # one join, so that a long list's text is built in one copy
-        inner = "\n" + " " * (_JSON_INDENT * inner_depth)
-        items[0] = "[" + inner + items[0]
-        items[-1] += "\n" + " " * (_JSON_INDENT * depth) + "]"
-        out = ("," + inner).join(items)
-    else:
-        out = "[]"
+    template[1::2] = [scalar(v) if (scalar := scalars.get(type(v))) is not None
+                      else texts.get((id(v), inner_depth))
+                      or _json_write(v, inner_depth, texts, templates) for v in values]
+    out = "".join(template)
     if len(out) <= _JSON_KEPT_TEXT:
         texts[id(obj), depth] = out
     return out
@@ -540,6 +517,17 @@ def _dict_template(keys, depth: int) -> list[Optional[str]]:
     pieces.append("\n" + " " * (_JSON_INDENT * depth) + "}")
     template: list[Optional[str]] = [None] * (2 * len(pieces) - 1)
     template[::2] = pieces
+    return template
+
+
+def _list_template(n: int, depth: int) -> list[Optional[str]]:
+    """The text of a list of n values at depth, laid out as _dict_template's."""
+    if not n:
+        return ["[]"]
+    inner = "\n" + " " * (_JSON_INDENT * (depth + 1))
+    template: list[Optional[str]] = ["," + inner, None] * n
+    template[0] = "[" + inner
+    template.append("\n" + " " * (_JSON_INDENT * depth) + "]")
     return template
 
 

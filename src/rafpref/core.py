@@ -77,7 +77,7 @@ class InvalidGridError(RafprefError, ValueError):
 
 
 class InvalidArityError(InvalidGridError):
-    """Grid arity below two."""
+    """Grid arity not an integer, or below two."""
 
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$", re.ASCII)
@@ -117,14 +117,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _exact(value) -> bool:
+    """Whether value is an int or a Fraction, not a bool: the values that a
+    profile or a grid holds."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def coerce_rational(value: RationalLike) -> Fraction:
     """Accept Fraction, int, or rational string. Floats are refused."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise RationalParseError(f"cannot interpret {value!r} as an exact rational")
-    if isinstance(value, int):
-        return Fraction(value)
+    if _exact(value):
+        return value if isinstance(value, Fraction) else Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
@@ -214,6 +216,9 @@ class Raf:
             raise ArityMismatchError(
                 f"expected {self.context.arity} values, got {len(self.values)}"
             )
+        for v in self.values:
+            if not _exact(v):
+                raise RationalParseError(f"availability {v!r:.40} is not an int or a Fraction")
         ratios = [v.as_integer_ratio() for v in self.values]
         for v, (p, q) in zip(self.values, ratios):
             if not 0 <= p <= q:  # q > 0
@@ -296,11 +301,15 @@ class GridSpec:
         if not self.levels:
             raise InvalidGridError("a grid needs at least one level")
         for v in self.levels:
+            if not _exact(v):
+                raise InvalidGridError(f"level {v!r:.40} is not an int or a Fraction")
             if v < ZERO or v > ONE:
                 raise InvalidGridError(f"level {format_rational(v)} outside [0, 1]")
         for lo, hi in zip(self.levels, self.levels[1:]):
             if lo >= hi:
                 raise InvalidGridError("levels must be strictly increasing")
+        if type(self.arity) is not int:
+            raise InvalidArityError(f"arity {self.arity!r:.40} is not an int")
         if self.arity < 2:
             raise InvalidArityError("arity must be at least 2")
 
@@ -308,7 +317,7 @@ class GridSpec:
     def of(cls, levels: Iterable[RationalLike], arity: int) -> "GridSpec":
         """Normalizing constructor: coerces, sorts, and deduplicates levels."""
         distinct = sorted({coerce_rational(v) for v in levels})
-        return cls(tuple(distinct), int(arity))
+        return cls(tuple(distinct), arity)
 
     @property
     def size(self) -> int:

@@ -772,6 +772,43 @@ def test_failed_write_is_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: standard output: No space left on device\n"
 
 
+class FailsPartway(io.StringIO):
+    """A standard output that takes the first few writes, then raises error."""
+
+    def __init__(self, error, accepted):
+        super().__init__()
+        self.error, self.accepted = error, accepted
+
+    def write(self, text):
+        if self.accepted == 0:
+            raise self.error
+        self.accepted -= 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "error,code,err",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), cli.EXIT_BROKEN_PIPE, ""),
+        (OSError(errno.ENOSPC, "No space left on device"), cli.EXIT_USAGE,
+         "error: standard output: No space left on device\n"),
+    ],
+)
+def test_write_failing_partway_through_a_stream(monkeypatch, capsys, error, code, err):
+    argv = ["check", "--relation", "wlog", "--grid", "0,1/2,1", "--arity", "2",
+            "--weights", "1,1", "--all-violations", "--format", "json"]
+    assert main(argv) == 1
+    whole = capsys.readouterr().out
+    out = FailsPartway(error, accepted=16)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == code
+    assert capsys.readouterr().err == err  # one line at most, and no traceback
+    # the stream failed after its first results entry, well before its end
+    written = out.getvalue()
+    assert whole.startswith(written) and '"axiom": ' in written
+    assert len(written) < len(whole) / 2
+
+
 def test_package_runs_as_a_module(capsys):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(

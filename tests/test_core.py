@@ -149,6 +149,15 @@ class TestRaf:
         assert raf == Raf(money_ctx, (Fraction(value), Fraction(1, 2)))
         assert (raf.numerators, raf.denominator) == ((2 * value, 1), 2)
 
+    @pytest.mark.parametrize("value", [0.0, 0.1, 2.0, "1/2", "0", True, False, None, 1j])
+    def test_only_exact_values_admitted(self, money_ctx, value):
+        # refused before any ratio is taken: a float would be stored as its
+        # binary ratio, and a bool read as 0 or 1
+        with pytest.raises(RationalParseError, match="is not an int or a Fraction$"):
+            Raf(money_ctx, (Fraction(1, 2), value))
+        with pytest.raises(RationalParseError):
+            Raf(money_ctx, (value, 0))
+
     @pytest.mark.parametrize(
         "value,text",
         [(Fraction(-1, 2), "-1/2"), (Fraction(3, 2), "3/2"), (-1, "-1"), (2, "2")],
@@ -321,6 +330,30 @@ class TestGrid:
         # the bare constructor does not sort, so it checks the order
         with pytest.raises(InvalidGridError, match="strictly increasing"):
             GridSpec((Fraction(1), Fraction(0)), 2)
+
+    @pytest.mark.parametrize(
+        "levels,arity,error",
+        [
+            ((0.0, 0.1, 1.0), 2, InvalidGridError),
+            ((2.0,), 2, InvalidGridError),
+            ((Fraction(0), True), 2, InvalidGridError),
+            ((Fraction(0), "1"), 2, InvalidGridError),
+            ((Fraction(0), Fraction(1)), 2.5, InvalidArityError),
+            ((Fraction(0), Fraction(1)), 2.0, InvalidArityError),
+            ((Fraction(0), Fraction(1)), "3", InvalidArityError),
+            ((Fraction(0), Fraction(1)), True, InvalidArityError),
+        ],
+    )
+    def test_only_exact_levels_and_an_int_arity(self, monkeypatch, levels, arity, error):
+        # the constructor refuses them itself, so no point is built from them
+        monkeypatch.setattr(Raf, "__post_init__", lambda self: pytest.fail("a point was built"))
+        with pytest.raises(error, match="is not an int"):
+            GridSpec(levels, arity)
+
+    @pytest.mark.parametrize("arity", [2.5, "3", True])
+    def test_of_takes_the_arity_as_given(self, arity):
+        with pytest.raises(InvalidArityError, match="is not an int$"):
+            GridSpec.of(["0", "1"], arity)
 
     @pytest.mark.parametrize("arity", [1, 0, -3])
     def test_low_arity_has_its_own_error(self, arity):
