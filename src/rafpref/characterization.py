@@ -28,11 +28,15 @@ one filtered by construction. It hands each run over as a description:
 the placed points' ranks and a table of every weak order of the points
 left, up to 47,293 of them, one byte per rank in a column per point. A
 table and its masks depend on sizes alone, so each is built once per
-process, in C (_tail, _masks). _rows makes a run's rank tuples in C,
-already in point order, for enumerate_weak_orders; the unpruned verify
-(_sift) still evaluates every filter on every weak order, but on a
-whole run at once, as bitmasks of its rows read from the masks, and
-builds a tuple only for the survivors it lists. The two searches give
+process, in C (_tail, _masks). A walk pruned by forced pairs alone reads
+its small subtrees from tables too, of the weak orders the pairs allow;
+those depend on the pairs, so each walk builds its own and drops them
+when it ends (_dom_table, which builds _tail's with no pair forced).
+_rows makes a run's rank tuples in C, already in point order, for
+enumerate_weak_orders; the unpruned verify (_sift) still evaluates every
+filter on every weak order, but on a whole run at once, as bitmasks of
+its rows read from the masks, and builds a tuple only for the survivors
+it lists. The two searches give
 the same survivors and verdict; they differ in checked, pruned_away,
 pruned_by, pass_counts and elapsed_ms (see CharacterizationReport). The
 search runs in one process.
@@ -90,17 +94,19 @@ class WalkBudgetError(RafprefError):
 DEFAULT_MAX_POINTS = 9
 # The most points enumerate_weak_orders takes whatever its max_points says.
 # It bounds the work: the fubini(17) = 1.3e17 weak orders of 17 points
-# could never be drained. It also keeps every rank below 16, so that a
-# tail table holds one in a byte.
+# could never be drained. It also keeps every rank of a plain walk below
+# 16, so that _PLUS shifts a tail table's ranks within their bytes; a
+# pruned walk of more points reads a table only while its ranks stay below.
 _WALK_MAX_POINTS = 16
-# With nothing to refuse, the walk makes the subtree of a node with at
-# most this many points left one run, read from a table of rank columns
-# of one byte per rank, built once per process: 47,293 rows at 7 points,
-# 331 KB per depth and 262 KB of masks. The walk of 8 points is 255 runs,
-# against 6,471 with tables of 5. In one interpreter per size (2-core
-# Xeon, CPython 3.11, best of six after a first call, two rounds), the
-# unpruned SM+WeakIWA verify of {0,1}^3 took 3.8-4.0 ms with tables of 7,
-# 3.3-5.8 with 6 and 12 with 5, and the 9-point unpruned WeakIWA verify
+# With no group axiom to check, the walk makes the subtree of a node with
+# at most this many points left one run, read from a table of rank columns
+# of one byte per rank: a pruned walk's own table of the orders its forced
+# pairs allow, or a plain walk's, built once per process, 47,293 rows at 7
+# points, 331 KB per depth and 262 KB of masks. The walk of 8 points is
+# 255 runs, against 6,471 with tables of 5. In one interpreter per size
+# (2-core Xeon, CPython 3.11, best of six after a first call, two rounds),
+# the unpruned SM+WeakIWA verify of {0,1}^3 took 3.8-4.0 ms with tables of
+# 7, 3.3-5.8 with 6 and 12 with 5, and the 9-point unpruned WeakIWA verify
 # 29-45, 80-85 and 241-276 ms; the first {0,1}^3 verify, which builds
 # every table it reads, took 27-31 ms with 7 and 21-34 with tuple tables
 # of 5. Tables of 8 would hold 545,835 rows, 4.4 MB per depth plus 4.4 MB
@@ -260,14 +266,13 @@ def proof_trace_check(rel, a: Raf, b: Raf) -> ProofTrace:
 # ---------------------------------------------------------------------------
 
 
-def _eligible(remaining: int, dom: list[int], pruned_by: dict[str, int]) -> int:
+def _eligible(remaining: int, dom: list[int]) -> int:
     """The points of remaining whose forced dominators are all placed; the
-    completions that the others would lead to go on pruned_by["dominators"]."""
+    completions that the others would lead to number _refused(r, e)."""
     eligible = remaining
     for b in _members(remaining):
         if dom[b] & remaining:
             eligible ^= 1 << b
-    pruned_by["dominators"] += _refused(remaining.bit_count(), eligible.bit_count())
     return eligible
 
 
@@ -358,16 +363,23 @@ def _runs(
     its rank tuples in point order. A leaf is its ranks alone. In a plain
     walk, one given no pruned_by, a child with r <= _TAIL_POINTS points
     left is its whole subtree: the placed points keep their ranks, and the
-    k-th point of rest reads column k of _tail(r, d), the r-point walk's
-    ranks plus d, one byte each, built once per process. The walk of 8
+    k-th point of rest reads column k of _tail(r, depth), the r-point
+    walk's ranks as the child of a node at that depth takes them, one
+    byte each, built once per process. The walk of 8
     points is 255 such runs. Relabelling rest onto 0..r-1 keeps the order
     of its bits, so the rows are exactly the subtree the walk would visit.
-    A table holds every weak order of r points, so a pruned walk, even
-    with nothing to refuse, takes none: it reads each block's bits inline
-    and counts its steps, raising WalkBudgetError past WALK_BUDGET. A run
-    is handed over as a description, not as its rows, so that the unpruned
-    verify can filter it whole from the masks of its table's size (_sift)
-    and build no tuple per order.
+    A pruned walk counts its steps and raises WalkBudgetError past
+    WALK_BUDGET. With a group axiom, or with nothing to refuse, it takes
+    no table: it reads each block's bits inline. With forced pairs alone
+    the subtree below a child depends on the points left and nothing
+    else, so a child of at most _TAIL_POINTS points is one run read from
+    _dom_table, built once per walk and kept by rest in a dict of the
+    walk's own. The run adds to pruned_by and to the steps exactly what
+    the walk would have node by node, so the counts, the order and
+    whether the budget is passed stay those of a walk with no table. A
+    run is handed over as a description, not as its rows, so that the
+    unpruned verify can filter it whole from the masks of its table's
+    size (_sift) and build no tuple per order.
     """
     if not n:  # no points leave one empty order and nothing to refuse
         yield (), (), None
@@ -390,8 +402,11 @@ def _runs(
             (reason, [list(h.items()) for h in heads], [list(t.items()) for t in tails])
         )
     plain = pruned_by is None  # enumerate_weak_orders, prune=False, _tail
-    # the most points left at which a child's subtree is one run
-    tabled = _TAIL_POINTS if plain else 0
+    # the most points left at which a child's subtree is one run: of
+    # _tail in a plain walk, of _dom_table in one pruned by dom alone
+    tabled = _TAIL_POINTS if plain or dom is not None and not index else 0
+    # this walk's dominator tables, by the mask of the points left
+    tables: dict[int, _Subtree] = {}
     left = WALK_BUDGET
     places: dict[int, tuple[int, ...]] = {0: (-1,) * n}
     ranks = [0] * n
@@ -405,14 +420,15 @@ def _runs(
     rest = (1 << n) - 1
     while True:
         # a new node: the points of rest go into blocks depth, depth+1, ...
-        if plain:
+        if plain or dom is None:
             eligible = rest
         else:
-            eligible = rest if dom is None else _eligible(rest, dom, pruned_by)
+            eligible = _eligible(rest, dom)
+            pruned_by["dominators"] += _refused(rest.bit_count(), eligible.bit_count())
+        if not plain:
             left -= 1 << eligible.bit_count()
             if left < 0:
-                raise WalkBudgetError(f"the pruned walk of {n} points passed its budget of "
-                                      f"{WALK_BUDGET} steps: these axioms prune too little")
+                raise _over_budget(n)
         rems[depth] = rest
         eligs[depth] = subs[depth] = eligible
         while True:
@@ -437,14 +453,83 @@ def _runs(
                     ranks[b] = depth
                 rest ^= sub
                 r = rest.bit_count()
-                if r > tabled:
+                # a table's ranks, depth + r at most, stay below 16, so
+                # that _PLUS shifts them; deeper, a pruned walk of more
+                # points goes on node by node
+                if r > tabled or r and depth + r >= _WALK_MAX_POINTS:
                     break
                 place = places.get(rest)
                 if place is None:
                     where = dict(zip(_members(rest), count()))
                     place = places[rest] = tuple(where.get(i, -1) for i in range(n))
-                yield tuple(ranks), place, _tail(r, depth + 1) if r else None
+                if not r:
+                    cols = None
+                elif plain:
+                    cols = _tail(r, depth)
+                else:
+                    cols, refused, steps = _dom_table(rest, dom, tables)
+                    pruned_by["dominators"] += refused
+                    left -= steps
+                    if left < 0:
+                        raise _over_budget(n)
+                    if depth:
+                        cols = _shifted(cols, depth)
+                yield tuple(ranks), place, cols
         depth += 1
+
+
+def _over_budget(n: int) -> WalkBudgetError:
+    return WalkBudgetError(f"the pruned walk of {n} points passed its budget of "
+                           f"{WALK_BUDGET} steps: these axioms prune too little")
+
+
+# A pruned walk's subtree below a node, when no group axiom is checked:
+# (cols, refused, steps), the table of its weak orders, what it adds to
+# pruned_by["dominators"] and what it charges against WALK_BUDGET.
+_Subtree = tuple[tuple[bytes, ...], int, int]
+
+
+def _dom_table(
+    rest: int, dom: Optional[list[int]], tables: dict[int, _Subtree]
+) -> _Subtree:
+    """The subtree of a walk pruned by dom alone below a node whose points
+    left are rest, r >= 1 of them: the weak orders of rest that respect
+    the forced pairs inside it, in the walk's order, as r columns of one
+    byte per rank, column k for the k-th point of rest, ranks counted from
+    1 for the node's block, as a child of the root reads them. Each
+    eligible block, by decreasing bitmask, joins its rank-0 bytes with its
+    child's table, and the whole is shifted by one; the node adds _refused
+    and its 2^e steps to its children's. Within one walk the masks are
+    fixed, so the subtree depends on rest alone and tables, the walk's own
+    dict, keeps it by rest; the dict goes when the walk does. With dom
+    None nothing is forced, the subtree depends on r alone, tables keeps
+    it by r, and its table is _tail(r, 0)."""
+    key = rest if dom is not None else rest.bit_count()
+    entry = tables.get(key)
+    if entry is not None:
+        return entry
+    eligible = rest if dom is None else _eligible(rest, dom)
+    e = eligible.bit_count()
+    refused, steps = _refused(rest.bit_count(), e), 1 << e
+    members = list(_members(rest))
+    pieces: list[list[bytes]] = [[] for _ in members]
+    sub = eligible
+    while sub:
+        after = rest ^ sub
+        if after:
+            cols, more, charged = _dom_table(after, dom, tables)
+            refused += more
+            steps += charged
+            rows = len(cols[0])
+            child = iter(cols)
+        else:
+            rows, child = 1, iter(())
+        block = bytes(rows)
+        for piece, b in zip(pieces, members):
+            piece.append(block if sub >> b & 1 else next(child))
+        sub = (sub - 1) & eligible
+    entry = tables[key] = _shifted(tuple(map(b"".join, pieces)), 1), refused, steps
+    return entry
 
 
 def _rows(run: _Run) -> Iterable[tuple[int, ...]]:
@@ -459,23 +544,27 @@ def _rows(run: _Run) -> Iterable[tuple[int, ...]]:
 
 @cache
 def _tail(r: int, d: int) -> tuple[bytes, ...]:
-    """The r-point walk's rank tuples, each rank plus d, as r columns of
-    one byte per rank, column k holding point k's ranks: _rows zips a
-    child's tuples from them straight into point order, as iterating bytes
-    yields ints. Built once per process, on first use, with no rank tuple:
-    column k of _tail(r, 0) joins, run by run of _runs(r), the child
-    table's column that point k reads, or its rank repeated once per row
-    if placed. _tail(r, d) is that table shifted by one translate, as
-    ranks stay below _WALK_MAX_POINTS = 16 and d + 15 < 256."""
+    """The r-point walk's rank tuples as the child of a node at depth d
+    reads them, each rank plus d + 1, as r columns of one byte per rank,
+    column k holding point k's ranks: _rows zips a child's tuples from
+    them straight into point order, as iterating bytes yields ints. Built
+    once per process, on first use, with no rank tuple: _tail(r, 0) is
+    the table _dom_table builds for r points that no pair forces, and
+    _tail(r, d) is that table with d added to every rank."""
     if d:
-        shift = bytes(range(d, 256)) + bytes(d)
-        return tuple(col.translate(shift) for col in _tail(r, 0))
-    pieces: list[list[bytes]] = [[] for _ in range(r)]
-    for ranks, place, cols in _runs(r, None, {}, None):
-        rows = len(cols[0]) if cols else 1
-        for piece, k, v in zip(pieces, place, ranks):
-            piece.append(cols[k] if k >= 0 else bytes((v,)) * rows)
-    return tuple(map(b"".join, pieces))
+        return _shifted(_tail(r, 0), d)
+    return _dom_table((1 << r) - 1, None, {})[0]
+
+
+# _PLUS[d] translates a rank byte to the rank plus d; the ranks of a run's
+# table stay below _WALK_MAX_POINTS = 16, so d + 15 < 256
+_PLUS = tuple(bytes(range(d, 256)) + bytes(d) for d in range(_WALK_MAX_POINTS))
+
+
+def _shifted(cols: tuple[bytes, ...], d: int) -> tuple[bytes, ...]:
+    """A table's columns with every rank plus d, by one translate each."""
+    shift = _PLUS[d]
+    return tuple([col.translate(shift) for col in cols])
 
 
 # the bytes a guarded subtraction leaves, 0x80 where a >= b and 0 where
@@ -484,29 +573,29 @@ _LT_DIGITS = bytes.maketrans(b"\x80\0", b"01")
 
 
 @cache
-def _masks(r: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+def _masks(r: int) -> tuple[tuple[int, ...], ...]:
     """The masks of every tail table of r >= 1 points, built once per
-    process from _tail(r, 0): the row count, the mask of all rows, and lt,
-    where bit t of lt[k][l] is set when row t ranks point k strictly
-    before point l. Every table of r points has the same rows less a
-    constant, so one set serves every depth. Each mask is made in C, with
-    no call per row: columns a and b are read as integers, row t in byte
-    t, and with the guard bit 0x80 set in every byte of a, a - b keeps a
-    byte's guard bit exactly where a >= b, since ranks stay below 0x80 and
-    no borrow crosses a byte. Those bytes, last row first, translate to
+    process from _tail(r, 0): lt, where bit t of lt[k][l] is set when row t
+    ranks point k strictly before point l. Every table of r points has the
+    same rows less a constant, so one set serves every depth. No row ranks
+    a point before itself, so lt[k][k] is 0. Each other mask is made in C,
+    with no call per row: columns a and b are read as integers, row t in
+    byte t, and with the guard bit 0x80 set in every byte of a, a - b keeps
+    a byte's guard bit exactly where a >= b, since ranks stay below 0x80
+    and no borrow crosses a byte. Those bytes, last row first, translate to
     the digits of the mask in binary."""
     cols = _tail(r, 0)
     rows = len(cols[0])
     guard = int.from_bytes(b"\x80" * rows, "little")
     ints = [int.from_bytes(col, "little") for col in cols]
-    lt = tuple(
+    return tuple(
         tuple(
-            int((((a | guard) - b) & guard).to_bytes(rows, "big").translate(_LT_DIGITS), 2)
-            for b in ints
+            0 if k == l
+            else int((((a | guard) - b) & guard).to_bytes(rows, "big").translate(_LT_DIGITS), 2)
+            for l, b in enumerate(ints)
         )
-        for a in ints
+        for k, a in enumerate(ints)
     )
-    return rows, (1 << rows) - 1, lt
 
 
 def enumerate_weak_orders(
@@ -585,8 +674,11 @@ def _sift(
     """Every row of every run through the compiled filters in order:
     counts[0] is the number of rows, counts[k] the number that pass the
     first k filters, and kept the first cap rows that pass them all, in
-    stream order. A run is filtered whole, as a bitmask of its rows, and
-    no tuple is built but the kept ones. A pair (i, j) holds on all rows
+    stream order. A run is filtered whole, as a bitmask of its rows, its
+    row count read from its table, so a pruned walk's tables of any shape
+    pass with no filter, and no tuple is built but the kept ones. Only a
+    filter reads the masks; a filtered run is an unpruned walk's, whose
+    table is _tail's. A pair (i, j) holds on all rows
     or none when i is placed: by ranks if j is placed too, and always if
     not, as a placed point ranks before every point of rest. With i in
     rest it fails if j is placed, and otherwise reads the mask of the two
@@ -599,10 +691,10 @@ def _sift(
     stages = tuple(enumerate(filters, 1))
     for run in runs:
         ranks, place, cols = run
-        if cols is None:
-            rows = full = 1
-        else:
-            rows, full, lt = _masks(len(cols))
+        rows = 1 if cols is None else len(cols[0])
+        full = (1 << rows) - 1
+        if stages and cols is not None:
+            lt = _masks(len(cols))
         counts[0] += rows
         alive = full
         for k, (kind, data) in stages:

@@ -52,6 +52,7 @@ from rafpref.characterization import (
     SURVIVOR_LISTING_CAP,
     VERIFY_AXIOMS,
     _TAIL_POINTS,
+    _WALK_MAX_POINTS,
     _audit_survivor,
     _compile_constraint,
     _masks,
@@ -527,6 +528,62 @@ def forward_checks(draw):
     return n, dom, groups
 
 
+@st.composite
+def large_dominator_masks(draw, n, kind):
+    """Dominator masks of n points, of one of three kinds. "random": a
+    chain along a random order, cut in at most two places, so that at most
+    16,081 weak orders survive on 9 points, and each other pair that
+    agrees with the order forced with a drawn chance. "cyclic" adds a
+    cycle and "selfdom" a point that must beat itself, both past the first
+    two points of the order, whose dominators are only earlier points:
+    placing them one at a time leaves a child of at most 7 points that no
+    weak order completes, a table of 0 rows."""
+    rng = draw(st.randoms(use_true_random=True))
+    order = rng.sample(range(n), n)
+    cuts = rng.sample(range(1, n), rng.randint(0, 2))
+    chance = rng.choice([0, 0.1, 0.3, 0.6])
+    dom = [0] * n
+    for k in range(1, n):
+        j = order[k]
+        if k not in cuts:
+            dom[j] |= 1 << order[k - 1]
+        for i in order[:k]:
+            if rng.random() < chance:
+                dom[j] |= 1 << i
+    late = rng.sample(order[2:], rng.randint(1, 3))
+    if kind == "cyclic":
+        for a, b in zip(late, late[1:] + late[:1]):
+            dom[b] |= 1 << a  # a 1-cycle when late has one point
+    elif kind == "selfdom":
+        dom[late[0]] |= 1 << late[0]
+    return dom
+
+
+def _dominated_orders(dom: list) -> list:
+    """Every weak order of range(len(dom)) with rank[i] < rank[j] for each
+    bit i of dom[j], recursively, in the walk's order: at each node every
+    nonempty set of points whose dominators are all placed, as the next
+    block, by decreasing bitmask."""
+    n = len(dom)
+    ranks = [0] * n
+    out = []
+
+    def node(rest, depth):
+        eligible = sum(1 << b for b in range(n) if rest >> b & 1 and not dom[b] & rest)
+        for block in range(eligible, 0, -1):
+            if block & eligible == block:
+                for b in range(n):
+                    if block >> b & 1:
+                        ranks[b] = depth
+                if block == rest:
+                    out.append(tuple(ranks))
+                else:
+                    node(rest ^ block, depth + 1)
+
+    node((1 << n) - 1, 0)
+    return out
+
+
 def _reference_walk(r: int) -> list:
     """The plain walk of r points, recursively: at each node the leaf
     first, then every proper nonempty subset of the points left as the
@@ -608,7 +665,7 @@ class TestWalk:
     def test_tail_table_is_the_small_walk(self, fresh_tables, r):
         reference = _reference_walk(r)
         for d in (0, 1, 3):
-            rows = [tuple(x + d for x in rv) for rv in reference]
+            rows = [tuple(x + d + 1 for x in rv) for rv in reference]
             cols = _tail(r, d)
             assert cols == tuple(bytes(c) for c in zip(*rows))
             assert all(type(c) is bytes for c in cols)
@@ -618,9 +675,9 @@ class TestWalk:
         # bit t of lt[k][l] is set exactly when row t ranks k before l,
         # read bit by bit: the binary digits of a mask, lowest first
         cols = _tail(r, 0)
-        rows, full, lt = _masks(r)
-        assert rows == len(cols[0]) == fubini(r)
-        assert full == (1 << rows) - 1
+        lt = _masks(r)
+        rows = len(cols[0])
+        assert rows == fubini(r)
         assert len(lt) == r and all(len(masks) == r for masks in lt)
         for a, masks in zip(cols, lt):
             for b, mask in zip(cols, masks):
@@ -639,6 +696,49 @@ class TestWalk:
             rv for rv in self.PLAIN[n] if all(rv[i] < rv[j] for i, j in forced)
         ]
         assert len(pruned) + sum(pruned_by.values()) == fubini(n)
+
+    @pytest.mark.parametrize("kind", ["random", "cyclic", "selfdom"])
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_dominator_tables_at_full_size(self, n, kind, data):
+        # with no group to check, every child of at most _TAIL_POINTS
+        # points is one run read from the walk's dominator table
+        dom = data.draw(large_dominator_masks(n, kind))
+        pruned_by = {"dominators": 0}
+        runs = list(_runs(n, dom, {}, pruned_by))
+        walked = list(chain.from_iterable(map(_rows, runs)))
+        assert walked == _dominated_orders(dom)
+        assert len(walked) + pruned_by["dominators"] == fubini(n)
+        tables = [cols for _, _, cols in runs if cols is not None]
+        assert max(map(len, tables)) >= 6
+        assert all(len(cols) <= _TAIL_POINTS for cols in tables)
+        if kind != "random":
+            assert not walked and any(not cols[0] for cols in tables)
+
+    def test_deep_pruned_walk_reads_tables_only_while_ranks_fit(self):
+        # 9 pairs, each forced after the pair before: a pair is tied, or
+        # its odd point first, or its even one, 3^9 weak orders of 18
+        # points; a path that splits every pair ranks the last point 17,
+        # past the 16 ranks a table's byte shift covers, so its deep
+        # children are walked node by node
+        n = 18
+        dom = [0] * n
+        for b in range(2, n):
+            dom[b] = 0b11 << (b & ~1) - 2
+        orders = [()]
+        for _ in range(n // 2):
+            orders = [
+                rv + (d + x, d + y)
+                for rv in orders
+                for d in [max(rv, default=-1) + 1]
+                for x, y in ((0, 0), (1, 0), (0, 1))
+            ]
+        pruned_by = {"dominators": 0}
+        runs = list(_runs(n, dom, {}, pruned_by))
+        assert list(chain.from_iterable(map(_rows, runs))) == orders
+        assert len(orders) + pruned_by["dominators"] == fubini(n)
+        assert max(max(cols[-1]) for _, _, cols in runs if cols) == _WALK_MAX_POINTS - 1
 
     @settings(max_examples=150, deadline=None)
     @given(forward_checks())
@@ -888,12 +988,13 @@ class TestVerify:
 
     def test_short_tail_table_fails_the_fubini_check(self, monkeypatch, fresh_tables):
         # a run counts the rows of its table, not fubini(r): a 3-point table
-        # one row short loses one row in each of the four runs that read it
+        # one row short loses one row in each of the four runs that read it,
+        # the children of the root
         real = _tail
 
         def short(r, d):
             cols = real(r, d)
-            return tuple(col[:-1] for col in cols) if r == 3 else cols
+            return tuple(col[:-1] for col in cols) if (r, d) == (3, 0) else cols
 
         monkeypatch.setattr(characterization, "_tail", short)
         with pytest.raises(RafprefError, match="covered 71 candidates"):
@@ -1220,6 +1321,40 @@ class TestWalkBudget:
         with pytest.raises(characterization.WalkBudgetError, match="of 8 points .* budget of 27 steps"):
             verify_characterization(spec, [SM, WEAK_IWA])
 
+    @pytest.mark.parametrize(
+        "levels,arity,axiom,steps,survivors",
+        [(["0", "1/2", "1"], 2, SM, 1_142, 197), (["0", "1"], 3, WD, 766_544, 249_271)],
+    )
+    def test_pair_only_steps_are_counted_exactly(self, monkeypatch, levels, arity, axiom, steps, survivors):
+        # with no group axiom, a child of at most _TAIL_POINTS points is
+        # read from a table and charged every step its subtree's nodes
+        # would take, so the walk stops at the same step count
+        spec = GridSpec.of(levels, arity)
+        monkeypatch.setattr(characterization, "WALK_BUDGET", steps)
+        assert verify_characterization(spec, [axiom]).survivor_count == survivors
+        monkeypatch.setattr(characterization, "WALK_BUDGET", steps - 1)
+        points = len(levels) ** arity
+        with pytest.raises(characterization.WalkBudgetError,
+                           match=f"^the pruned walk of {points} points .* budget of {steps - 1} steps"):
+            verify_characterization(spec, [axiom])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_charge_every_node(self, monkeypatch, n):
+        # a node with m points left is charged 2^m, and comb(n, m) *
+        # fubini(n - m) nodes of the n-point walk leave m: a walk with
+        # nothing to refuse, node by node, and the dominator tables of one
+        # whose masks force nothing charge exactly that
+        steps = sum(comb(n, m) * fubini(n - m) << m for m in range(1, n + 1))
+        for dom, reasons in ((None, []), ([0] * n, ["dominators"])):
+            monkeypatch.setattr(characterization, "WALK_BUDGET", steps)
+            pruned_by = dict.fromkeys(reasons, 0)
+            runs = _runs(n, dom, {}, pruned_by)
+            assert sum(len(cols[0]) if cols else 1 for _, _, cols in runs) == fubini(n)
+            assert sum(pruned_by.values()) == 0
+            monkeypatch.setattr(characterization, "WALK_BUDGET", steps - 1)
+            with pytest.raises(characterization.WalkBudgetError):
+                list(_runs(n, dom, {}, dict.fromkeys(reasons, 0)))
+
     def test_heaviest_pruned_walk_finishes_under_a_tenth(self, monkeypatch):
         # WeakIWA alone on {0,1/3,2/3,1}^2 takes 336,408 steps, the most of
         # any pruned walk in the tests and scripts
@@ -1234,6 +1369,17 @@ class TestWalkBudget:
         monkeypatch.setattr(characterization, "WALK_BUDGET", 10_000)
         with pytest.raises(characterization.WalkBudgetError, match="^the pruned walk of 16 points"):
             verify_characterization(GridSpec.of(["0", "1"], 4), [SM])
+
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_deep_pair_only_walk_stops(self, monkeypatch, k):
+        # SM alone on the k-level square places one anti-diagonal per
+        # depth: its first descent goes past depth 16 with points left
+        # before the budget, and the walk stops as node by node
+        levels = ["0", *(f"{i}/{k - 1}" for i in range(1, k - 1)), "1"]
+        monkeypatch.setattr(characterization, "WALK_BUDGET", 20_000)
+        with pytest.raises(characterization.WalkBudgetError,
+                           match=f"^the pruned walk of {k * k} points .* budget of 20000 steps"):
+            verify_characterization(GridSpec.of(levels, 2), [SM])
 
     def test_node_charged_before_its_blocks_are_tried(self, monkeypatch):
         # WeakIWA alone leaves all 27 points eligible at the root: its
