@@ -34,7 +34,8 @@ Each axiom has one scan, and every scan has one shape: it returns
 (tuples examined, qualifying, violation count, witnesses), with exact
 counts and the witnesses as a lazy stream in canonical order. run_checks
 runs the requested scans in one pass over ALL_AXIOMS and draws only the
-witnesses the config records.
+witnesses the config records; a scan with no violation draws none, so a
+clean audit never starts a witness stream.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, partial, reduce
+from heapq import merge
 from itertools import compress, count, islice, product, repeat
 from math import gcd
 from operator import add, and_, getitem, is_not
@@ -546,7 +548,8 @@ class _Sample:
         self, rel: PreferenceRelation, axioms: Iterable[AxiomId], config: CheckConfig = DEFAULT_CONFIG
     ) -> AxiomReport:
         """One pass over ALL_AXIOMS, running each requested axiom's scan
-        on rel and drawing only the recorded witnesses."""
+        on rel and drawing only the recorded witnesses: a scan with no
+        violation draws none, so its witness stream is never started."""
         requested = set(axioms)
         unknown = requested - set(ALL_AXIOMS)
         if unknown:
@@ -557,7 +560,8 @@ class _Sample:
         for axiom in (a for a in ALL_AXIOMS if a in requested):
             examined, qualifying, count, witnesses = _SCANS[axiom](audit, axiom)
             results.append(AxiomResult(
-                axiom, count == 0, examined, qualifying, count, tuple(islice(witnesses, recorded))
+                axiom, count == 0, examined, qualifying, count,
+                tuple(islice(witnesses, recorded)) if count else (),
             ))
         return AxiomReport(tuple(results), self.n)
 
@@ -579,9 +583,9 @@ class _Audit:
         self.sample = sample
         self.points, self.n = sample.points, sample.n
         self.table: list[list[Optional[ComparisonOutcome]]] = [[None] * self.n for _ in range(self.n)]
-        self._tallies: dict[AxiomId, tuple[int, int, dict]] = {}
+        self._tallies: dict[AxiomId, tuple[int, int, list]] = {}
 
-    def tally(self, axiom: AxiomId) -> tuple[int, int, dict]:
+    def tally(self, axiom: AxiomId) -> tuple[int, int, list]:
         """A quadruple axiom's class tally, counted once per audit and
         kept: IWA and WeakIWA share theirs."""
         key = _class_key(axiom)
@@ -589,12 +593,13 @@ class _Audit:
             self._tallies[key] = self._count(key)
         return self._tallies[key]
 
-    def _count(self, axiom: AxiomId) -> tuple[int, int, dict]:
+    def _count(self, axiom: AxiomId) -> tuple[int, int, list]:
         """(qualifying, violation_count, mixed) over a quadruple axiom's
         classes. A class with t pairs of weak verdict true and f of false
         holds (t+f)^2 qualifying quadruples, 2tf of them violations; mixed
-        maps each pair of a class with both verdicts to the witness index
-        and the class.
+        lists each class with both verdicts once, as (witness index,
+        members), in no per-pair form: _quad_scan merges the members only
+        as far as the witnesses it is asked for.
 
         NonCompensation's classes hold every pair and WeakIWA's every pair
         off the diagonal, so those are filled in bulk; Axiom2MS's hold only
@@ -610,7 +615,7 @@ class _Audit:
         else:
             table = self.fill(diagonal=axiom is AxiomId.NON_COMPENSATION)
         qualifying = violation_count = 0
-        mixed: dict[tuple[int, int], tuple[Optional[int], list[tuple[int, int]]]] = {}
+        mixed: list[tuple[Optional[int], list[tuple[int, int]]]] = []
         for key, members in classes.items():
             # a generator, not a list: a WeakIWA class can hold n^2/4 pairs;
             # maps of itemgetters and getitem ran 40-60% slower per member
@@ -619,8 +624,7 @@ class _Audit:
             qualifying += len(members) ** 2
             if t and f:
                 violation_count += 2 * t * f
-                for pair in members:
-                    mixed[pair] = (key[0], members)
+                mixed.append((key[0], members))
         return qualifying, violation_count, mixed
 
     def outcome(self, i: int, j: int) -> ComparisonOutcome:
@@ -766,14 +770,18 @@ def _quad_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Quadruple audit counted over the axiom's hypothesis classes.
 
     Witnesses come in row-major order: for each pair, the members of its
-    class with the opposite verdict.
+    class with the opposite verdict. Every pair lies in one class at most
+    and each class lists its members row-major, so a lazy merge of the
+    mixed classes' member lists yields the pairs in that order, each with
+    its class, and a first witness costs no pass over every mixed pair.
     """
     points, table = audit.points, audit.table
     qualifying, violation_count, mixed = audit.tally(axiom)
 
     def witnesses() -> Iterator[AxiomViolation]:
-        for i, j in sorted(mixed):
-            index, members = mixed[i, j]
+        # no two classes share a pair, so the merge never compares two
+        # (index, members) tags, whose index may be None
+        for (i, j), (index, members) in merge(*[zip(m[1], repeat(m)) for m in mixed]):
             weak = table[i][j] is not _SECOND
             for k, l in members:
                 if (table[k][l] is not _SECOND) != weak:

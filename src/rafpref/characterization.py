@@ -114,9 +114,10 @@ _WALK_MAX_POINTS = 16
 # to 528-657 ms and peak RSS from 18 to 36 MB.
 _TAIL_POINTS = 7
 # The most steps verify's pruned walk takes: a node with e eligible points
-# runs its block loop 2^e times and is charged them as it is entered. The
-# heaviest pruned walk of the tests and scripts, WeakIWA alone on
-# {0,1/3,2/3,1}^2, takes 336,408; a runaway walk stops within seconds (README).
+# runs its block loop 2^e times and is charged them as it is entered
+# (_charge). The heaviest pruned walk of the tests and scripts, WeakIWA
+# alone on {0,1/3,2/3,1}^2, takes 336,408; a runaway walk stops within
+# seconds (README).
 WALK_BUDGET = 4_000_000
 SURVIVOR_LISTING_CAP = 10
 
@@ -426,9 +427,7 @@ def _runs(
             eligible = _eligible(rest, dom)
             pruned_by["dominators"] += _refused(rest.bit_count(), eligible.bit_count())
         if not plain:
-            left -= 1 << eligible.bit_count()
-            if left < 0:
-                raise _over_budget(n)
+            left = _charge(left, eligible, n)
         rems[depth] = rest
         eligs[depth] = subs[depth] = eligible
         while True:
@@ -476,6 +475,17 @@ def _runs(
                         cols = _shifted(cols, depth)
                 yield tuple(ranks), place, cols
         depth += 1
+
+
+def _charge(left: int, eligible: int, n: int) -> int:
+    """What a pruned walk of n points has left of its budget once it enters
+    a node with these eligible points: the node is charged the 2^e runs of
+    its block loop before any is run. WalkBudgetError when that leaves less
+    than nothing."""
+    left -= 1 << eligible.bit_count()
+    if left < 0:
+        raise _over_budget(n)
+    return left
 
 
 def _over_budget(n: int) -> WalkBudgetError:
@@ -825,7 +835,9 @@ def verify_characterization(
     TooManyPointsError a grid past require_check_bound, InvalidGridError
     one of one level (a vacuous pass), and UnprunedWalkError more than
     DEFAULT_MAX_POINTS points with prune=False. The pruned walk raises
-    WalkBudgetError past WALK_BUDGET steps.
+    WalkBudgetError past WALK_BUDGET steps; its root is charged before any
+    group axiom's classes are built, so a walk that fails there (every
+    point eligible, from 22 points on) fails in the memory of its points.
 
     workers is accepted and ignored: the search runs in one process.
     """
@@ -853,24 +865,32 @@ def verify_characterization(
         )
     sample = _Sample(grid_points(grid))
     order = tuple(a for a in VERIFY_AXIOMS if a in requested)
-    constraints = [_compile_constraint(a, sample) for a in order]
-    # the pruned walk's constraints; the pair axioms come first, and so does
-    # "dominators" in pruned_by. A group list that is empty, or that an earlier
-    # reason checks (IWA's is WeakIWA's), refuses nothing but keeps its 0
+    # the pruned walk's constraints; the pair axioms come first in order, and
+    # so does "dominators" in pruned_by
+    constraints = [_compile_constraint(a, sample) for a in order if a in PAIR_AXIOMS]
     dom: Optional[list[int]] = None
-    groups: dict[str, list] = {}
     pruned_by: dict[str, int] = {}
-    for a, (kind, data) in zip(order, constraints):
-        if kind == "forced":
-            if dom is None:
-                dom = [0] * n
-                pruned_by["dominators"] = 0
-            for i, j in data:
-                dom[j] |= 1 << i
-        else:
-            pruned_by[str(a)] = 0
-            if data and data not in groups.values():
-                groups[str(a)] = data
+    for _, data in constraints:
+        if dom is None:
+            dom = [0] * n
+            pruned_by["dominators"] = 0
+        for i, j in data:
+            dom[j] |= 1 << i
+    if prune:
+        # the walk's root, charged before any group class is built: with no
+        # pair axiom every point is eligible there, and from 22 points on its
+        # 2^n steps pass the budget at once
+        everything = (1 << n) - 1
+        _charge(WALK_BUDGET, everything if dom is None else _eligible(everything, dom), n)
+    # a group list that is empty, or that an earlier reason checks (IWA's is
+    # WeakIWA's), refuses nothing but keeps its 0
+    groups: dict[str, list] = {}
+    for a in order[len(constraints):]:
+        _, data = constraint = _compile_constraint(a, sample)
+        constraints.append(constraint)
+        pruned_by[str(a)] = 0
+        if data and data not in groups.values():
+            groups[str(a)] = data
     if not prune:  # every weak order is walked and each filter runs on it
         dom, groups, pruned_by = None, {}, {}
     walk = _runs(n, dom, groups, pruned_by if prune else None)

@@ -278,15 +278,18 @@ def _raf_json(raf: Raf) -> dict:
 
 
 def _violation_json(v: AxiomViolation, axiom: str, points: dict[Raf, dict],
-                    observed: dict[tuple, list]) -> dict:
-    """points and observed memoize across one report, as its witnesses reuse
-    few points and few outcome tuples; _json_write then reuses their texts."""
-    witness = []
-    for w in v.witness:
-        out = points.get(w)
-        if out is None:
-            out = points[w] = _raf_json(w)
-        witness.append(out)
+                    witnesses: dict[tuple, list], observed: dict[tuple, list]) -> dict:
+    """points, witnesses and observed memoize across one report, as its
+    violations reuse few points, witness tuples (IWA's and WeakIWA's are
+    the same) and outcome tuples; _json_write then reuses their texts."""
+    witness = witnesses.get(v.witness)
+    if witness is None:
+        witness = witnesses[v.witness] = []
+        for w in v.witness:
+            out = points.get(w)
+            if out is None:
+                out = points[w] = _raf_json(w)
+            witness.append(out)
     seen = observed.get(v.observed)
     if seen is None:
         seen = observed[v.observed] = [str(o) for o in v.observed]
@@ -301,6 +304,7 @@ def _violation_json(v: AxiomViolation, axiom: str, points: dict[Raf, dict],
 
 def _check_json(report: AxiomReport, relation: str) -> dict:
     points: dict[Raf, dict] = {}
+    witnesses: dict[tuple, list] = {}
     observed: dict[tuple, list] = {}
     results = []
     for r in report.results:
@@ -312,7 +316,8 @@ def _check_json(report: AxiomReport, relation: str) -> dict:
             "tuples_examined": r.tuples_examined,
             "qualifying": r.qualifying,
             "violation_count": r.violation_count,
-            "violations": [_violation_json(v, axiom, points, observed) for v in r.violations],
+            "violations": [_violation_json(v, axiom, points, witnesses, observed)
+                           for v in r.violations],
         })
     return {
         "command": "check",
@@ -422,12 +427,13 @@ def _json_text(obj) -> str:
     chain of pure-Python generators. Here a container writes its scalar
     children inline, and its text is one join of its template with the
     values filled in: a list's for its length, a dict's for its keys at
-    its depth, built once per call. A short container met again at the
-    same depth (a check report's witness points and observed lists are
-    shared, see _check_json) reuses its text. On a 2-core Xeon with
-    CPython 3.11 (five runs, each the median of 15 calls), the benchmark's
-    810 KB check report takes 6.6–10.8 ms against 12.5–18.5 ms with a call
-    per scalar and a join per dict, and json.dumps 34–55 ms.
+    its depth, each built once per call and copied. A short container met
+    again at the same depth (a check report's witness points, witness
+    lists and observed lists are shared, see _check_json) reuses its text.
+    On a 2-core Xeon with CPython 3.11 (five runs, each the median of 15
+    calls), the benchmark's 810 KB check report takes 4.7–5.7 ms, against
+    6.0–7.3 ms with one witness list per violation and a list template
+    built per list, and json.dumps 32–35 ms.
     """
     return "".join(_json_pieces(obj))
 
@@ -470,29 +476,34 @@ def _json_pieces(obj, depth: int = 0,
 
 
 # _json_write keeps a container's text only up to this length: enough for a
-# witness point of 8 alternatives at 1/2 or 1/10. A long text contains the
-# texts of its whole subtree; keeping every one would hold each level of the
-# benchmark's 810 KB check report at once: a tracemalloc peak of 4.6 MiB
-# against 1.6 MiB (CPython 3.11).
-_JSON_KEPT_TEXT = 256
+# quadruple witness of 2 alternatives, 460-470 characters at its depth in a
+# check report, which IWA's and WeakIWA's violations share. A long text
+# contains the texts of its whole subtree; keeping every one would hold each
+# level of a report at once. Streaming the benchmark's 810 KB check report
+# in pieces peaks at 1,005 KiB under tracemalloc, against 727 KiB keeping
+# texts up to 256 characters and 2,124 KiB keeping all (CPython 3.11).
+_JSON_KEPT_TEXT = 512
 
 
 def _json_write(obj, depth: int, texts: dict[tuple[int, int], str],
                 templates: dict[tuple[int, ...], list[Optional[str]]]) -> str:
     """obj's text at depth, obj a list or dict. texts holds short containers'
-    by (id, depth), templates each dict's by (depth, id of each key); the
-    whole value _json_text was given keeps every such id in use."""
+    by (id, depth), templates each dict's by (depth, id of each key) and
+    each list's by (depth, None, length); the whole value _json_text was
+    given keeps every such id in use."""
     kind = type(obj)
     if kind is dict:
-        shape = (depth, *map(id, obj))
-        template = templates.get(shape)
-        if template is None:
-            template = templates[shape] = _dict_template(obj, depth)
-        template, values = template.copy(), obj.values()
+        shape, values = (depth, *map(id, obj)), obj.values()
     elif kind is list:
-        template, values = _list_template(len(obj), depth), obj
+        # None stands where a dict's shape holds the id of its first key
+        shape, values = (depth, None, len(obj)), obj
     else:
         raise TypeError(f"a {kind.__name__} has no JSON form")
+    template = templates.get(shape)
+    if template is None:
+        template = templates[shape] = (_dict_template(obj, depth) if kind is dict
+                                       else _list_template(len(obj), depth))
+    template = template.copy()
     scalars, inner_depth = _JSON_SCALARS, depth + 1
     template[1::2] = [scalar(v) if (scalar := scalars.get(type(v))) is not None
                       else texts.get((id(v), inner_depth))

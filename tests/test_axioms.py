@@ -43,6 +43,8 @@ from rafpref.axioms import (
     PAIR_AXIOMS,
     QUAD_AXIOMS,
     AxiomViolation,
+    _SCANS,
+    _Audit,
     _Sample,
     _decode,
     _pair_signatures,
@@ -689,6 +691,114 @@ class TestClassCountMatchesBruteForce:
                 assert result.passed == (not violations)
                 assert result.tuples_examined == len(sample) ** 4
                 assert list(result.violations) == listed
+
+
+class DrawnVerdicts(PreferenceRelation):
+    """A verdict per ordered pair of profiles, as drawn: any outcome, on
+    equal profiles too, so any axiom may fail or hold."""
+
+    name = "drawn-verdicts"
+
+    def __init__(self, table: dict) -> None:
+        self.table = table
+
+    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        return self.table[a, b]
+
+
+@st.composite
+def audited_relations(draw):
+    """A sample of 1-8 profiles of arity 2 or 3 over three levels, repeats
+    allowed, and a relation on it: lex, which passes every axiom, reversed
+    lex, a drawn weak order, or a drawn verdict per ordered pair."""
+    arity = draw(st.integers(2, 3))
+    ctx = default_context(arity)
+    rows = draw(st.lists(st.tuples(*[LEVELS3] * arity), min_size=1, max_size=8))
+    points = [Raf(ctx, row) for row in rows]
+    kind = draw(st.sampled_from(["lex", "reversed-lex", "weak order", "verdicts"]))
+    if kind == "lex":
+        return LEX, points
+    if kind == "reversed-lex":
+        return ReversedLex(), points
+    if kind == "weak order":
+        distinct = list(dict.fromkeys(points))
+        ranks = draw(st.lists(st.integers(0, 3), min_size=len(distinct), max_size=len(distinct)))
+        remap = {r: i for i, r in enumerate(sorted(set(ranks)))}
+        return table_relation(RankedRelation.from_rank_map(
+            {p: remap[r] for p, r in zip(distinct, ranks)})), points
+    outcomes = st.sampled_from([FIRST, SECOND, INDIFF])
+    return DrawnVerdicts({(a, b): draw(outcomes) for a in points for b in points}), points
+
+
+class TestWitnessStreams:
+    """run_checks draws no witness from a scan that counts no violation, so
+    the count and the stream are cross-checked here, straight from _SCANS."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(audited_relations())
+    def test_each_stream_holds_exactly_its_count(self, case):
+        rel, points = case
+        audit = _Audit(rel, _Sample(points))
+        for axiom in ALL_AXIOMS:
+            _, _, count, witnesses = _SCANS[axiom](audit, axiom)
+            assert sum(1 for _ in witnesses) == count
+
+    def test_clean_scans_draw_no_witness(self, nine_grid, monkeypatch):
+        # lex passes every axiom, so no scan's stream may be drawn from
+        config = CheckConfig(all_violations=True)
+        report = run_checks(LEX, nine_grid, config=config)
+        assert report.passed
+
+        def guarded(scan):
+            def run(audit, axiom):
+                *counts, _ = scan(audit, axiom)
+                return (*counts, map(pytest.fail, ["a clean scan's witness stream was drawn"]))
+            return run
+
+        for axiom, scan in list(_SCANS.items()):
+            monkeypatch.setitem(_SCANS, axiom, guarded(scan))
+        assert run_checks(LEX, nine_grid, config=config) == report
+
+
+def sorted_class_witnesses(axiom, rel, points):
+    """Every quadruple witness as a sort of every pair of every mixed class
+    lists them: each pair, row-major, with the members of its class whose
+    weak verdict is the opposite, in their row-major order."""
+    def weak(i, j):
+        return rel.at_least_as_good(points[i], points[j])
+
+    mixed = {}
+    for key, members in _Sample(points).classes(axiom).items():
+        if len({weak(i, j) for i, j in members}) == 2:
+            for pair in members:
+                mixed[pair] = (key[0], members)
+    witnesses = []
+    for i, j in sorted(mixed):
+        index, members = mixed[i, j]
+        witnesses += [
+            AxiomViolation(
+                axiom,
+                (points[i], points[j], points[k], points[l]),
+                (rel.compare(points[i], points[j]), rel.compare(points[k], points[l])),
+                index=index,
+                detail="matching hypothesis but opposite weak verdicts",
+            )
+            for k, l in members if weak(k, l) != weak(i, j)
+        ]
+    return witnesses
+
+
+class TestQuadWitnessOrder:
+    """The quadruple scans merge their mixed classes' member lists lazily;
+    the witnesses must come as a full sort of every mixed pair lists them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(audited_relations())
+    def test_merge_lists_the_sorted_witnesses(self, case):
+        rel, points = case
+        report = run_checks(rel, points, QUAD_AXIOMS, CheckConfig(all_violations=True))
+        for result in report.results:
+            assert list(result.violations) == sorted_class_witnesses(result.axiom, rel, points)
 
 
 PAIR_REFERENCE = {

@@ -446,6 +446,33 @@ class TestVerify:
             f"{characterization.WALK_BUDGET} steps: these axioms prune too little\n"
         )
 
+    def test_budget_refused_at_the_root_before_any_class(self):
+        # NonCompensation alone leaves all 1,024 points of {0,1}^10 eligible
+        # at the root, whose 2^1024 steps are charged before its 58,025
+        # classes are built: the run peaked at 580 MiB when they were, and
+        # at 16-18 MiB since (one fresh process each, CPython 3.11). Linux
+        # carries a process's peak RSS across exec, so a small interpreter
+        # runs the verify and reads its children's peak, which the size of
+        # the test process does not reach.
+        code = (
+            "import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'rafpref', 'verify', '--levels', '0,1',"
+            " '--arity', '10', '--axioms', 'NonCompensation']\n"
+            "done = subprocess.run(argv, capture_output=True, text=True)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+            "print(done.returncode, peak, done.stderr, sep='\\n', end='')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        status, peak, err = done.stdout.split("\n", 2)
+        assert int(status) == 2
+        assert err == (
+            "error: --axioms: the pruned walk of 1024 points passed its budget of "
+            f"{characterization.WALK_BUDGET} steps: these axioms prune too little\n"
+        )
+        assert float(peak) < 64  # MiB
+
     def test_no_prune_refused_above_nine_points(self, monkeypatch, capsys):
         for name in ("grid_points", "_Sample", "_runs"):
             monkeypatch.setattr(characterization, name, _reach)
