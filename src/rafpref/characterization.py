@@ -92,11 +92,8 @@ class WalkBudgetError(RafprefError):
 # The most points enumerate_weak_orders takes by default, and that verify
 # walks with prune=False: fubini(9) = 7,087,261 leaves.
 DEFAULT_MAX_POINTS = 9
-# The most points enumerate_weak_orders takes whatever its max_points says.
-# It bounds the work: the fubini(17) = 1.3e17 weak orders of 17 points
-# could never be drained. It also keeps every rank of a plain walk below
-# 16, so that _PLUS shifts a tail table's ranks within their bytes; a
-# pruned walk of more points reads a table only while its ranks stay below.
+# The most points enumerate_weak_orders takes whatever its max_points says:
+# the fubini(17) = 1.3e17 weak orders of 17 points could never be drained.
 _WALK_MAX_POINTS = 16
 # With no group axiom to check, the walk makes the subtree of a node with
 # at most this many points left one run, read from a table of rank columns
@@ -365,23 +362,23 @@ def _runs(
     walk, one given no pruned_by, a child with r <= _TAIL_POINTS points
     left is its whole subtree: the placed points keep their ranks, and the
     k-th point of rest reads column k of _tail(r, depth), the r-point
-    walk's ranks as the child of a node at that depth takes them, one
-    byte each, built once per process. The walk of 8
-    points is 255 such runs. Relabelling rest onto 0..r-1 keeps the order
-    of its bits, so the rows are exactly the subtree the walk would visit.
-    A pruned walk counts its steps and raises WalkBudgetError past
-    WALK_BUDGET. With a group axiom, or with nothing to refuse, it takes
-    no table: it reads each block's bits inline. With forced pairs alone
-    the subtree below a child depends on the points left and nothing
-    else, so a child of at most _TAIL_POINTS points is one run read from
-    _dom_table, built once per walk and kept by rest in a dict of the
-    walk's own. The run adds to pruned_by and to the steps exactly what
-    the walk would have node by node, so the counts, the order and
-    whether the budget is passed stay those of a walk with no table. A
-    run is handed over as a description, not as its rows, so that the
-    unpruned verify can filter it whole from the masks of its table's
-    size (_sift) and build no tuple per order.
-    """
+    walk's ranks as the child of a node at that depth takes them, one byte
+    each, built once per process. The walk of 8 points is 255 such runs.
+    Relabelling rest onto 0..r-1 keeps the order of its bits, so the rows
+    are exactly the subtree the walk would visit. A pruned walk counts its
+    steps and raises WalkBudgetError past WALK_BUDGET (_charge). With a
+    group axiom, or with nothing to refuse, it takes no table: it reads
+    each block's bits inline. With forced pairs alone the subtree below a
+    child depends on the points left and nothing else, so a child of at
+    most _TAIL_POINTS points is one run read from _dom_table, built once
+    per walk and kept by rest in a dict of the walk's own, as long as its
+    ranks, depth + r at most, fit a byte; deeper, the walk goes on node by
+    node. The run adds to pruned_by and to the steps exactly what the walk
+    would have node by node, so the counts, the order and whether the
+    budget is passed stay those of a walk with no table. A run is handed
+    over as a description, not as its rows, so that the unpruned verify
+    can filter it whole from the masks of its table's size (_sift) and
+    build no tuple per order."""
     if not n:  # no points leave one empty order and nothing to refuse
         yield (), (), None
         return
@@ -427,7 +424,7 @@ def _runs(
             eligible = _eligible(rest, dom)
             pruned_by["dominators"] += _refused(rest.bit_count(), eligible.bit_count())
         if not plain:
-            left = _charge(left, eligible, n)
+            left = _charge(left, 1 << eligible.bit_count(), n)
         rems[depth] = rest
         eligs[depth] = subs[depth] = eligible
         while True:
@@ -452,10 +449,7 @@ def _runs(
                     ranks[b] = depth
                 rest ^= sub
                 r = rest.bit_count()
-                # a table's ranks, depth + r at most, stay below 16, so
-                # that _PLUS shifts them; deeper, a pruned walk of more
-                # points goes on node by node
-                if r > tabled or r and depth + r >= _WALK_MAX_POINTS:
+                if r > tabled or r and depth + r > 255:  # a table rank must fit a byte
                     break
                 place = places.get(rest)
                 if place is None:
@@ -468,29 +462,22 @@ def _runs(
                 else:
                     cols, refused, steps = _dom_table(rest, dom, tables)
                     pruned_by["dominators"] += refused
-                    left -= steps
-                    if left < 0:
-                        raise _over_budget(n)
+                    left = _charge(left, steps, n)
                     if depth:
                         cols = _shifted(cols, depth)
                 yield tuple(ranks), place, cols
         depth += 1
 
 
-def _charge(left: int, eligible: int, n: int) -> int:
-    """What a pruned walk of n points has left of its budget once it enters
-    a node with these eligible points: the node is charged the 2^e runs of
-    its block loop before any is run. WalkBudgetError when that leaves less
-    than nothing."""
-    left -= 1 << eligible.bit_count()
+def _charge(left: int, steps: int, n: int) -> int:
+    """What a pruned walk of n points has left of its budget once charged
+    steps: 2^e as a node with e eligible points is entered, or a table
+    run's steps at once. WalkBudgetError when that leaves less than nothing."""
+    left -= steps
     if left < 0:
-        raise _over_budget(n)
+        raise WalkBudgetError(f"the pruned walk of {n} points passed its budget of "
+                              f"{WALK_BUDGET} steps: these axioms prune too little")
     return left
-
-
-def _over_budget(n: int) -> WalkBudgetError:
-    return WalkBudgetError(f"the pruned walk of {n} points passed its budget of "
-                           f"{WALK_BUDGET} steps: these axioms prune too little")
 
 
 # A pruned walk's subtree below a node, when no group axiom is checked:
@@ -566,14 +553,15 @@ def _tail(r: int, d: int) -> tuple[bytes, ...]:
     return _dom_table((1 << r) - 1, None, {})[0]
 
 
-# _PLUS[d] translates a rank byte to the rank plus d; the ranks of a run's
-# table stay below _WALK_MAX_POINTS = 16, so d + 15 < 256
-_PLUS = tuple(bytes(range(d, 256)) + bytes(d) for d in range(_WALK_MAX_POINTS))
+@cache
+def _plus(d: int) -> bytes:
+    """The translate table that adds d to every rank byte below 256 - d."""
+    return bytes(range(d, 256)) + bytes(d)
 
 
 def _shifted(cols: tuple[bytes, ...], d: int) -> tuple[bytes, ...]:
     """A table's columns with every rank plus d, by one translate each."""
-    shift = _PLUS[d]
+    shift = _plus(d)
     return tuple([col.translate(shift) for col in cols])
 
 
@@ -644,8 +632,11 @@ def enumerate_weak_orders(
 
 
 def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
-    """Rank table of the priority-order comparator restricted to the points."""
+    """Rank table of the priority-order comparator restricted to the points,
+    which must be one or more and pairwise distinct (RafprefError)."""
     pts = tuple(points)
+    if not pts or len(set(pts)) != len(pts):
+        raise RafprefError("lex_ranking needs one or more pairwise distinct points")
     order = sorted(range(len(pts)), key=lambda i: pts[i].values, reverse=True)
     ranks = [0] * len(pts)
     for r, i in enumerate(order):
@@ -880,8 +871,8 @@ def verify_characterization(
         # the walk's root, charged before any group class is built: with no
         # pair axiom every point is eligible there, and from 22 points on its
         # 2^n steps pass the budget at once
-        everything = (1 << n) - 1
-        _charge(WALK_BUDGET, everything if dom is None else _eligible(everything, dom), n)
+        root = (1 << n) - 1
+        _charge(WALK_BUDGET, 1 << (n if dom is None else _eligible(root, dom).bit_count()), n)
     # a group list that is empty, or that an earlier reason checks (IWA's is
     # WeakIWA's), refuses nothing but keeps its 0
     groups: dict[str, list] = {}

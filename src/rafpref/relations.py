@@ -249,8 +249,9 @@ class _MemoizedUtilityRelation(PreferenceRelation):
     by one cross-multiplication of ints rather than by Fraction comparisons,
     which go through the numbers.Rational checks each time. A utility value
     with no exact integer ratio raises RafprefError. The memo takes no part
-    in repr, == or hash, and a hit never skips a check: _check runs on
-    every compare before the lookup.
+    in repr, == or hash. compare checks each pair's contexts, and _utility
+    checks a profile alone before the memo keeps it: a profile of another
+    context is unequal to every key, so it misses the memo and is checked.
     """
 
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -258,9 +259,6 @@ class _MemoizedUtilityRelation(PreferenceRelation):
     @abc.abstractmethod
     def _utility(self, a: Raf) -> Fraction:
         ...
-
-    def _check(self, a: Raf, b: Raf) -> None:
-        require_same_context(a, b)
 
     def _ratio(self, a: Raf) -> tuple[int, int]:
         """a's utility as its integer ratio, kept in the memo."""
@@ -273,7 +271,7 @@ class _MemoizedUtilityRelation(PreferenceRelation):
         return ratio
 
     def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
-        self._check(a, b)
+        require_same_context(a, b)
         memo = self._memo
         ra = memo.get(a) or self._ratio(a)
         rb = memo.get(b) or self._ratio(b)
@@ -297,11 +295,8 @@ class WeightedLogProductRelation(_MemoizedUtilityRelation):
     weights: WeightVector
     name: str = "wlog"
 
-    def _check(self, a: Raf, b: Raf) -> None:
-        require_same_context(a, b)
-        _require_weights_context(a, self.weights)
-
     def _utility(self, a: Raf) -> Fraction:
+        _require_weights_context(a, self.weights)
         return _weighted_product(a, self.weights)
 
 

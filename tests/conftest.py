@@ -6,6 +6,14 @@ from hypothesis import strategies as st
 from rafpref import GridSpec, PriorityContext, grid_points, make_raf
 
 
+def pytest_collection_modifyitems(items):
+    """Mark fresh_tables every test that takes the fixture of that name, so
+    that `-m fresh_tables` runs them all in a process of their own."""
+    for item in items:
+        if "fresh_tables" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.fresh_tables)
+
+
 @pytest.fixture
 def money_ctx():
     """The $40/$10 context with pay-offs, priority on $40."""

@@ -52,7 +52,6 @@ from rafpref.characterization import (
     SURVIVOR_LISTING_CAP,
     VERIFY_AXIOMS,
     _TAIL_POINTS,
-    _WALK_MAX_POINTS,
     _audit_survivor,
     _compile_constraint,
     _masks,
@@ -323,6 +322,14 @@ class TestLexRanking:
             for b in nine_grid:
                 assert rel.compare(a, b) is lex_compare(a, b)
 
+    @pytest.mark.parametrize("picks", [(), (1, 1), (3, 0, 3), (1, 0, 2, 3, 0)])
+    def test_refuses_no_points_or_a_repeated_one(self, unit_square, picks):
+        # a repeat is an equal profile built anew: ranked apart, a profile
+        # would sit strictly below its equal
+        points = [Raf(unit_square[i].context, unit_square[i].values) for i in picks]
+        with pytest.raises(RafprefError, match="^lex_ranking needs one or more pairwise distinct points$"):
+            lex_ranking(points)
+
 
 class TestCompiledFiltersMatchCheckers:
     """The verify fast paths must agree with the literal checkers."""
@@ -426,6 +433,7 @@ class TestSift:
         assert counts == total and total[0] == fubini(n) and total[-1] == len(survivors)
         assert kept == survivors[:10]
 
+    @pytest.mark.fresh_tables
     def test_tables_are_reached(self):
         # the walks above hold tail tables of every size, and leaves
         tables = [run[2] for run in _RUNS[8]]
@@ -671,7 +679,7 @@ class TestWalk:
             assert all(type(c) is bytes for c in cols)
 
     @pytest.mark.parametrize("r", range(1, _TAIL_POINTS + 1))
-    def test_masks_read_the_tail_table(self, r):
+    def test_masks_read_the_tail_table(self, fresh_tables, r):
         # bit t of lt[k][l] is set exactly when row t ranks k before l,
         # read bit by bit: the binary digits of a mask, lowest first
         cols = _tail(r, 0)
@@ -720,8 +728,8 @@ class TestWalk:
         # 9 pairs, each forced after the pair before: a pair is tied, or
         # its odd point first, or its even one, 3^9 weak orders of 18
         # points; a path that splits every pair ranks the last point 17,
-        # past the 16 ranks a table's byte shift covers, so its deep
-        # children are walked node by node
+        # past the 16 points of an unpruned walk, and its deep children
+        # are still read from tables, whose ranks fit a byte
         n = 18
         dom = [0] * n
         for b in range(2, n):
@@ -738,7 +746,21 @@ class TestWalk:
         runs = list(_runs(n, dom, {}, pruned_by))
         assert list(chain.from_iterable(map(_rows, runs))) == orders
         assert len(orders) + pruned_by["dominators"] == fubini(n)
-        assert max(max(cols[-1]) for _, _, cols in runs if cols) == _WALK_MAX_POINTS - 1
+        assert max(max(cols[-1]) for _, _, cols in runs if cols) == n - 1
+
+    @pytest.mark.parametrize("n", [40, 256, 257, 300])
+    def test_chain_reads_its_last_table_while_ranks_fit_a_byte(self, n):
+        # each point forced after the one before: one weak order, one point
+        # per node; the last 7 points are one dominator table at depth
+        # n - 8 while their ranks, up to n - 1, fit a byte, and from 257
+        # points on they are walked node by node
+        dom = [0] + [1 << (b - 1) for b in range(1, n)]
+        pruned_by = {"dominators": 0}
+        runs = list(_runs(n, dom, {}, pruned_by))
+        assert list(chain.from_iterable(map(_rows, runs))) == [tuple(range(n))]
+        assert 1 + pruned_by["dominators"] == fubini(n)
+        tables = [cols for _, _, cols in runs if cols]
+        assert tables == ([tuple(bytes([r]) for r in range(n - 7, n))] if n <= 256 else [])
 
     @settings(max_examples=150, deadline=None)
     @given(forward_checks())
@@ -1374,7 +1396,8 @@ class TestWalkBudget:
     def test_deep_pair_only_walk_stops(self, monkeypatch, k):
         # SM alone on the k-level square places one anti-diagonal per
         # depth: its first descent goes past depth 16 with points left
-        # before the budget, and the walk stops as node by node
+        # before the budget, its tables there still fit a byte, and the
+        # walk stops where it would node by node
         levels = ["0", *(f"{i}/{k - 1}" for i in range(1, k - 1)), "1"]
         monkeypatch.setattr(characterization, "WALK_BUDGET", 20_000)
         with pytest.raises(characterization.WalkBudgetError,

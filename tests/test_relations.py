@@ -35,6 +35,7 @@ from rafpref import (
     utility_compare,
     wlog_compare,
 )
+from rafpref import relations
 from rafpref.relations import MAX_WEIGHT
 from conftest import rationals01, raf_values
 
@@ -425,6 +426,20 @@ class TestUtilityMemo:
         # same values on another context: the weights no longer fit
         with pytest.raises(WeightArityMismatchError):
             rel.compare(other, other)
+
+    def test_weights_context_checked_once_per_profile(self, monkeypatch):
+        # wlog checks the weights' context as it first keeps a profile's
+        # utility, not on every compare: the 81 ordered pairs of {0,1/2,1}^2
+        # check each of the 9 profiles once
+        calls = []
+        check = relations._require_weights_context
+        monkeypatch.setattr(relations, "_require_weights_context",
+                            lambda a, weights: calls.append(a) or check(a, weights))
+        points = grid_points(GridSpec.of([0, Fraction(1, 2), 1], 2))
+        rel = WeightedLogProductRelation(WeightVector(points[0].context, (1, 1)))
+        for a, b in product(points, repeat=2):
+            rel.compare(a, b)
+        assert len(calls) == 9 and set(calls) == set(points)
 
     def test_memo_leaves_repr_eq_and_hash_alone(self, money_ctx):
         points = grid_points(GridSpec.of([0, Fraction(1, 3), Fraction(1, 2), 1], 2), money_ctx)
