@@ -8,10 +8,12 @@ deterministically.
 
 Every audit reads two tables over the n^2 ordered pairs of the sample:
 the signature of each pair, its up-set and down-set packed into one int,
-and the relation's verdicts, drawn once per pair into one table per
-audit. Every hypothesis depends only on the order of each coordinate's
-values, never on their size, so the points are first replaced by integer
-rank codes, and the signatures are built from the codes. Each hypothesis
+and the relation's verdicts, one table per audit: built from one ranking
+of the sample when the relation ranks by a key, drawn from compare at
+most once per pair otherwise. Every hypothesis depends only on the order
+of each coordinate's values, never on their size, so the points are
+first replaced by integer rank codes, and the signatures are built from
+the codes. Each hypothesis
 table is then read off the signatures with each distinct signature
 decoded once: NonCompensation's classes are the pairs grouped by
 signature, WeakIWA's classes and each pair axiom's qualifying pairs are
@@ -570,19 +572,36 @@ class _Audit:
     """One relation on a _Sample: its n x n verdict table, [i][j] None until
     i is drawn against j, and its quadruple axioms' class tallies.
 
-    A verdict is drawn one of two ways, and each ordered pair at most once.
-    The scans that read every pair off the diagonal (Mirror, Connected,
-    IWA and WeakIWA) or every pair (Transitive and NonCompensation) call
-    fill, which draws all the missing ones in one loop, and then read the
-    table inline. Reflexive, the pair axioms and Axiom2MS read only their
-    own pairs, through outcome, one call per pair.
+    A relation whose ranks hook answers (see PreferenceRelation) is asked
+    it once, and the whole table is built from its m ranks at construction:
+    row i maps the points' ranks through a slice of one strip of verdicts,
+    one per rank difference from -(m - 1) to m - 1. The hook is trusted
+    only where it is defined on the class that defines compare or below
+    it; any other relation, a subclass that overrides compare but not
+    ranks included, has its verdicts drawn through compare, each ordered
+    pair at most once. The scans that read every pair off the diagonal
+    (Mirror, Connected, IWA and WeakIWA) or every pair (Transitive and
+    NonCompensation) call fill, which draws all the missing ones in one
+    loop; Reflexive, the pair axioms and Axiom2MS call draw with their own
+    pairs. Both return the table, which the scans then read inline, and
+    draw nothing once the table is complete: from the start with the
+    hook, and after a fill of every pair.
     """
 
     def __init__(self, rel: PreferenceRelation, sample: _Sample) -> None:
         self.rel = rel
         self.sample = sample
         self.points, self.n = sample.points, sample.n
-        self.table: list[list[Optional[ComparisonOutcome]]] = [[None] * self.n for _ in range(self.n)]
+        ranks = rel.ranks(self.points) if issubclass(_owner(rel, "ranks"), _owner(rel, "compare")) else None
+        if ranks is None:
+            self.table: list[list[Optional[ComparisonOutcome]]] = [[None] * self.n for _ in range(self.n)]
+            self.complete = False
+        else:
+            m = max(ranks) + 1
+            # strip[m - 1 + d] is the verdict of a rank d above the row's
+            strip = [_SECOND] * (m - 1) + [_INDIFFERENT] + [_FIRST] * (m - 1)
+            self.table = [list(map(strip[m - 1 - r:2 * m - 1 - r].__getitem__, ranks)) for r in ranks]
+            self.complete = True
         self._tallies: dict[AxiomId, tuple[int, int, list]] = {}
 
     def tally(self, axiom: AxiomId) -> tuple[int, int, list]:
@@ -607,11 +626,7 @@ class _Audit:
         """
         classes = self.sample.classes(axiom)
         if axiom is AxiomId.AXIOM2_MS:
-            outcome = self.outcome
-            for members in classes.values():
-                for i, j in members:
-                    outcome(i, j)
-            table = self.table
+            table = self.draw(pair for members in classes.values() for pair in members)
         else:
             table = self.fill(diagonal=axiom is AxiomId.NON_COMPENSATION)
         qualifying = violation_count = 0
@@ -627,34 +642,44 @@ class _Audit:
                 mixed.append((key[0], members))
         return qualifying, violation_count, mixed
 
-    def outcome(self, i: int, j: int) -> ComparisonOutcome:
-        """The verdict of i against j, drawn on first use."""
-        row = self.table[i]
-        out = row[j]
-        if out is None:
-            out = self.rel.compare(self.points[i], self.points[j])
-            if not isinstance(out, ComparisonOutcome):
-                self._refuse(out)
-            row[j] = out
-        return out
+    def draw(self, pairs: Iterable[tuple[int, int]]) -> list[list[ComparisonOutcome]]:
+        """Draw the verdict of each listed pair still missing, and return
+        the table."""
+        if not self.complete:
+            compare, points, table = self.rel.compare, self.points, self.table
+            for i, j in pairs:
+                row = table[i]
+                if row[j] is None:
+                    out = compare(points[i], points[j])
+                    if not isinstance(out, ComparisonOutcome):
+                        self._refuse(out)
+                    row[j] = out
+        return self.table
 
     def fill(self, diagonal: bool) -> list[list[ComparisonOutcome]]:
         """Draw every verdict still missing off the diagonal, and on it too
         when diagonal is true, and return the table: one loop, in which the
         relation's compare is the only call per pair."""
-        compare, points = self.rel.compare, self.points
-        for i, (a, row) in enumerate(zip(points, self.table)):
-            if None in row:
-                for j, b in enumerate(points):
-                    if row[j] is None and (diagonal or j != i):
-                        out = compare(a, b)
-                        if not isinstance(out, ComparisonOutcome):
-                            self._refuse(out)
-                        row[j] = out
+        if not self.complete:
+            compare, points = self.rel.compare, self.points
+            for i, (a, row) in enumerate(zip(points, self.table)):
+                if None in row:
+                    for j, b in enumerate(points):
+                        if row[j] is None and (diagonal or j != i):
+                            out = compare(a, b)
+                            if not isinstance(out, ComparisonOutcome):
+                                self._refuse(out)
+                            row[j] = out
+            self.complete = diagonal
         return self.table
 
     def _refuse(self, out: object) -> None:
         raise RafprefError(f"relation {self.rel.name!r} returned {out!r}, not a ComparisonOutcome")
+
+
+def _owner(rel: PreferenceRelation, method: str) -> type:
+    """The class in rel's method resolution order that defines method."""
+    return next(cls for cls in type(rel).__mro__ if method in vars(cls))
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -675,14 +700,15 @@ _Scan = tuple[int, int, int, Iterator[AxiomViolation]]
 
 def _reflexive_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Each point compared with itself must be Indifferent."""
-    points, outcome = audit.points, audit.outcome
-    failed = [i for i in range(audit.n) if outcome(i, i) is not _INDIFFERENT]
+    points, n = audit.points, audit.n
+    table = audit.draw(zip(range(n), range(n)))
+    failed = [i for i in range(n) if table[i][i] is not _INDIFFERENT]
     witnesses = (
-        AxiomViolation(axiom, (points[i],), (outcome(i, i),),
+        AxiomViolation(axiom, (points[i],), (table[i][i],),
                        detail="comparing a profile with itself must be Indifferent")
         for i in failed
     )
-    return audit.n, audit.n, len(failed), witnesses
+    return n, n, len(failed), witnesses
 
 
 def _mirror_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
@@ -752,15 +778,16 @@ def _pair_scan(audit: _Audit, axiom: AxiomId) -> _Scan:
     """Pair audit over the qualifying pairs: only pairs that meet the
     hypothesis are put to the comparator. An indexed axiom's witness
     reports the pair's first difference, read from its signature."""
-    points, outcome, sample = audit.points, audit.outcome, audit.sample
+    points, sample = audit.points, audit.sample
     entry = _PAIR_HYPOTHESES[axiom]
     qualifying = sample.qualifying(axiom)
-    failed = [(i, j) for i, j in qualifying if outcome(i, j) is not _FIRST]
+    table = audit.draw(qualifying)
+    failed = [(i, j) for i, j in qualifying if table[i][j] is not _FIRST]
     witnesses = (
-        AxiomViolation(axiom, (points[i], points[j]), (outcome(i, j),),
+        AxiomViolation(axiom, (points[i], points[j]), (table[i][j],),
                        index=sample.decoded[sample.signatures[i * audit.n + j]][2] + 1
                        if entry.indexed else None,
-                       detail=f"{entry.requirement}; observed {outcome(i, j)}")
+                       detail=f"{entry.requirement}; observed {table[i][j]}")
         for i, j in failed
     )
     return audit.n * (audit.n - 1), len(qualifying), len(failed), witnesses

@@ -52,7 +52,8 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import GridSpec, InvalidGridError, Raf, RafprefError, first_difference, grid_points
-from .relations import ComparisonOutcome, RankedRelation, TableRelation, lex_compare, at_least_as_good
+from .relations import ComparisonOutcome, LexicographicRelation, RankedRelation, TableRelation
+from .relations import at_least_as_good, lex_compare
 from .axioms import PAIR_AXIOMS, AxiomId, TooManyPointsError, _members, _Sample, require_check_bound
 
 __all__ = [
@@ -637,11 +638,7 @@ def lex_ranking(points: Sequence[Raf]) -> RankedRelation:
     pts = tuple(points)
     if not pts or len(set(pts)) != len(pts):
         raise RafprefError("lex_ranking needs one or more pairwise distinct points")
-    order = sorted(range(len(pts)), key=lambda i: pts[i].values, reverse=True)
-    ranks = [0] * len(pts)
-    for r, i in enumerate(order):
-        ranks[i] = r
-    return RankedRelation(pts, tuple(ranks))
+    return RankedRelation(pts, tuple(LexicographicRelation().ranks(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +781,9 @@ class CharacterizationReport:
 def _audit_survivor(
     ranking: RankedRelation, axiom_set: Iterable[AxiomId], sample: _Sample
 ) -> None:
-    """Re-check a survivor through the literal checkers, asking a
-    TableRelation for every verdict; disagreement with the compiled
-    filters is an internal error, never a report.
+    """Re-check a survivor through the literal checkers, on the verdict
+    table built from its TableRelation's ranks; disagreement with the
+    compiled filters is an internal error, never a report.
 
     The scans read the per-sample tables of sample, the _Sample the
     search was compiled from, so the survivor must rank its points in

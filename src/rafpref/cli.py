@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cmp_to_key
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -591,22 +591,12 @@ def cmd_demo(args) -> int:
 def _rank_groups(
     items: Sequence[tuple[str, Raf]], rel: PreferenceRelation
 ) -> list[list[str]]:
-    def cmp(x, y) -> int:
-        out = rel.compare(x[1], y[1])
-        if out is ComparisonOutcome.FIRST_PREFERRED:
-            return -1
-        if out is ComparisonOutcome.SECOND_PREFERRED:
-            return 1
-        return 0
-
-    ordered = sorted(items, key=cmp_to_key(cmp))
-    groups: list[list[tuple[str, Raf]]] = []
-    for item in ordered:
-        if groups and rel.compare(groups[-1][0][1], item[1]) is ComparisonOutcome.INDIFFERENT:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    return [[name for name, _ in group] for group in groups]
+    """The names grouped by the relation's ranks, best first, each group in
+    document order."""
+    groups: dict[int, list[str]] = {}
+    for rank, (name, _) in zip(rel.ranks([raf for _, raf in items]), items):
+        groups.setdefault(rank, []).append(name)
+    return [groups[rank] for rank in sorted(groups)]
 
 
 def cmd_rank(args) -> int:

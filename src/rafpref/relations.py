@@ -11,6 +11,10 @@ evaluate the utility once per distinct profile per relation instance and
 compare the stored integer ratios, so a utility must be a pure function of
 the profile, and its value a number with an exact integer ratio (an int or
 a Fraction, say): any other value is refused with a RafprefError.
+
+Every relation shipped here is a total preorder given by a key (the
+profile in priority order, a utility, a table's rank), so each also
+answers the ranks hook: one sort of exact int keys ranks a whole sample.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     PriorityContext,
@@ -113,14 +117,40 @@ def _outcome_of(x, y) -> ComparisonOutcome:
     return _INDIFFERENT
 
 
+def _dense_ranks(keys: Iterable[Hashable]) -> list[int]:
+    """Rank 0 for the largest key, one rank per distinct key: one sort."""
+    keys = list(keys)
+    rank = {key: r for r, key in enumerate(sorted(set(keys), reverse=True))}
+    return list(map(rank.__getitem__, keys))
+
+
+def _require_one_context(points: Sequence[Raf]) -> None:
+    """What compare's require_same_context refuses on some pair of points."""
+    for a in points[1:]:
+        require_same_context(points[0], a)
+
+
 class PreferenceRelation(abc.ABC):
-    """Comparator contract shared by every relation and checker."""
+    """Comparator contract shared by every relation and checker.
+
+    ranks is an optional hook for relations that are total preorders given
+    by a key. Either it returns None, as here, or one non-negative int per
+    point, best lowest, such that compare(a, b) is the order of a's and
+    b's ranks: Indifferent when they are equal, FirstPreferred when a's is
+    lower. It raises what compare raises on any pair of the points. The
+    axiom audits trust the hook only where it is defined on the class that
+    defines compare or below it: a subclass that overrides compare but not
+    ranks is asked pair by pair, through compare.
+    """
 
     name: str = "relation"
 
     @abc.abstractmethod
     def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
         ...
+
+    def ranks(self, points: Sequence[Raf]) -> Optional[list[int]]:
+        return None
 
     def at_least_as_good(self, a: Raf, b: Raf) -> bool:
         return at_least_as_good(self.compare(a, b))
@@ -239,6 +269,17 @@ class LexicographicRelation(PreferenceRelation):
     def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
         return lex_compare(a, b)
 
+    def ranks(self, points: Sequence[Raf]) -> list[int]:
+        """Ranks of the profiles' numerator tuples over one common
+        denominator of the points, which order as lex_compare does."""
+        _require_one_context(points)
+        den = math.lcm(*{a.denominator for a in points})
+        return _dense_ranks(
+            a.numerators if a.denominator == den
+            else tuple(p * (den // a.denominator) for p in a.numerators)
+            for a in points
+        )
+
 
 @dataclass(frozen=True)
 class _MemoizedUtilityRelation(PreferenceRelation):
@@ -252,6 +293,8 @@ class _MemoizedUtilityRelation(PreferenceRelation):
     in repr, == or hash. compare checks each pair's contexts, and _utility
     checks a profile alone before the memo keeps it: a profile of another
     context is unequal to every key, so it misses the memo and is checked.
+    ranks makes the same checks and ranks the memoized ratios as ints over
+    one common denominator.
     """
 
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -276,6 +319,13 @@ class _MemoizedUtilityRelation(PreferenceRelation):
         ra = memo.get(a) or self._ratio(a)
         rb = memo.get(b) or self._ratio(b)
         return _outcome_of(ra[0] * rb[1], rb[0] * ra[1])
+
+    def ranks(self, points: Sequence[Raf]) -> list[int]:
+        _require_one_context(points)
+        memo = self._memo
+        ratios = [memo.get(a) or self._ratio(a) for a in points]
+        den = math.lcm(*{q for _, q in ratios})
+        return _dense_ranks(p * (den // q) for p, q in ratios)
 
 
 @dataclass(frozen=True)
@@ -375,15 +425,17 @@ class TableRelation(PreferenceRelation):
         self._rank = dict(zip(ranking.domain, ranking.ranks))
 
     def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        ra, rb = self.ranks((a, b))
+        # lower rank is better
+        return _outcome_of(rb, ra)
+
+    def ranks(self, points: Sequence[Raf]) -> list[int]:
         try:
-            ra = self._rank[a]
-            rb = self._rank[b]
+            return [self._rank[a] for a in points]
         except KeyError as missing:
             raise UnknownPointError(
                 f"point {missing.args[0]} not in table domain"
             ) from None
-        # lower rank is better
-        return _outcome_of(rb, ra)
 
 
 def table_relation(ranks: RankedRelation) -> TableRelation:

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,9 @@ from rafpref import (
     Raf,
     RafprefError,
     RankedRelation,
+    UnknownPointError,
+    UtilityRelation,
+    WeightArityMismatchError,
     WeightedLogProductRelation,
     WeightVector,
     check_axiom2_ms,
@@ -1121,3 +1125,121 @@ class TestRunChecks:
         with pytest.raises(RafprefError, match="returned 'first_preferred', not a ComparisonOutcome"):
             run_checks(rel, nine_grid, [axiom])
         assert run_checks(rel, nine_grid, [AxiomId.REFLEXIVE]).passed
+
+
+# Mixed denominators, so that profiles of one sample have different ones
+MIXED_LEVELS = [Fraction(0), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3),
+                Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+
+
+class CompareOnly(PreferenceRelation):
+    """Delegates compare to inner and has no ranks hook, so its audits
+    draw every verdict pair by pair."""
+
+    def __init__(self, inner: PreferenceRelation) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        return self.inner.compare(a, b)
+
+
+class FlippedLex(LexicographicRelation):
+    """Lex with the verdict of one ordered pair, top against bottom,
+    flipped: a subclass that overrides compare but not ranks."""
+
+    def compare(self, a: Raf, b: Raf) -> ComparisonOutcome:
+        out = lex_compare(a, b)
+        flipped = all(v == 1 for v in a.values) and not any(b.values)
+        return out.mirrored() if flipped else out
+
+
+@st.composite
+def ranked_relations(draw):
+    """A sample of 1-8 profiles of arity 2-4 over MIXED_LEVELS, repeats
+    allowed, and one of the five relations that answer the ranks hook."""
+    arity = draw(st.integers(2, 4))
+    labels = [f"x{i}" for i in range(1, arity + 1)]
+    payoffs = draw(st.lists(st.integers(0, 9), min_size=arity, max_size=arity))
+    ctx = PriorityContext.of(labels, dict(zip(labels, payoffs)))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(MIXED_LEVELS)] * arity), min_size=1, max_size=8))
+    points = [Raf(ctx, row) for row in rows]
+    kind = draw(st.sampled_from(["lex", "mep", "wlog", "utility", "table"]))
+    if kind == "lex":
+        return LexicographicRelation(), points
+    if kind == "mep":
+        return MaxExpectedPayoffRelation(), points
+    if kind == "wlog":
+        weights = draw(st.lists(st.integers(1, 3), min_size=arity, max_size=arity))
+        return WeightedLogProductRelation(WeightVector(ctx, tuple(weights))), points
+    if kind == "utility":
+        return UtilityRelation(lambda a: sum(a.values) - 2 * a.values[-1]), points
+    distinct = list(dict.fromkeys(points))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=len(distinct), max_size=len(distinct)))
+    remap = {r: i for i, r in enumerate(sorted(set(ranks)))}
+    return table_relation(RankedRelation.from_rank_map(
+        {p: remap[r] for p, r in zip(distinct, ranks)})), points
+
+
+class TestRanksHook:
+    """Relations that rank by a key build an audit's verdict table from their
+    ranks; every other relation is asked pair by pair, with the same
+    reports."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranked_relations())
+    def test_table_is_compare_and_reports_match_compare_only(self, case):
+        rel, points = case
+        table = _Audit(rel, _Sample(points)).table
+        assert table == [[rel.compare(a, b) for b in points] for a in points]
+        config = CheckConfig(all_violations=True)
+        assert run_checks(rel, points, ALL_AXIOMS, config) == \
+            run_checks(CompareOnly(rel), points, ALL_AXIOMS, config)
+
+    def test_subclass_overriding_compare_is_drawn_pair_by_pair(self, nine_grid):
+        rel = FlippedLex()
+        assert rel.compare(nine_grid[-1], nine_grid[0]) is SECOND
+        assert rel.compare(nine_grid[0], nine_grid[-1]) is SECOND
+        assert all(out is None for row in _Audit(rel, _Sample(nine_grid)).table for out in row)
+        assert all(None not in row for row in _Audit(LEX, _Sample(nine_grid)).table)
+        report = run_checks(rel, nine_grid, ALL_AXIOMS, CheckConfig(all_violations=True))
+        failed = {r.axiom for r in report.results if not r.passed}
+        assert {AxiomId.MIRROR_CONSISTENT, AxiomId.TRANSITIVE} <= failed
+        for axiom in (AxiomId.MIRROR_CONSISTENT, AxiomId.TRANSITIVE):
+            violations = report.result_for(axiom).violations
+            assert violations and all(replay_violation(rel, v) for v in violations)
+        assert report.result_for(AxiomId.MIRROR_CONSISTENT).violations[0].witness == \
+            (nine_grid[0], nine_grid[-1])
+
+    # The errors below come as the audit starts, so an audit that would
+    # put no pair to the relation, such as StrongMonotonicity alone on one
+    # point, raises them too instead of passing vacuously.
+
+    def test_table_point_outside_its_domain(self, unit_square, nine_grid):
+        rel = table_relation(RankedRelation.from_rank_map({p: 0 for p in unit_square}))
+        outside = [p for p in nine_grid if p not in unit_square][0]
+        for sample, axioms in ((unit_square + [outside], ALL_AXIOMS), ([outside], [AxiomId.STRONG_MONOTONICITY])):
+            with pytest.raises(UnknownPointError, match="^" + re.escape(f"point {outside} not in table domain") + "$"):
+                run_checks(rel, sample, axioms)
+
+    def test_wlog_on_profiles_of_another_context(self, nine_grid):
+        other = PriorityContext.of(("p", "q"))
+        rel = WeightedLogProductRelation(WeightVector(other, (1, 2)))
+        for sample, axioms in ((nine_grid, ALL_AXIOMS), (nine_grid[:1], [AxiomId.STRONG_MONOTONICITY])):
+            with pytest.raises(WeightArityMismatchError, match="^weights built on a different context$"):
+                run_checks(rel, sample, axioms)
+
+    def test_utility_without_an_exact_integer_ratio(self, nine_grid):
+        rel = UtilityRelation(lambda a: float("nan"), name="nan")
+        for sample, axioms in ((nine_grid, ALL_AXIOMS), (nine_grid[:1], [AxiomId.STRONG_MONOTONICITY])):
+            with pytest.raises(RafprefError, match=re.escape(f"relation 'nan': the utility of {nine_grid[0]} is nan,")):
+                run_checks(rel, sample, axioms)
+
+    @pytest.mark.parametrize("first", [AxiomId.MIRROR_CONSISTENT, AxiomId.CONNECTED, AxiomId.IWA])
+    def test_scan_after_an_off_diagonal_fill_still_draws_the_diagonal(self, nine_grid, first):
+        rng = random.Random(5)
+        rel = DrawnVerdicts({(a, b): rng.choice([FIRST, SECOND, INDIFF]) for a in nine_grid for b in nine_grid})
+        config = CheckConfig(all_violations=True)
+        for later in (AxiomId.TRANSITIVE, AxiomId.NON_COMPENSATION):
+            together = run_checks(rel, nine_grid, [first, later], config)
+            assert together.result_for(later) == run_checks(rel, nine_grid, [later], config).results[0]

@@ -16,10 +16,12 @@ from conftest import rationals01
 from rafpref import (
     AxiomId,
     ComparisonOutcome,
+    ContextMismatchError,
     EqualInputsError,
     GridSpec,
     InvalidGridError,
     LexicographicRelation,
+    PriorityContext,
     RankedRelation,
     Raf,
     RafprefError,
@@ -329,6 +331,11 @@ class TestLexRanking:
         points = [Raf(unit_square[i].context, unit_square[i].values) for i in picks]
         with pytest.raises(RafprefError, match="^lex_ranking needs one or more pairwise distinct points$"):
             lex_ranking(points)
+
+    def test_refuses_profiles_of_two_contexts(self, unit_square):
+        other = make_raf(("1/2", "1/3"), PriorityContext.of(("p", "q")))
+        with pytest.raises(ContextMismatchError):
+            lex_ranking([unit_square[0], other])
 
 
 class TestCompiledFiltersMatchCheckers:

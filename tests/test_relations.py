@@ -455,3 +455,40 @@ class TestUtilityMemo:
                 rel.compare(points[k % len(points)], points[(7 * k) % len(points)])
             assert (repr(rel), hash(rel)) == before == (repr(fresh), hash(fresh))
             assert rel == fresh
+
+
+class TestRanksHook:
+    def test_ranks_are_dense_best_lowest(self, money_ctx):
+        a, b, c = (make_raf(v, money_ctx) for v in (("1/2", "1/3"), ("1/2", "0"), ("1/3", "1")))
+        assert LexicographicRelation().ranks([b, c, a, b]) == [1, 2, 0, 1]
+        # mep: 20, 20 and 40/3; ties share a rank
+        assert MaxExpectedPayoffRelation().ranks([b, c, a]) == [0, 1, 0]
+        # a table's own ranks, gaps on a subset included
+        assert table_relation(RankedRelation.from_rank_map({a: 0, b: 2, c: 1})).ranks([b, a]) == [2, 0]
+
+    def test_refuses_what_compare_refuses(self, raf_a, unit_square):
+        other = make_raf(("1/5", "4/5"), PriorityContext.of(("p", "q"), {"p": 40, "q": 10}))
+        for rel in (
+            LexicographicRelation(),
+            MaxExpectedPayoffRelation(),
+            WeightedLogProductRelation(WeightVector(raf_a.context, (1, 1))),
+            UtilityRelation(mep_utility),
+        ):
+            with pytest.raises(ContextMismatchError):
+                rel.ranks([raf_a, other])
+            with pytest.raises(ContextMismatchError):
+                rel.ranks([other, raf_a])
+        with pytest.raises(WeightArityMismatchError):
+            WeightedLogProductRelation(WeightVector(raf_a.context, (1, 1))).ranks([other])
+        with pytest.raises(MissingPayoffsError):
+            MaxExpectedPayoffRelation().ranks(unit_square)
+        table = table_relation(RankedRelation.from_rank_map({p: 0 for p in unit_square}))
+        with pytest.raises(UnknownPointError, match="not in table domain"):
+            table.ranks(unit_square + [make_raf(("1/2", "1/2"), unit_square[0].context)])
+
+    def test_base_relation_has_none(self, unit_square):
+        class Plain(relations.PreferenceRelation):
+            def compare(self, a, b):
+                return lex_compare(a, b)
+
+        assert Plain().ranks(unit_square) is None
